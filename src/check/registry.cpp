@@ -14,7 +14,7 @@
 // GLOUVAIN_SIMTCHECK.
 #include "check/check.hpp"
 
-#include <atomic>  // simt-lint: allow(raw-atomic) — checker infrastructure
+#include <atomic>  // glint: allow(raw-atomic) — checker infrastructure
 #include <cstdio>
 #include <map>
 #include <mutex>
@@ -111,7 +111,7 @@ constexpr std::size_t kMaxRetained = 256;
 
 struct State {
   // Launch bookkeeping.
-  std::atomic<std::uint64_t> next_epoch{1};  // simt-lint: allow(raw-atomic)
+  std::atomic<std::uint64_t> next_epoch{1};  // glint: allow(raw-atomic)
   std::mutex launches_mu;
   std::unordered_map<std::uint64_t, std::string> launch_labels;
 
@@ -131,7 +131,7 @@ struct State {
   std::vector<Violation> violations;
   std::set<std::tuple<std::uint8_t, std::uint64_t, std::size_t, std::size_t>>
       dedup;
-  std::atomic<std::uint64_t> total{0};  // simt-lint: allow(raw-atomic)
+  std::atomic<std::uint64_t> total{0};  // glint: allow(raw-atomic)
 };
 
 State& state() {

@@ -23,7 +23,6 @@
 #include "detect/options.hpp"
 #include "detect/result.hpp"
 #include "graph/csr.hpp"
-#include "multi/multi.hpp"
 #include "shard/engine.hpp"
 #include "util/status.hpp"
 #include "zg/zcsr.hpp"
@@ -36,11 +35,9 @@ namespace glouvain::detect {
 
 /// Backend-specific knobs that survived the Config consolidation.
 /// The Options slice inside each member is overwritten by the Options
-/// passed to run(), so only the extension fields matter here. The
-/// core extension also configures `multi`'s per-device runs.
+/// passed to run(), so only the extension fields matter here.
 struct Extensions {
   core::Config core;
-  multi::Config multi;
   shard::Config shard;
 };
 
@@ -73,7 +70,7 @@ class Detector {
 
 using Factory = std::function<std::unique_ptr<Detector>(const Extensions&)>;
 
-/// Instantiate a registered backend ("core" | "seq" | "plm" | "multi",
+/// Instantiate a registered backend ("core" | "seq" | "plm" | "shard",
 /// plus anything added via register_backend). Unknown names yield
 /// kInvalidArgument.
 util::StatusOr<std::unique_ptr<Detector>> make(std::string_view backend,

@@ -40,10 +40,38 @@ void check_z_compatible(const Options& options, std::string_view backend) {
   }
 }
 
+/// A backend runner (core::Louvain or shard::Engine) kept warm across
+/// runs. Worker-thread and lane-backend changes rebuild it (the live
+/// device's shape — pool AND resolved backend — is immutable, see
+/// Louvain::set_config); anything else is a config swap on the warm
+/// instance.
+template <typename Runner>
+class WarmRunner {
+ public:
+  template <typename Config>
+  Runner& get(const Config& cfg, const simt::DeviceConfig& device) {
+    const unsigned want =
+        device.worker_threads ? device.worker_threads : cfg.threads;
+    const simt::Backend backend = simt::resolve_backend(device.backend);
+    if (!runner_ || want != threads_ || backend != backend_) {
+      runner_ = std::make_unique<Runner>(cfg);
+      threads_ = want;
+      backend_ = backend;
+    } else {
+      runner_->set_config(cfg);
+    }
+    return *runner_;
+  }
+
+ private:
+  std::unique_ptr<Runner> runner_;
+  unsigned threads_ = ~0u;
+  simt::Backend backend_ = simt::Backend::kAuto;
+};
+
 /// GPU-style Louvain on the software SIMT device. Keeps its device
 /// (thread pool + shared arenas) warm across runs — the svc device
-/// pool holds one of these per pooled slot — and rebuilds it only when
-/// the requested worker-thread count changes.
+/// pool holds one of these per pooled slot.
 class CoreDetector final : public Detector {
  public:
   explicit CoreDetector(const Extensions& ext) : base_(ext.core) {}
@@ -74,31 +102,15 @@ class CoreDetector final : public Detector {
   }
 
  private:
-  /// Rebuild or retune the kept runner. Thread-count and lane-backend
-  /// changes rebuild the device (the live device's shape — pool AND
-  /// resolved backend — is immutable, see Louvain::set_config);
-  /// anything else is a config swap on the warm instance.
   core::Louvain& runner_for(const Options& options) {
     core::Config cfg = core::to_config(options, base_);
     cfg.warm_start.reset();  // passed explicitly in run(); keep the
                              // kept config from pinning the seed arrays
-    const unsigned want =
-        cfg.device.worker_threads ? cfg.device.worker_threads : cfg.threads;
-    const simt::Backend backend = simt::resolve_backend(cfg.device.backend);
-    if (!runner_ || want != runner_threads_ || backend != runner_backend_) {
-      runner_ = std::make_unique<core::Louvain>(cfg);
-      runner_threads_ = want;
-      runner_backend_ = backend;
-    } else {
-      runner_->set_config(cfg);
-    }
-    return *runner_;
+    return runner_.get(cfg, cfg.device);
   }
 
   core::Config base_;
-  std::unique_ptr<core::Louvain> runner_;
-  unsigned runner_threads_ = ~0u;
-  simt::Backend runner_backend_ = simt::Backend::kAuto;
+  WarmRunner<core::Louvain> runner_;
 };
 
 class SeqDetector final : public Detector {
@@ -147,31 +159,6 @@ class PlmDetector final : public Detector {
   }
 };
 
-class MultiDetector final : public Detector {
- public:
-  explicit MultiDetector(const Extensions& ext) : ext_(ext) {}
-
-  std::string_view name() const noexcept override { return "multi"; }
-
-  Result run(const graph::Csr& graph, const Options& options,
-             obs::Recorder* recorder) override {
-    if (options.storage != Storage::kPlain) {
-      throw std::invalid_argument(
-          "multi: compressed storage is not supported (use --storage plain)");
-    }
-    multi::Config cfg = ext_.multi;
-    static_cast<Options&>(cfg) = options;
-    // The core extension governs every simulated device; multi's own
-    // louvain() runs it through the canonical Options -> Config path.
-    cfg.core = ext_.core;
-    multi::Result mr = multi::louvain(graph, cfg, recorder);
-    return static_cast<Result&&>(std::move(mr));  // slice off multi extras
-  }
-
- private:
-  Extensions ext_;
-};
-
 /// Sharded multi-device Louvain (DESIGN.md §14). Keeps its engine
 /// (device + workspace) warm across runs, exactly like CoreDetector —
 /// the svc device pool relies on this for cheap repeated jobs.
@@ -204,25 +191,11 @@ class ShardDetector final : public Detector {
   shard::Engine& engine_for(const Options& options) {
     shard::Config cfg = shard::to_config(options, base_);
     cfg.warm_start.reset();
-    const unsigned want = cfg.core.device.worker_threads
-                              ? cfg.core.device.worker_threads
-                              : cfg.threads;
-    const simt::Backend backend =
-        simt::resolve_backend(cfg.core.device.backend);
-    if (!engine_ || want != engine_threads_ || backend != engine_backend_) {
-      engine_ = std::make_unique<shard::Engine>(cfg);
-      engine_threads_ = want;
-      engine_backend_ = backend;
-    } else {
-      engine_->set_config(cfg);
-    }
-    return *engine_;
+    return engine_.get(cfg, cfg.core.device);
   }
 
   shard::Config base_;
-  std::unique_ptr<shard::Engine> engine_;
-  unsigned engine_threads_ = ~0u;
-  simt::Backend engine_backend_ = simt::Backend::kAuto;
+  WarmRunner<shard::Engine> engine_;
 };
 
 struct Registry {
@@ -238,9 +211,6 @@ struct Registry {
     });
     factories.emplace("plm", [](const Extensions&) {
       return std::make_unique<PlmDetector>();
-    });
-    factories.emplace("multi", [](const Extensions& ext) {
-      return std::make_unique<MultiDetector>(ext);
     });
     factories.emplace("shard", [](const Extensions& ext) {
       return std::make_unique<ShardDetector>(ext);

@@ -114,93 +114,18 @@ Csr permute(const Csr& graph, const std::vector<VertexId>& perm) {
 
 Csr contract_reference(const Csr& graph, const std::vector<Community>& community,
                        std::vector<VertexId>* new_id_out) {
-  const VertexId n = graph.num_vertices();
-
-  // Renumber non-empty communities consecutively, in increasing
-  // community-id order (matches the newID prefix sum of Algorithm 3).
-  std::vector<std::uint8_t> non_empty(n, 0);
-  for (VertexId v = 0; v < n; ++v) non_empty[community[v]] = 1;
-  std::vector<VertexId> new_id(n, kInvalidVertex);
-  VertexId next = 0;
-  for (VertexId c = 0; c < n; ++c) {
-    if (non_empty[c]) new_id[c] = next++;
-  }
-  const VertexId nn = next;
-  if (new_id_out) *new_id_out = new_id;
-
-  // Hash neighbours of each community's members (the sequential analogue
-  // of mergeCommunity).
-  std::vector<std::vector<std::pair<VertexId, Weight>>> rows(nn);
-  for (VertexId v = 0; v < n; ++v) {
-    const VertexId c = new_id[community[v]];
-    auto& row = rows[c];
-    auto nbrs = graph.neighbors(v);
-    auto ws = graph.weights(v);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      row.emplace_back(new_id[community[nbrs[i]]], ws[i]);
-    }
-  }
-
-  std::vector<EdgeIdx> offsets(nn + 1, 0);
-  std::vector<VertexId> adj;
-  std::vector<Weight> weights;
-  for (VertexId c = 0; c < nn; ++c) {
-    auto& row = rows[c];
-    std::sort(row.begin(), row.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    EdgeIdx count = 0;
-    for (std::size_t i = 0; i < row.size();) {
-      const VertexId nb = row[i].first;
-      Weight w = 0;
-      while (i < row.size() && row[i].first == nb) {
-        w += row[i].second;
-        ++i;
-      }
-      adj.push_back(nb);
-      weights.push_back(w);
-      ++count;
-    }
-    offsets[c + 1] = offsets[c] + count;
-    row.clear();
-    row.shrink_to_fit();
-  }
-  return Csr(std::move(offsets), std::move(adj), std::move(weights));
-}
-
-Csr induced_subgraph(const Csr& graph, std::span<const VertexId> members) {
-  const auto sub_n = static_cast<VertexId>(members.size());
-  std::vector<VertexId> to_sub(graph.num_vertices(), kInvalidVertex);
-  for (VertexId i = 0; i < sub_n; ++i) to_sub[members[i]] = i;
-
-  std::vector<EdgeIdx> offsets(static_cast<std::size_t>(sub_n) + 1, 0);
-  for (VertexId i = 0; i < sub_n; ++i) {
-    EdgeIdx kept = 0;
-    for (const VertexId nb : graph.neighbors(members[i])) {
-      kept += (to_sub[nb] != kInvalidVertex) ? 1 : 0;
-    }
-    offsets[i + 1] = offsets[i] + kept;
-  }
-  std::vector<VertexId> adj(offsets[sub_n]);
-  std::vector<Weight> weights(offsets[sub_n]);
-  simt::ThreadPool::global().parallel_for(sub_n, [&](std::size_t i, unsigned) {
-    const VertexId old = members[i];
-    auto nbrs = graph.neighbors(old);
-    auto ws = graph.weights(old);
-    std::vector<std::pair<VertexId, Weight>> row;
-    row.reserve(nbrs.size());
-    for (std::size_t e = 0; e < nbrs.size(); ++e) {
-      const VertexId mapped = to_sub[nbrs[e]];
-      if (mapped != kInvalidVertex) row.emplace_back(mapped, ws[e]);
-    }
-    std::sort(row.begin(), row.end());
-    EdgeIdx at = offsets[i];
-    for (const auto& [nb, w] : row) {
-      adj[at] = nb;
-      weights[at] = w;
-      ++at;
-    }
-  });
-  return Csr(std::move(offsets), std::move(adj), std::move(weights));
+  struct Row {
+    const VertexId* adj;
+    const Weight* w;
+    EdgeIdx deg;
+  };
+  return contract_reference(
+      graph.num_vertices(),
+      [&](VertexId v) {
+        return Row{graph.neighbors(v).data(), graph.weights(v).data(),
+                   graph.degree(v)};
+      },
+      community, new_id_out);
 }
 
 std::uint64_t count_components(const Csr& graph) {

@@ -1,8 +1,9 @@
 #include "seq/louvain.hpp"
 
-#include <algorithm>
+#include <optional>
 #include <stdexcept>
 
+#include "core/rows.hpp"
 #include "graph/ops.hpp"
 #include "metrics/partition.hpp"
 #include "obs/recorder.hpp"
@@ -27,89 +28,49 @@ double modularity_from(const std::vector<Weight>& in,
   return q;
 }
 
-/// One neighbour row handed to the phase body by a row source.
-struct Row {
-  std::span<const VertexId> nbrs;
-  std::span<const Weight> ws;
-};
-
-/// Row source over a plain Csr: zero-cost spans into the arrays.
-struct PlainSource {
-  const Csr& g;
-
-  VertexId num_vertices() const { return g.num_vertices(); }
-  Weight total_weight() const { return g.total_weight(); }
-  void strengths_and_loops(std::vector<Weight>& s, std::vector<Weight>& l) {
-    s = g.compute_strengths();
-    const VertexId n = g.num_vertices();
-    l.resize(n);
-    for (VertexId v = 0; v < n; ++v) l[v] = g.loop_weight(v);
-  }
-  Row row(VertexId v) { return {g.neighbors(v), g.weights(v)}; }
-};
-
-/// Row source over the varint-compressed ZCsr: one cached decode
-/// cursor. The phase body visits vertices in increasing id order, so
-/// the cursor advances sequentially (one cheap reseek per sweep, back
-/// to row 0). Decoded values equal the plain arrays bit for bit, and
-/// sums below run in the same row order as the Csr members, so every
-/// downstream double matches the plain path bitwise.
-class ZSource {
- public:
-  explicit ZSource(const zg::ZCsr& z)
-      : z_(z), cursor_(z.cursor()), adj_(z.max_degree()), w_(z.max_degree()) {}
-
-  VertexId num_vertices() const { return z_.num_vertices(); }
-  Weight total_weight() const { return z_.total_weight(); }
-  void strengths_and_loops(std::vector<Weight>& s, std::vector<Weight>& l) {
-    const VertexId n = z_.num_vertices();
-    s.resize(n);
-    l.resize(n);
-    auto cur = z_.cursor();
-    for (VertexId v = 0; v < n; ++v) {
-      const std::uint32_t deg = z_.degree(v);
-      cur.decode_into(adj_.data(), w_.data());
-      Weight sum = 0;
-      Weight loop = 0;
-      for (std::uint32_t i = 0; i < deg; ++i) {
-        sum += w_[i];
-        if (adj_[i] == v) loop += w_[i];
-      }
-      s[v] = sum;
-      l[v] = loop;
+/// Strengths and self-loop weights, summed in row order exactly like
+/// Csr::strength / Csr::loop_weight, so every storage yields the same
+/// bits.
+template <typename Rows>
+void strengths_and_loops(Rows& rows, std::vector<Weight>& s,
+                         std::vector<Weight>& l) {
+  const VertexId n = rows.num_vertices();
+  s.resize(n);
+  l.resize(n);
+  for (VertexId v = 0; v < n; ++v) {
+    const core::RowView r = rows.row(v, 0);
+    Weight sum = 0;
+    Weight loop = 0;
+    for (std::uint32_t i = 0; i < r.deg; ++i) {
+      sum += r.w[i];
+      if (r.adj[i] == v) loop += r.w[i];
     }
+    s[v] = sum;
+    l[v] = loop;
   }
-  Row row(VertexId v) {
-    if (cursor_.vertex() != v) cursor_ = z_.cursor_at(v);
-    const std::uint32_t deg = z_.degree(v);
-    cursor_.decode_into(adj_.data(), w_.data());
-    return {{adj_.data(), deg}, {w_.data(), deg}};
-  }
+}
 
- private:
-  const zg::ZCsr& z_;
-  zg::ZCsr::Cursor cursor_;
-  std::vector<VertexId> adj_;
-  std::vector<Weight> w_;
-};
-
-/// The shared phase body, templated over the row source. A non-empty
-/// `seed` replaces the singleton bootstrap (in/tot are accumulated
-/// from the seeded membership); a non-empty `active` restricts the
-/// sweep to those vertices — everyone else keeps its community but
-/// still participates in every gain term, so the maintained
-/// modularity stays exact.
-template <typename Source>
-int phase_impl(Source& src, std::vector<Community>& community,
+/// The shared phase body, templated over core's row sources (PlainRows
+/// or ZRows, read on worker 0). The phase visits vertices in increasing
+/// id order, so a ZRows cursor decodes sequentially (one cheap reseek
+/// per sweep, back to row 0); decoded rows equal the plain arrays bit
+/// for bit, so every downstream double matches the plain path.
+/// A non-empty `seed` replaces the singleton bootstrap (in/tot are
+/// accumulated from the seeded membership); a non-empty `active`
+/// restricts the sweep to those vertices — everyone else keeps its
+/// community but still participates in every gain term, so the
+/// maintained modularity stays exact.
+template <typename Rows>
+int phase_impl(Rows& rows, std::vector<Community>& community,
                double threshold, int max_sweeps, double* final_modularity,
                obs::Recorder* rec, std::span<const Community> seed,
                std::span<const VertexId> active) {
-  const VertexId n = src.num_vertices();
-  const Weight m2 = src.total_weight();
+  const VertexId n = rows.num_vertices();
+  const Weight m2 = rows.total_weight();
 
   std::vector<Weight> strengths;
   std::vector<Weight> loops;
-  src.strengths_and_loops(strengths, loops);
+  strengths_and_loops(rows, strengths, loops);
 
   std::vector<Weight> tot;
   std::vector<Weight> in;
@@ -127,9 +88,9 @@ int phase_impl(Source& src, std::vector<Community>& community,
       const Community c = community[v];
       tot[c] += strengths[v];
       Weight internal = loops[v];
-      const Row r = src.row(v);
-      for (std::size_t i = 0; i < r.nbrs.size(); ++i) {
-        if (r.nbrs[i] != v && community[r.nbrs[i]] == c) internal += r.ws[i];
+      const core::RowView r = rows.row(v, 0);
+      for (std::uint32_t i = 0; i < r.deg; ++i) {
+        if (r.adj[i] != v && community[r.adj[i]] == c) internal += r.w[i];
       }
       in[c] += internal;  // each internal edge lands twice, once per end
     }
@@ -159,15 +120,15 @@ int phase_impl(Source& src, std::vector<Community>& community,
 
       // Gather d_{v,c} for every adjacent community (self excluded).
       touched.clear();
-      const Row r = src.row(v);
-      for (std::size_t i = 0; i < r.nbrs.size(); ++i) {
-        if (r.nbrs[i] == v) continue;
-        const Community c = community[r.nbrs[i]];
+      const core::RowView r = rows.row(v, 0);
+      for (std::uint32_t i = 0; i < r.deg; ++i) {
+        if (r.adj[i] == v) continue;
+        const Community c = community[r.adj[i]];
         if (neigh_weight[c] < 0) {
           neigh_weight[c] = 0;
           touched.push_back(c);
         }
-        neigh_weight[c] += r.ws[i];
+        neigh_weight[c] += r.w[i];
       }
 
       const Weight d_old = neigh_weight[old_c] < 0 ? 0 : neigh_weight[old_c];
@@ -223,65 +184,6 @@ int phase_impl(Source& src, std::vector<Community>& community,
   return sweeps;
 }
 
-/// The reference contraction over a compressed row source: the exact
-/// algorithm of graph::contract_reference with member rows decoded
-/// from the stream. Rows are appended in the same vertex/row order, so
-/// the sort inputs — and therefore the merged sums and the resulting
-/// Csr arrays — are identical to the plain path bit for bit.
-Csr contract_z(const zg::ZCsr& z, const std::vector<Community>& community,
-               std::vector<VertexId>* new_id_out) {
-  const VertexId n = z.num_vertices();
-
-  std::vector<std::uint8_t> non_empty(n, 0);
-  for (VertexId v = 0; v < n; ++v) non_empty[community[v]] = 1;
-  std::vector<VertexId> new_id(n, graph::kInvalidVertex);
-  VertexId next = 0;
-  for (VertexId c = 0; c < n; ++c) {
-    if (non_empty[c]) new_id[c] = next++;
-  }
-  const VertexId nn = next;
-  if (new_id_out) *new_id_out = new_id;
-
-  std::vector<std::vector<std::pair<VertexId, Weight>>> rows(nn);
-  std::vector<VertexId> adj_buf(z.max_degree());
-  std::vector<Weight> w_buf(z.max_degree());
-  auto cur = z.cursor();
-  for (VertexId v = 0; v < n; ++v) {
-    const VertexId c = new_id[community[v]];
-    auto& row = rows[c];
-    const std::uint32_t deg = z.degree(v);
-    cur.decode_into(adj_buf.data(), w_buf.data());
-    for (std::uint32_t i = 0; i < deg; ++i) {
-      row.emplace_back(new_id[community[adj_buf[i]]], w_buf[i]);
-    }
-  }
-
-  std::vector<graph::EdgeIdx> offsets(nn + 1, 0);
-  std::vector<VertexId> adj;
-  std::vector<Weight> weights;
-  for (VertexId c = 0; c < nn; ++c) {
-    auto& row = rows[c];
-    std::sort(row.begin(), row.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    graph::EdgeIdx count = 0;
-    for (std::size_t i = 0; i < row.size();) {
-      const VertexId nb = row[i].first;
-      Weight w = 0;
-      while (i < row.size() && row[i].first == nb) {
-        w += row[i].second;
-        ++i;
-      }
-      adj.push_back(nb);
-      weights.push_back(w);
-      ++count;
-    }
-    offsets[c + 1] = offsets[c] + count;
-    row.clear();
-    row.shrink_to_fit();
-  }
-  return Csr(std::move(offsets), std::move(adj), std::move(weights));
-}
-
 /// Shared multi-level driver; seed/active apply to level 0 only.
 /// Exactly one of `graph` / `z0` is non-null: z0 selects the
 /// compressed level-0 path (cold start only), after which the loop
@@ -308,7 +210,12 @@ LouvainResult run_impl(const Csr* graph, const zg::ZCsr* z0,
   }
 
   Csr current;  // empty during level 0 of a compressed run
-  if (!z0) current = *graph;
+  std::optional<core::ZRows> zrows;  // level 0 of a compressed run only
+  if (z0) {
+    zrows.emplace(*z0, 1);
+  } else {
+    current = *graph;
+  }
   double prev_q = -1.0;
 
   for (int level = 0; level < config.max_levels; ++level) {
@@ -331,15 +238,14 @@ LouvainResult run_impl(const Csr* graph, const zg::ZCsr* z0,
       const auto level_active =
           warm_level ? active : std::span<const VertexId>{};
       if (z_level) {
-        ZSource src(*z0);
         report.iterations =
-            phase_impl(src, phase_community, threshold,
+            phase_impl(*zrows, phase_community, threshold,
                        config.max_sweeps_per_level, &q, rec, level_seed,
                        level_active);
       } else {
-        PlainSource src{current};
+        core::PlainRows rows(current);
         report.iterations =
-            phase_impl(src, phase_community, threshold,
+            phase_impl(rows, phase_community, threshold,
                        config.max_sweeps_per_level, &q, rec, level_seed,
                        level_active);
       }
@@ -366,9 +272,13 @@ LouvainResult run_impl(const Csr* graph, const zg::ZCsr* z0,
       metrics::renumber(phase_community);
       result.community = metrics::flatten(result.community, phase_community);
       result.dendrogram.push_level(phase_community);
-      contracted = z_level
-          ? contract_z(*z0, phase_community, &new_id)
-          : graph::contract_reference(current, phase_community, &new_id);
+      contracted =
+          z_level ? graph::contract_reference(
+                        zrows->num_vertices(),
+                        [&](VertexId v) { return zrows->row(v, 0); },
+                        phase_community, &new_id)
+                  : graph::contract_reference(current, phase_community,
+                                              &new_id);
     }
     report.aggregate_seconds = agg_timer.seconds();
     result.levels.push_back(report);
@@ -394,8 +304,8 @@ LouvainResult run_impl(const Csr* graph, const zg::ZCsr* z0,
 int optimize_phase(const Csr& graph, std::vector<Community>& community,
                    double threshold, int max_sweeps, double* final_modularity,
                    obs::Recorder* rec) {
-  PlainSource src{graph};
-  return phase_impl(src, community, threshold, max_sweeps, final_modularity,
+  core::PlainRows rows(graph);
+  return phase_impl(rows, community, threshold, max_sweeps, final_modularity,
                     rec, {}, {});
 }
 

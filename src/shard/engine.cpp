@@ -112,7 +112,7 @@ struct LocalGraph {
 /// collection. READS the shared round state (gs, last_moved,
 /// dirty_round) and WRITES only lane-local scratch + this shard's
 /// PhaseState/proposals — the property that makes the concurrent
-/// rounds race-free (and that tools/simt_lint.py rule shard-barrier
+/// rounds race-free (and that the tools/glint.py rule shard-barrier
 /// enforces on the parallel_shards body below).
 SweepOutcome run_shard_sweep(
     simt::Device& device, const Shard& sh, core::PhaseState& st,
@@ -234,7 +234,7 @@ SweepOutcome run_shard_sweep(
 /// Run `lanes` host threads over fn(lane); the join IS the round
 /// barrier. Cross-shard mutable state (gs writes, last_moved /
 /// dirty_round stamps, rebuild_tot) is forbidden inside fn — the
-/// simt_lint shard-barrier rule flags it — so everything a lane
+/// glint shard-barrier rule flags it — so everything a lane
 /// touches is private until the barrier publishes it.
 template <typename Fn>
 void run_lanes(unsigned lanes, Fn&& fn) {

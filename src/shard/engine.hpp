@@ -3,11 +3,10 @@
 // exchange of ghost community/tot, and a global aggregation that
 // rebuilds the shards per level.
 //
-// Execution model: in the default sequential mode — exactly like the
-// multi subsystem this supersedes — the k "devices" are simulated
-// sequentially on a single warm simt::Device that uses the full worker
-// pool for each shard (Gauss-Seidel rounds: later shards of a round
-// see earlier shards' moves). With Options::concurrent_shards the
+// Execution model: in the default sequential mode the k "devices" are
+// simulated sequentially on a single warm simt::Device that uses the
+// full worker pool for each shard (Gauss-Seidel rounds: later shards of
+// a round see earlier shards' moves). With Options::concurrent_shards the
 // rounds become BARRIER-SYNCHRONIZED JACOBI rounds on real host
 // concurrency: each round leases up to k devices from a
 // simt::DevicePool, every shard sweeps as a task on its leased device

@@ -7,7 +7,7 @@
 // per-device mirrors (DESIGN.md §14 substitution table). To keep that
 // replacement honest, every cross-shard read in src/shard goes through
 // community_of()/tot_of() and every write through store_label() /
-// rebuild_tot(). tools/simt_lint.py rule "shard-ghost" flags any code
+// rebuild_tot(). The tools/glint.py rule "shard-ghost" flags any code
 // outside this header that touches the raw arrays directly.
 #pragma once
 

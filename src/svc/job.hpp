@@ -30,7 +30,6 @@ enum class Backend {
   Core,   ///< GPU-style Louvain on a pooled simt device
   Seq,    ///< sequential Blondel-style Louvain (no device)
   Plm,    ///< shared-memory parallel Louvain (global pool)
-  Multi,  ///< coarse-grained multi-device Louvain (deprecated; see Shard)
   Shard,  ///< sharded multi-device Louvain with halo exchange
 };
 

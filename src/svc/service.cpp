@@ -27,7 +27,6 @@ Backend backend_from_name(std::string_view name) noexcept {
   if (name == "core") return Backend::Core;
   if (name == "seq") return Backend::Seq;
   if (name == "plm") return Backend::Plm;
-  if (name == "multi") return Backend::Multi;
   if (name == "shard") return Backend::Shard;
   return Backend::Auto;  // custom registry backends count as "other"
 }
@@ -75,7 +74,6 @@ const char* to_string(Backend b) noexcept {
     case Backend::Core: return "core";
     case Backend::Seq: return "seq";
     case Backend::Plm: return "plm";
-    case Backend::Multi: return "multi";
     case Backend::Shard: return "shard";
   }
   return "?";

@@ -29,7 +29,7 @@ struct Stats {
   std::uint64_t ran_on_device = 0;  ///< core backend, pooled device
   std::uint64_t ran_sequential = 0; ///< degraded to the seq backend
   std::uint64_t ran_sharded = 0;    ///< shard backend, pooled device
-  std::uint64_t ran_other = 0;      ///< plm / multi backends
+  std::uint64_t ran_other = 0;      ///< plm / custom registry backends
 
   // Time accounting, summed over jobs (seconds).
   double queue_wait_seconds = 0;  ///< submit -> start, run jobs only

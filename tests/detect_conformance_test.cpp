@@ -10,6 +10,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "check/check.hpp"
 #include "gen/rmat.hpp"
@@ -43,6 +44,11 @@ detect::Options small_options() {
   return options;
 }
 
+// The registry's built-in backends, captured during static
+// initialisation: before RegisterExtendsAndRejectsDuplicates adds its
+// fake, whatever order the tests run in.
+const std::vector<std::string> kBuiltInBackends = detect::backend_names();
+
 void check_labels(const detect::Result& result, graph::VertexId n,
                   const std::string& backend) {
   ASSERT_EQ(result.community.size(), static_cast<std::size_t>(n)) << backend;
@@ -52,9 +58,9 @@ void check_labels(const detect::Result& result, graph::VertexId n,
 }
 
 TEST(DetectRegistry, BuiltInBackendsAreRegistered) {
-  const auto names = detect::backend_names();
-  const std::set<std::string> have(names.begin(), names.end());
-  for (const char* expected : {"core", "seq", "plm", "multi"}) {
+  const std::set<std::string> have(kBuiltInBackends.begin(),
+                                   kBuiltInBackends.end());
+  for (const char* expected : {"core", "seq", "plm", "shard"}) {
     EXPECT_TRUE(have.count(expected)) << expected;
   }
 }
@@ -95,7 +101,7 @@ TEST(DetectConformance, EveryBackendAgreesOnPlantedCommunities) {
   const detect::Result reference = (*seq)->run(g, options);
   ASSERT_GT(reference.modularity, 0.3);
 
-  for (const char* backend : {"core", "seq", "plm", "multi"}) {
+  for (const std::string& backend : kBuiltInBackends) {
     SCOPED_TRACE(backend);
     auto d = detect::make(backend);
     ASSERT_TRUE(d.ok()) << d.status().to_string();
@@ -109,7 +115,7 @@ TEST(DetectConformance, EveryBackendAgreesOnPlantedCommunities) {
 TEST(DetectConformance, EveryBackendHandlesSkewedDegrees) {
   const graph::Csr g = rmat_graph();
   const auto options = small_options();
-  for (const char* backend : {"core", "seq", "plm", "multi"}) {
+  for (const std::string& backend : kBuiltInBackends) {
     SCOPED_TRACE(backend);
     auto d = detect::make(backend);
     ASSERT_TRUE(d.ok());
@@ -122,7 +128,7 @@ TEST(DetectConformance, EveryBackendHandlesSkewedDegrees) {
 TEST(DetectConformance, EveryBackendEmitsAWellFormedSpanTree) {
   const graph::Csr g = sbm_graph();
   const auto options = small_options();
-  for (const char* backend : {"core", "seq", "plm", "multi"}) {
+  for (const std::string& backend : kBuiltInBackends) {
     SCOPED_TRACE(backend);
     auto d = detect::make(backend);
     ASSERT_TRUE(d.ok());
@@ -296,7 +302,7 @@ TEST(DetectConformance, ServiceRunsEveryBackend) {
   const graph::Csr g = sbm_graph();
   svc::Service service(cfg);
   for (const svc::Backend b : {svc::Backend::Core, svc::Backend::Seq,
-                               svc::Backend::Plm, svc::Backend::Multi}) {
+                               svc::Backend::Plm, svc::Backend::Shard}) {
     SCOPED_TRACE(svc::to_string(b));
     svc::JobOptions jo;
     jo.backend = b;

@@ -195,7 +195,11 @@ TEST(Ops, CountComponents) {
 class IoRoundTrip : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "glouvain_io_test";
+    // One directory per test: ctest -j runs the fixture's tests as
+    // concurrent processes, and a shared one is removed under them.
+    dir_ = std::filesystem::temp_directory_path() /
+           (std::string("glouvain_io_test_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -1,9 +1,9 @@
 // glint fixture: transitive barrier-purity and kernel allocation. The
 // violations here hide ONE CALL DEEP: the run_lanes() fan-out body
 // calls a helper that writes cross-shard state, and the Device::launch
-// body calls a helper that grows a vector — both invisible to
-// simt_lint's syntactic body scan, both exactly what glint's call-graph
-// walk exists to catch. NOT part of any build target; run with
+// body calls a helper that grows a vector — both invisible to a
+// syntactic body scan, both exactly what glint's call-graph walk
+// exists to catch. NOT part of any build target; run with
 // --expect-violations.
 //
 // Expected findings:

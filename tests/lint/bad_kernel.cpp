@@ -1,16 +1,17 @@
-// Lint fixture: every rule in tools/simt_lint.py must fire on this
-// file. It is intentionally NOT part of any build target — it exists so
-// the `simt_lint_fixture` ctest (run with --expect-violations) fails
-// the build if the linter rots and stops catching these.
+// glint fixture for the device-contract rules. It is intentionally NOT
+// part of any build target — it exists so the `glint_fixture_kernel`
+// ctest (run with --expect-violations) fails if glint rots and stops
+// catching these. The ctest pins the total: 8 findings.
 //
 // Expected findings:
-//   raw-atomic       lines with std::atomic / <atomic> below
-//   raw-intrinsic    the <immintrin.h> include and the _mm256 gather
-//   seq-cst          the memory_order_seq_cst load
-//   kernel-alloc     the push_back / new inside the launch body
+//   raw-atomic     2: the <atomic> include and the std::atomic global
+//   raw-intrinsic  3: the <immintrin.h> include, the __m256i signature
+//                  and the _mm256 gather
+//   seq-cst        1: the memory_order_seq_cst load
+//   kernel-alloc   2: the push_back and the new inside the launch body
 // The suppressed std::atomic at the end must NOT be reported.
-// (unpaired-launch moved to tools/glint.py — tests/lint/
-// bad_unpaired_launch.cpp is its fixture now.)
+// (unpaired-launch, which the span-less launch below also trips, has
+// its own fixture: tests/lint/bad_unpaired_launch.cpp.)
 
 #include <atomic>
 #include <cstddef>
@@ -42,6 +43,6 @@ inline void bad_kernel(simt::Device& device, std::vector<int>& sink) {
 
 // Suppression escape hatch — this one is deliberate and must stay
 // invisible to the linter.
-std::atomic<int> g_allowed{0};  // simt-lint: allow(raw-atomic)
+std::atomic<int> g_allowed{0};  // glint: allow(raw-atomic)
 
 }  // namespace glouvain::fixture

@@ -4,9 +4,9 @@
 // (src/shard/halo.hpp), and cross-shard mutations issued from inside a
 // run_lanes() fan-out body instead of being buffered for the join
 // barrier. It is intentionally NOT part of any build target — it
-// exists so the `simt_lint_fixture` ctest (run with
-// --expect-violations) fails the build if the linter rots and stops
-// catching these.
+// exists so the `glint_fixture_shard` ctest (run with
+// --expect-violations) fails if glint rots and stops catching these.
+// The ctest pins the total: 6 findings.
 //
 // Expected findings:
 //   shard-ghost    the three direct element accesses below
@@ -38,7 +38,7 @@ inline graph::Weight bad_tot_read(const shard::GlobalState& gs,
 
 inline graph::Community tolerated_read(const shard::GlobalState& gs,
                                        graph::VertexId v) {
-  return gs.labels_raw[v];  // simt-lint: allow(shard-ghost)
+  return gs.labels_raw[v];  // glint: allow(shard-ghost)
 }
 
 /// Passing the whole array to a reduction is the blessed bulk path

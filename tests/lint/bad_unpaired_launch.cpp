@@ -1,9 +1,9 @@
-// glint fixture: unpaired-launch, the scope-based replacement for
-// simt_lint's 40-line proximity heuristic. The first kernel has no
-// obs::Span anywhere in its function; the second demonstrates exactly
-// why proximity was wrong: a span WAS opened 10 lines above the
-// launch, but its block closed before the launch runs, so nothing
-// attributes the kernel — the old heuristic would have blessed it.
+// glint fixture: unpaired-launch, a scope-based check (not a line-
+// proximity one). The first kernel has no obs::Span anywhere in its
+// function; the second shows why proximity is wrong: a span WAS opened
+// 10 lines above the launch, but its block closed before the launch
+// runs, so nothing attributes the kernel — a proximity heuristic would
+// have blessed it.
 // NOT part of any build target; run with --expect-violations.
 //
 // Expected findings:

@@ -381,6 +381,26 @@ TEST(Service, ExplicitBackendSelection) {
   EXPECT_NEAR(on_device.result->modularity, on_plm.result->modularity, 1e-9);
 }
 
+TEST(Service, RoutingCountersCoverEveryBackend) {
+  svc::Service service(quiet_config());
+  const auto g = small_graph(0);
+  for (const svc::Backend b : {svc::Backend::Core, svc::Backend::Seq,
+                               svc::Backend::Plm, svc::Backend::Shard}) {
+    SCOPED_TRACE(svc::to_string(b));
+    const svc::JobResult r =
+        service.wait(service.submit(g, {.backend = b, .use_cache = false}));
+    ASSERT_EQ(r.status, svc::JobStatus::Completed) << r.error;
+    EXPECT_EQ(r.backend, b);
+  }
+  const svc::Stats st = service.stats();
+  EXPECT_EQ(st.ran_on_device, 1u);
+  EXPECT_EQ(st.ran_sequential, 1u);
+  EXPECT_EQ(st.ran_sharded, 1u);
+  EXPECT_EQ(st.ran_other, 1u);  // plm
+  EXPECT_EQ(st.completed, st.ran_on_device + st.ran_sequential +
+                              st.ran_sharded + st.ran_other);
+}
+
 TEST(Service, ShutdownWithoutDrainCancelsBacklog) {
   svc::ServiceConfig cfg = quiet_config();
   cfg.start_paused = true;

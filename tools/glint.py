@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """glint — AST-based interprocedural analyzer for the glouvain repo.
 
-Where tools/simt_lint.py is a line-regex lint (comment-stripped, one
-line at a time), glint builds a structural model of the sources —
-functions with qualified names, class members with types, a call graph
-— and runs checks that need to see THROUGH a function call:
+glint builds a structural model of the sources — functions with
+qualified names, class members with types, a call graph — and runs
+checks that need to see THROUGH a function call:
 
   lock-cycle          the lock-acquisition graph over every std::mutex /
                       lock_guard / unique_lock / scoped_lock site has a
@@ -42,18 +41,41 @@ functions with qualified names, class members with types, a call graph
   shard-barrier       cross-shard mutable state (GlobalState::apply_move
                       / store_label / rebuild_tot, the last_moved /
                       dirty_round stamps) written inside a run_lanes()
-                      fan-out body — including one or more calls deep,
-                      which the regex rule structurally cannot see.
+                      fan-out body — directly or one or more calls deep.
+                      The concurrent Jacobi rounds treat the global view
+                      as read-only until the join barrier publishes the
+                      buffered proposals.
   kernel-alloc        operator new / malloc / vector growth inside a
                       Device::launch body, again transitively through
                       the call graph (the cudaMalloc-once discipline).
   unpaired-launch     a Device::launch call with no obs::Span object
                       alive in an enclosing scope (and no begin_span()
-                      earlier in the function). Scope-based: replaces
-                      simt_lint's 40-line proximity heuristic, so a span
+                      earlier in the function). Scope-based: a span
                       opened 100 lines up in an outer block pairs, and
                       an unrelated span whose block already closed does
                       not.
+
+and per-token rules over whole files:
+
+  raw-atomic          std::atomic / atomic_ref / atomic_flag or
+                      #include <atomic> outside src/simt/ — kernel code
+                      goes through simt::atomic_* so the CUDA-intrinsic
+                      semantics (and the simtcheck instrumentation) stay
+                      in one place.
+  raw-intrinsic       #include <immintrin.h> (and kin), _mm*_ calls or
+                      __m128/256/512 types outside src/simt/ — kernel
+                      code goes through the simt::vec primitives (only
+                      src/simt/vector_ops_avx2.cpp is built with -mavx2).
+  seq-cst             memory_order_seq_cst anywhere — the device model
+                      is relaxed/acq-rel like the GPU original.
+  shard-ghost         element access to the sharded engine's exchanged
+                      arrays (labels_raw[...] / tot_raw[...]) outside
+                      src/shard/halo.hpp — cross-shard reads and writes
+                      go through the GlobalState accessors, so every
+                      halo access maps onto an explicit exchange
+                      message. Passing the whole vector is allowed.
+
+The fan-out and per-token rules report every offending line, once each.
 
 Frontends (--frontend auto|clang|tokens):
   clang    libclang via the python bindings (clang.cindex), driven by
@@ -67,7 +89,9 @@ Frontends (--frontend auto|clang|tokens):
            no-clang fallback the container/CI can always run.
 
 Both frontends feed one IR (Program: functions, classes, globals), and
-every check runs identically on either.
+every check runs identically on either. The per-token file rules
+re-lex each file's raw text (Program.raw_lines) with the built-in
+lexer, so their verdict never depends on the frontend.
 
 Suppression:
   - inline, one finding:   ...;  // glint: allow(rule)
@@ -90,11 +114,12 @@ import os
 import re
 import sys
 
+FILE_RULES = ("raw-atomic", "raw-intrinsic", "seq-cst", "shard-ghost")
 ALL_RULES = (
     "lock-cycle", "blocking-under-lock", "wait-holding-lock",
     "status-discard", "unchecked-value", "arena-escape",
     "shard-barrier", "kernel-alloc", "unpaired-launch",
-)
+) + FILE_RULES
 SOURCE_EXT = (".cpp", ".hpp", ".cc", ".h")
 SUPPRESS_RE = re.compile(r"glint:\s*allow\(([a-z-]+)\)")
 CALL_DEPTH = 4  # interprocedural walk bound
@@ -282,7 +307,8 @@ class Program:
         self.globals = set()                # namespace-scope variable names
         self.status_fns = set()             # bare names returning Status*
         self.status_quals = set()           # qualified names returning Status*
-        self.raw_lines = {}                 # file -> [str] (for suppressions)
+        self.raw_lines = {}                 # file -> [str] (file rules,
+                                            # suppressions)
 
     def add_function(self, fn):
         self.functions.append(fn)
@@ -1215,9 +1241,9 @@ class Analyzer:
         if id(fn) in stack:
             return None
         stack = stack | {id(fn)}
-        hit = scan_patterns(fn.toks, patterns)
-        if hit is not None:
-            line, what = hit
+        hits = scan_patterns(fn.toks, patterns)
+        if hits:
+            line, what = hits[0]
             result = (line, what, [f"{fn.qual} ({fn.file}:{line})"])
         else:
             result = None
@@ -1252,30 +1278,42 @@ STAMP_ARRAYS = ("last_moved", "dirty_round")
 ALLOC_GROWTH = ("push_back", "emplace_back", "resize", "reserve")
 
 
-def scan_patterns(toks, patterns):
+def _pattern_at(toks, i, patterns):
+    """What toks[i] does that one of `patterns` forbids, or None."""
+    t = toks[i]
+    if t.kind != "id":
+        return None
     n = len(toks)
-    for i, t in enumerate(toks):
-        if "barrier" in patterns:
-            if t.kind == "id" and t.text in BARRIER_WRITES and i >= 1 and \
-                    toks[i - 1].text in (".", "->") and i + 1 < n and \
-                    toks[i + 1].text == "(":
-                return (t.line, f"{t.text}() write")
-            if t.kind == "id" and t.text in STAMP_ARRAYS and i + 1 < n and \
-                    toks[i + 1].text == "[":
-                close = match_close(toks, i + 1, "[", "]")
-                if close + 1 < n and toks[close + 1].text == "=":
-                    return (t.line, f"{t.text}[...] = write")
-        if "alloc" in patterns:
-            if t.text == "new" and t.kind == "id":
-                return (t.line, "operator new")
-            if t.kind == "id" and t.text in ("malloc", "calloc", "realloc") \
-                    and i + 1 < n and toks[i + 1].text == "(":
-                return (t.line, f"{t.text}()")
-            if t.kind == "id" and t.text in ALLOC_GROWTH and i >= 1 and \
-                    toks[i - 1].text in (".", "->") and i + 1 < n and \
-                    toks[i + 1].text == "(":
-                return (t.line, f"{t.text}() growth")
+    called = i + 1 < n and toks[i + 1].text == "("
+    member = i >= 1 and toks[i - 1].text in (".", "->")
+    if "barrier" in patterns:
+        if t.text in BARRIER_WRITES and member and called:
+            return f"{t.text}() write"
+        if t.text in STAMP_ARRAYS and i + 1 < n and toks[i + 1].text == "[":
+            close = match_close(toks, i + 1, "[", "]")
+            if close + 1 < n and toks[close + 1].text == "=":
+                return f"{t.text}[...] = write"
+    if "alloc" in patterns:
+        if t.text == "new":
+            return "operator new"
+        if t.text in ("malloc", "calloc", "realloc") and called:
+            return f"{t.text}()"
+        if t.text in ALLOC_GROWTH and member and called:
+            return f"{t.text}() growth"
     return None
+
+
+def scan_patterns(toks, patterns):
+    """[(line, what)] for every line of toks with a `patterns` hit (the
+    first hit on each line)."""
+    hits = []
+    for i, t in enumerate(toks):
+        if hits and hits[-1][0] == t.line:
+            continue
+        what = _pattern_at(toks, i, patterns)
+        if what:
+            hits.append((t.line, what))
+    return hits
 
 
 # ---------------------------------------------------------------------------
@@ -1623,14 +1661,13 @@ def check_fanout(an, fns, findings):
         # ---- run_lanes regions: shard-barrier ----
         for ci, name, b0, b1 in _fanout_regions(toks, ("run_lanes",)):
             region = toks[b0:b1]
-            hit = scan_patterns(region, {"barrier"})
-            if hit:
+            for line, what in scan_patterns(region, {"barrier"}):
                 findings.append(Finding(
-                    "shard-barrier", fn.file, hit[0],
-                    f"'{hit[1]}' inside a run_lanes() fan-out — cross-shard "
+                    "shard-barrier", fn.file, line,
+                    f"'{what}' inside a run_lanes() fan-out — cross-shard "
                     "state is read-only until the join barrier; buffer the "
                     "mutation as a proposal",
-                    fn.qual, key=hit[1]))
+                    fn.qual, key=what))
             for i, cname, recv, qual in call_sites(region):
                 for callee in an.resolve_call(model, cname, recv, qual):
                     sub = an.body_violations(callee, {"barrier"})
@@ -1656,13 +1693,12 @@ def check_fanout(an, fns, findings):
             if not devicey:
                 continue
             region = toks[b0:b1]
-            hit = scan_patterns(region, {"alloc"})
-            if hit:
+            for line, what in scan_patterns(region, {"alloc"}):
                 findings.append(Finding(
-                    "kernel-alloc", fn.file, hit[0],
-                    f"'{hit[1]}' inside a kernel body — draw from the "
+                    "kernel-alloc", fn.file, line,
+                    f"'{what}' inside a kernel body — draw from the "
                     "SharedArena / Workspace instead",
-                    fn.qual, key=hit[1]))
+                    fn.qual, key=what))
             for i, cname, crecv, qual in call_sites(region):
                 # Only follow named helpers, not the ambient surface.
                 for callee in an.resolve_call(model, cname, crecv, qual):
@@ -1683,6 +1719,72 @@ def check_fanout(an, fns, findings):
                     f"{fn.name}) — kernels must be attributable in phase "
                     "tables and traces",
                     fn.qual, key=f"{recv_txt}|{toks[ci].line - fn.line}"))
+
+
+INCLUDE_RE = re.compile(r"^\s*#\s*include\s*<([^>]+)>")
+INTRIN_HEADER_RE = re.compile(r"(imm|x86|avx|emm|smm|tmm)intrin\.h")
+INTRIN_CALL_RE = re.compile(r"_mm\d*_\w+")
+INTRIN_TYPE_RE = re.compile(r"__m(128|256|512)[id]?")
+ATOMIC_NAMES = frozenset({"atomic", "atomic_ref", "atomic_flag"})
+FILE_RULE_MESSAGES = {
+    "raw-atomic": "raw std::atomic outside src/simt/ — use simt::atomic_*",
+    "raw-intrinsic": "raw vector intrinsic outside src/simt/ — use the "
+                     "simt::vec primitives",
+    "seq-cst": "seq_cst ordering on the device hot path — the model is "
+               "relaxed/acq-rel",
+    "shard-ghost": "direct element access to the exchanged shard arrays — "
+                   "go through the GlobalState accessors (shard/halo.hpp)",
+}
+
+
+def file_token_hits(rel, lines):
+    """(rule, line, what) for the FILE_RULES, the first hit per rule and
+    line. The lexer drops preprocessor lines, so the #include forms are
+    matched on the raw lines."""
+    simt = "simt" in rel.replace(os.sep, "/").split("/")
+    hits = {}
+
+    def hit(rule, line, what):
+        hits.setdefault((rule, line), what)
+
+    if not simt:
+        for lineno, text in enumerate(lines, 1):
+            m = INCLUDE_RE.match(text)
+            if m and m.group(1) == "atomic":
+                hit("raw-atomic", lineno, "#include <atomic>")
+            elif m and INTRIN_HEADER_RE.fullmatch(m.group(1)):
+                hit("raw-intrinsic", lineno, f"#include <{m.group(1)}>")
+    ghost_ok = os.path.basename(rel) == "halo.hpp"
+    toks = tokenize("\n".join(lines))
+    n = len(toks)
+    for i, t in enumerate(toks):
+        if t.kind != "id":
+            continue
+        nxt = toks[i + 1].text if i + 1 < n else ""
+        scoped = i >= 2 and toks[i - 1].text == "::"
+        if not simt and t.text in ATOMIC_NAMES and scoped and \
+                toks[i - 2].text == "std":
+            hit("raw-atomic", t.line, f"std::{t.text}")
+        if not simt and ((INTRIN_CALL_RE.fullmatch(t.text) and nxt == "(")
+                         or INTRIN_TYPE_RE.fullmatch(t.text)):
+            hit("raw-intrinsic", t.line, t.text)
+        if t.text == "memory_order_seq_cst" or (
+                t.text == "seq_cst" and scoped and
+                toks[i - 2].text == "memory_order"):
+            hit("seq-cst", t.line, "memory_order_seq_cst")
+        if not ghost_ok and t.text in ("labels_raw", "tot_raw") and nxt == "[":
+            hit("shard-ghost", t.line, f"{t.text}[...]")
+    return [(rule, line, what) for (rule, line), what in hits.items()]
+
+
+def check_files(program, rules, findings):
+    """raw-atomic, raw-intrinsic, seq-cst, shard-ghost over every file."""
+    for rel, lines in program.raw_lines.items():
+        for rule, line, what in file_token_hits(rel, lines):
+            if rule in rules:
+                findings.append(Finding(
+                    rule, rel, line,
+                    f"'{what}': {FILE_RULE_MESSAGES[rule]}", key=what))
 
 
 # ---------------------------------------------------------------------------
@@ -1864,6 +1966,8 @@ def main():
         check_arena_escape(an, fns, findings)
     if {"shard-barrier", "kernel-alloc", "unpaired-launch"} & set(rules):
         check_fanout(an, fns, findings)
+    if set(FILE_RULES) & set(rules):
+        check_files(program, rules, findings)
 
     findings = [f for f in findings if f.rule in rules]
     # dedupe (transitive walks can reach one site twice)

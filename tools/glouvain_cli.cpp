@@ -55,9 +55,9 @@ int usage(const char* error = nullptr) {
                "  generate  build a synthetic suite graph and save it\n"
                "            --family <name|list> --scale S --seed N --out FILE\n"
                "  detect    run community detection\n"
-               "            --in FILE --backend core|seq|plm|multi|shard\n"
+               "            --in FILE --backend core|seq|plm|shard\n"
                "            [--out FILE] [--trace FILE] [--tbin X --tfinal Y]\n"
-               "            [--devices D] [--coloring] [--threads N] [--verbose]\n"
+               "            [--coloring] [--threads N] [--verbose]\n"
                "            [--storage plain|zcsr|mmap] [--table sentinel|occ]\n"
                "            [--device scalar|vector|auto] [--shards K]\n"
                "            [--partition block|random|hubrep] [--partition-seed N]\n"
@@ -67,7 +67,7 @@ int usage(const char* error = nullptr) {
                "  batch     run a manifest of graphs through the service\n"
                "            --manifest FILE [--devices D] [--threads N]\n"
                "            [--aux A] [--queue Q] [--cache C] [--repeat R]\n"
-               "            [--backend auto|core|seq|plm|multi|shard]\n"
+               "            [--backend auto|core|seq|plm|shard]\n"
                "            [--shards K] [--partition block|random|hubrep]\n"
                "            [--concurrent-shards] [--shard-storage plain|mmap]\n"
                "            [--deadline MS]\n"
@@ -89,13 +89,12 @@ int usage(const char* error = nullptr) {
                "  mmap   the zcsr layout read from a mapped .zg container\n"
                "         (out-of-core: the plain arrays never materialize)\n"
                "\n"
-               "partition strategies (shard backend; multi understands the\n"
-               "  first two): block = arc-balanced contiguous ranges, random =\n"
-               "  hashed assignment, hubrep = arc-balanced blocks with\n"
-               "  high-degree hubs placed by neighbor plurality and mirrored\n"
-               "  into every shard they touch (default)\n"
+               "partition strategies (shard backend): block = arc-balanced\n"
+               "  contiguous ranges, random = hashed assignment, hubrep =\n"
+               "  arc-balanced blocks with high-degree hubs placed by neighbor\n"
+               "  plurality and mirrored into every shard they touch (default)\n"
                "\n"
-               "device backends (detect --device; core/multi backends only):\n"
+               "device backends (detect --device; core/shard backends only):\n"
                "  scalar  lockstep lane interpreter; partitions bitwise-stable\n"
                "          across runs and machines\n"
                "  vector  AVX2 lane substrate (gathered hash probes, masked\n"
@@ -107,7 +106,7 @@ int usage(const char* error = nullptr) {
                "flag/exit-code matrix: unknown names for --backend, --storage,\n"
                "  --table or --device, and unsupported combinations (zcsr/mmap\n"
                "  with --coloring or warm starts; non-plain storage on plm or\n"
-               "  multi) all exit 2 (invalid argument).\n"
+               "  shard) all exit 2 (invalid argument).\n"
                "\n"
                "exit codes (util::Status, see README):\n"
                "  0 ok                 1 usage error          2 invalid argument\n"
@@ -180,18 +179,13 @@ int cmd_detect(util::Options& opt) {
     return fail_status(util::Status::invalid_argument("--in is required"));
   }
 
-  std::string backend =
-      opt.get_string("backend", "", "core | seq | plm | multi | shard");
-  const std::string algo =
-      opt.get_string("algo", "core", "deprecated alias of --backend");
-  if (backend.empty()) backend = algo;
+  const std::string backend =
+      opt.get_string("backend", "core", "core | seq | plm | shard");
   const std::string out = opt.get_string("out", "", "community output file");
   const std::string trace_path =
       opt.get_string("trace", "", "write chrome://tracing JSON here");
   const double t_bin = opt.get_double("tbin", 1e-2, "coarse threshold");
   const double t_final = opt.get_double("tfinal", 1e-6, "fine threshold");
-  const auto devices = static_cast<unsigned>(
-      opt.get_int("devices", 2, "simulated devices (multi only)"));
   const auto threads = static_cast<unsigned>(opt.get_int(
       "threads", 0, "simt device worker threads (0 = hardware)"));
   const bool coloring = opt.get_flag("coloring", "serialize moves by graph coloring");
@@ -211,9 +205,8 @@ int cmd_detect(util::Options& opt) {
         util::Status::invalid_argument("unknown --storage: " + storage_arg));
   }
 
-  // One canonical Options carries every algorithm knob; the Extensions
-  // struct is reserved for backend-internal machinery (bucket schemes,
-  // multi device counts) that has no Options equivalent.
+  // One canonical Options carries every algorithm knob; detect's
+  // Extensions stay at their defaults here.
   detect::Options options;
   options.thresholds = ThresholdSchedule{.t_bin = t_bin, .t_final = t_final,
                                          .adaptive_limit = 100'000,
@@ -243,24 +236,14 @@ int cmd_detect(util::Options& opt) {
   }
 
   const std::string partition_arg = opt.get_string(
-      "partition", "", "block | random | hubrep (shard; block|random for multi)");
+      "partition", "", "block | random | hubrep (shard backend only)");
   if (!partition_arg.empty() &&
       !detect::parse_partition(partition_arg, options.partition)) {
     return fail_status(
         util::Status::invalid_argument("unknown --partition: " + partition_arg));
   }
 
-  detect::Extensions ext;
-  ext.multi.num_devices = devices;
-  // The deprecated multi backend predates the hub-replicated strategy:
-  // block maps across, anything else falls back to its random default.
-  ext.multi.partition = partition_arg == "block"
-                            ? multi::PartitionStrategy::Block
-                            : multi::PartitionStrategy::Random;
-  ext.multi.local_levels = static_cast<int>(
-      opt.get_int("local-levels", 1, "local levels before merge (multi only)"));
-
-  auto detector = detect::make(backend, ext);
+  auto detector = detect::make(backend);
   if (!detector.ok()) return fail_status(detector.status());
 
   // A recorder is attached only when someone will read it; otherwise
@@ -346,7 +329,6 @@ util::StatusOr<svc::Backend> parse_backend(const std::string& name) {
   if (name == "core") return svc::Backend::Core;
   if (name == "seq") return svc::Backend::Seq;
   if (name == "plm") return svc::Backend::Plm;
-  if (name == "multi") return svc::Backend::Multi;
   if (name == "shard") return svc::Backend::Shard;
   return util::Status::invalid_argument("unknown --backend: " + name);
 }
@@ -387,7 +369,7 @@ int cmd_batch(util::Options& opt) {
   }
   const auto backend = parse_backend(
       opt.get_string("backend", "auto",
-                     "auto | core | seq | plm | multi | shard"));
+                     "auto | core | seq | plm | shard"));
   if (!backend.ok()) return fail_status(backend.status());
   const auto repeat = static_cast<int>(
       opt.get_int("repeat", 1, "submit the whole manifest this many times"));
@@ -484,9 +466,11 @@ int cmd_batch(util::Options& opt) {
               static_cast<unsigned long long>(st.cache_misses),
               st.cache_entries,
               static_cast<unsigned long long>(st.cache_evictions));
-  std::printf("routing: device %llu  sequential %llu  other %llu\n",
+  std::printf("routing: device %llu  sequential %llu  sharded %llu  "
+              "other %llu\n",
               static_cast<unsigned long long>(st.ran_on_device),
               static_cast<unsigned long long>(st.ran_sequential),
+              static_cast<unsigned long long>(st.ran_sharded),
               static_cast<unsigned long long>(st.ran_other));
   std::printf("devices %u x %u threads, %llu shared-arena spills; "
               "queue wait %.3fs, run %.3fs\n",
