@@ -55,11 +55,6 @@ struct BucketScheme {
   }
 };
 
-/// The table-layout knob now lives on detect::Options (one canonical
-/// surface for every front end); the old core-qualified name stays
-/// valid for existing call sites.
-using TableLayout = detect::TableLayout;
-
 /// When vertices observe each other's moves (§5 "relaxed" experiment).
 enum class UpdateStrategy {
   /// Commit community updates after every degree bucket (the paper's
@@ -97,9 +92,9 @@ struct Config : detect::Options {
   /// alone (bounded by max_sweeps_per_level) and
   /// PhaseResult::modularity is 0.
   bool eval_phase_modularity = true;
-  /// use_coloring and table_layout moved to the detect::Options base —
-  /// they are front-end knobs now, inherited here. Only the device
-  /// machinery below remains core-specific.
+  /// use_coloring lives in the detect::Options base — a front-end
+  /// knob, inherited here. Only the device machinery below remains
+  /// core-specific.
   ///
   /// NOTE: this member hides the inherited Options::device backend
   /// knob (a simt::Backend) by design: within core the full

@@ -59,12 +59,9 @@ class FastMod {
 template <bool Atomic>
 class BasicCommunityHashMap {
  public:
+  /// Emptiness is encoded as this sentinel inside the key array itself
+  /// (the vector slot scan masks empty slots by it).
   static constexpr graph::Community kNull = graph::kInvalidCommunity;
-
-  /// Emptiness is encoded as a kNull sentinel inside the key array
-  /// itself (vs the bit-packed occupancy of zg::OccCommunityHashMap).
-  /// The vector slot scan dispatches its masking strategy on this.
-  static constexpr bool kOccLayout = false;
 
   /// capacity = keys.size() must be prime (double hashing needs the
   /// step h2 in [1, capacity) to be coprime with the capacity) and fit

@@ -12,7 +12,6 @@
 #include "graph/coloring.hpp"
 #include "core/hash_map.hpp"
 #include "obs/recorder.hpp"
-#include "zg/occmap.hpp"
 #include "simt/atomics.hpp"
 #include "simt/kernel_ops.hpp"
 #include "simt/lane_group.hpp"
@@ -417,21 +416,14 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
                  static_cast<std::int64_t>(b));
     }
     // Bytes the per-vertex community tables will claim from the
-    // shared/global arenas this phase: keys + weights + touched list,
-    // plus the bit-packed side words under TableLayout::kOccupancy.
+    // shared/global arenas this phase: keys + weights + touched list.
     double ht_bytes = 0;
     for (std::size_t i = 0; i < num_active; ++i) {
       const std::uint32_t deg = rows.degree(binned.order[i]);
       if (deg < 2) continue;
       const std::size_t cap = util::hash_params_for_degree(deg).capacity;
-      double bytes =
-          static_cast<double>(cap) *
-          (sizeof(Community) + sizeof(Weight) + sizeof(std::uint32_t));
-      if (config.table_layout == TableLayout::kOccupancy) {
-        bytes += static_cast<double>(zg::OccCommunityHashMap::occ_words(cap) *
-                                     sizeof(std::uint32_t));
-      }
-      ht_bytes += bytes;
+      ht_bytes += static_cast<double>(cap) *
+                  (sizeof(Community) + sizeof(Weight) + sizeof(std::uint32_t));
     }
     rec->count("zg/bytes_ht", ht_bytes);
   }
@@ -579,6 +571,11 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
             auto touched = use_global
                                ? ctx.shared().alloc_global<std::uint32_t>(cap)
                                : ctx.shared().alloc<std::uint32_t>(cap);
+            // A task-local table: this lane group runs inside one OS
+            // thread (see hash_map.hpp for why no host atomics are
+            // needed).
+            LocalCommunityHashMap table(keys, weights, params);
+            table.clear();
             // The standard widths get compile-time lane counts (constant
             // strided loops and reduction trees); anything else falls
             // back to the runtime group. Same arithmetic either way.
@@ -586,81 +583,58 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
             // VectorLaneGroup, whose collectives lower to AVX2 gathers
             // and masked scans; non-standard ablation widths stay on
             // the scalar substrate.
-            const auto run_table = [&](auto& table) {
-              table.clear();
-              if (vector_backend) {
-                simt::VecLaneStats* st = &vstats[ctx.worker()];
-                switch (lanes) {
-                  case 4:
-                    compute_move(rows, ctx.worker(), state, m2, v,
-                                 simt::VectorLaneGroup<4>{st}, table, touched);
-                    return;
-                  case 8:
-                    compute_move(rows, ctx.worker(), state, m2, v,
-                                 simt::VectorLaneGroup<8>{st}, table, touched);
-                    return;
-                  case 16:
-                    compute_move(rows, ctx.worker(), state, m2, v,
-                                 simt::VectorLaneGroup<16>{st}, table,
-                                 touched);
-                    return;
-                  case 32:
-                    compute_move(rows, ctx.worker(), state, m2, v,
-                                 simt::VectorLaneGroup<32>{st}, table,
-                                 touched);
-                    return;
-                  case 128:
-                    compute_move(rows, ctx.worker(), state, m2, v,
-                                 simt::VectorLaneGroup<128>{st}, table,
-                                 touched);
-                    return;
-                  default:
-                    break;  // ablation widths: scalar substrate below
-                }
-              }
+            if (vector_backend) {
+              simt::VecLaneStats* st = &vstats[ctx.worker()];
               switch (lanes) {
                 case 4:
                   compute_move(rows, ctx.worker(), state, m2, v,
-                               simt::FixedLaneGroup<4>{}, table, touched);
-                  break;
+                               simt::VectorLaneGroup<4>{st}, table, touched);
+                  return;
                 case 8:
                   compute_move(rows, ctx.worker(), state, m2, v,
-                               simt::FixedLaneGroup<8>{}, table, touched);
-                  break;
+                               simt::VectorLaneGroup<8>{st}, table, touched);
+                  return;
                 case 16:
                   compute_move(rows, ctx.worker(), state, m2, v,
-                               simt::FixedLaneGroup<16>{}, table, touched);
-                  break;
+                               simt::VectorLaneGroup<16>{st}, table, touched);
+                  return;
                 case 32:
                   compute_move(rows, ctx.worker(), state, m2, v,
-                               simt::FixedLaneGroup<32>{}, table, touched);
-                  break;
+                               simt::VectorLaneGroup<32>{st}, table, touched);
+                  return;
                 case 128:
                   compute_move(rows, ctx.worker(), state, m2, v,
-                               simt::FixedLaneGroup<128>{}, table, touched);
-                  break;
+                               simt::VectorLaneGroup<128>{st}, table, touched);
+                  return;
                 default:
-                  compute_move(rows, ctx.worker(), state, m2, v,
-                               simt::LaneGroup(lanes), table, touched);
-                  break;
+                  break;  // ablation widths: scalar substrate below
               }
-            };
-            // Task-local tables either way: this lane group runs inside
-            // one OS thread (see hash_map.hpp for why no host atomics
-            // are needed). The occupancy layout stores emptiness in a
-            // bit-packed side word (zg/occmap.hpp) but probes the same
-            // slots in the same order, so the move decision is
-            // bitwise-invariant under the layout switch.
-            if (config.table_layout == TableLayout::kOccupancy) {
-              const std::size_t words = zg::OccCommunityHashMap::occ_words(cap);
-              auto occ = use_global
-                             ? ctx.shared().alloc_global<std::uint32_t>(words)
-                             : ctx.shared().alloc<std::uint32_t>(words);
-              zg::OccCommunityHashMap table(keys, weights, occ, params);
-              run_table(table);
-            } else {
-              LocalCommunityHashMap table(keys, weights, params);
-              run_table(table);
+            }
+            switch (lanes) {
+              case 4:
+                compute_move(rows, ctx.worker(), state, m2, v,
+                             simt::FixedLaneGroup<4>{}, table, touched);
+                break;
+              case 8:
+                compute_move(rows, ctx.worker(), state, m2, v,
+                             simt::FixedLaneGroup<8>{}, table, touched);
+                break;
+              case 16:
+                compute_move(rows, ctx.worker(), state, m2, v,
+                             simt::FixedLaneGroup<16>{}, table, touched);
+                break;
+              case 32:
+                compute_move(rows, ctx.worker(), state, m2, v,
+                             simt::FixedLaneGroup<32>{}, table, touched);
+                break;
+              case 128:
+                compute_move(rows, ctx.worker(), state, m2, v,
+                             simt::FixedLaneGroup<128>{}, table, touched);
+                break;
+              default:
+                compute_move(rows, ctx.worker(), state, m2, v,
+                             simt::LaneGroup(lanes), table, touched);
+                break;
             }
           });
         }

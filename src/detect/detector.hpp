@@ -47,13 +47,9 @@ class Detector {
 
   virtual std::string_view name() const noexcept = 0;
 
-  /// Run the full multi-level pipeline. `recorder` may be null (the
-  /// zero-overhead path); when set, the run emits the per-level span
-  /// tree and counters described in obs/recorder.hpp.
-  ///
-  /// Options::storage selects the level-0 adjacency layout: backends
-  /// with a compressed path ("core", "seq") encode the graph and run
-  /// it, others throw std::invalid_argument on non-plain storage.
+  /// Run the full multi-level pipeline over plain rows. `recorder` may
+  /// be null (the zero-overhead path); when set, the run emits the
+  /// per-level span tree and counters described in obs/recorder.hpp.
   virtual Result run(const graph::Csr& graph, const Options& options,
                      obs::Recorder* recorder = nullptr) = 0;
 
@@ -61,9 +57,8 @@ class Detector {
   /// view of a mapped .zg container, so the plain arrays never
   /// materialize). The base implementation decodes to a plain Csr and
   /// delegates to run(); "core" and "seq" override with their native
-  /// compressed paths. Options::storage and warm_start are ignored
-  /// here (the input is already compressed; warm starts need plain
-  /// rows).
+  /// compressed paths. Partitions equal run() on the decoded graph.
+  /// Options::warm_start is ignored here (warm starts need plain rows).
   virtual Result run_z(const zg::ZCsr& z, const Options& options,
                        obs::Recorder* recorder = nullptr);
 };

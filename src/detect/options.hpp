@@ -31,34 +31,6 @@ struct WarmStart {
   std::vector<graph::VertexId> frontier;
 };
 
-/// Adjacency storage driving level 0 of a run (detect/README of the
-/// zg subsystem: DESIGN.md §12). kPlain reads the Csr arrays directly.
-/// kZcsr varint-compresses the level-0 adjacency and decodes rows
-/// through per-worker cursors; kMmap is the same decode path over a
-/// file-backed mapping (meaningful when the input is a .zg container —
-/// for in-memory graphs it behaves like kZcsr). Partitions are
-/// bitwise-identical across all three. Honored by the "core" and "seq"
-/// backends; backends without a compressed path reject non-plain
-/// storage with std::invalid_argument.
-enum class Storage { kPlain, kZcsr, kMmap };
-
-constexpr const char* storage_name(Storage s) noexcept {
-  switch (s) {
-    case Storage::kZcsr: return "zcsr";
-    case Storage::kMmap: return "mmap";
-    default: return "plain";
-  }
-}
-
-/// Parse a storage-mode name; returns false (and leaves `out` alone)
-/// on an unknown name.
-inline bool parse_storage(std::string_view name, Storage& out) noexcept {
-  if (name == "plain") { out = Storage::kPlain; return true; }
-  if (name == "zcsr") { out = Storage::kZcsr; return true; }
-  if (name == "mmap") { out = Storage::kMmap; return true; }
-  return false;
-}
-
 /// Graph partition strategy of the sharded multi-device backend
 /// ("shard"): how vertices are assigned to the k edge-cut shards.
 /// Ignored by every other backend.
@@ -114,32 +86,9 @@ inline bool parse_shard_storage(std::string_view name,
   return false;
 }
 
-/// Slot layout of the task-local neighbour-community hash tables used
-/// by the GPU-style backend's modularity-optimization kernels. Ignored
-/// by backends without such tables (seq, plm).
-enum class TableLayout {
-  /// kNull sentinel in the key array (core::LocalCommunityHashMap):
-  /// the paper's layout, clear() rewrites every key slot.
-  kSentinel,
-  /// Bit-packed occupancy words beside the key array
-  /// (zg::OccCommunityHashMap): clear() zeroes capacity/32 words. The
-  /// probe sequence is identical, so results are bitwise-unchanged.
-  kOccupancy,
-};
-
-constexpr const char* table_layout_name(TableLayout t) noexcept {
-  return t == TableLayout::kOccupancy ? "occ" : "sentinel";
-}
-
-/// Parse a table-layout name; returns false (and leaves `out` alone)
-/// on an unknown name.
-inline bool parse_table_layout(std::string_view name,
-                               TableLayout& out) noexcept {
-  if (name == "sentinel") { out = TableLayout::kSentinel; return true; }
-  if (name == "occ") { out = TableLayout::kOccupancy; return true; }
-  return false;
-}
-
+/// Algorithm options shared by every backend. The adjacency storage is
+/// picked by the entry point instead: Detector::run reads a plain Csr,
+/// Detector::run_z compressed rows (DESIGN.md §12).
 struct Options {
   /// The paper's adaptive t_bin/t_final schedule (§5).
   ThresholdSchedule thresholds;
@@ -152,19 +101,14 @@ struct Options {
   /// Null = cold start. Shared so copying Options never copies the
   /// O(n) seed/frontier arrays.
   std::shared_ptr<const WarmStart> warm_start;
-  /// Level-0 adjacency storage (see Storage above). Incompatible with
-  /// warm_start and use_coloring — both need the plain arrays.
-  Storage storage = Storage::kPlain;
   /// Lane substrate for the GPU-style backend's kernels: kScalar is
   /// the lockstep interpreter (bitwise-stable partitions), kVector the
   /// AVX2 lowering, kAuto picks vector iff the CPU supports it.
   /// Ignored by backends without a simt device (seq, plm).
   simt::Backend device = simt::Backend::kAuto;
-  /// Hash-table slot layout for the GPU-style backend (see TableLayout).
-  TableLayout table_layout = TableLayout::kSentinel;
   /// Serialize moves by a proper graph coloring (Lu et al. [16])
   /// instead of hash-partitioned sub-rounds. GPU-style backend only;
-  /// requires plain storage.
+  /// requires plain rows (run_z rejects it).
   bool use_coloring = false;
   /// Sharded backend only: number of edge-cut shards (0 and 1 both
   /// mean a single shard, which is bitwise-identical to "core").

@@ -18,7 +18,6 @@ Result Detector::run_z(const zg::ZCsr& z, const Options& options,
   // native compressed path override this.
   const graph::Csr plain = z.decode_all();
   Options opts = options;
-  opts.storage = Storage::kPlain;
   opts.warm_start.reset();
   return run(plain, opts, recorder);
 }
@@ -29,15 +28,6 @@ Result from_louvain(LouvainResult&& base) {
   Result r;
   static_cast<LouvainResult&>(r) = std::move(base);
   return r;
-}
-
-/// Shared guard for the compressed paths: the knobs that need plain
-/// rows are rejected loudly instead of silently decompressing.
-void check_z_compatible(const Options& options, std::string_view backend) {
-  if (options.warm_start) {
-    throw std::invalid_argument(std::string(backend) +
-                                ": warm_start requires plain storage");
-  }
 }
 
 /// A backend runner (core::Louvain or shard::Engine) kept warm across
@@ -81,14 +71,6 @@ class CoreDetector final : public Detector {
   Result run(const graph::Csr& graph, const Options& options,
              obs::Recorder* recorder) override {
     core::Louvain& runner = runner_for(options);
-    if (options.storage != Storage::kPlain) {
-      // In-memory graphs reach the compressed path through an encode
-      // (kMmap behaves like kZcsr here; the true out-of-core route is
-      // run_z over a mapped .zg container).
-      check_z_compatible(options, name());
-      const zg::ZCsr z = zg::ZCsr::encode(graph);
-      return runner.run_z(z, recorder);
-    }
     if (options.warm_start) {
       return runner.run_warm(graph, options.warm_start->seed,
                              options.warm_start->frontier, recorder);
@@ -121,11 +103,6 @@ class SeqDetector final : public Detector {
              obs::Recorder* recorder) override {
     seq::Config cfg;
     static_cast<Options&>(cfg) = options;
-    if (options.storage != Storage::kPlain) {
-      check_z_compatible(options, name());
-      const zg::ZCsr z = zg::ZCsr::encode(graph);
-      return from_louvain(seq::louvain_z(z, cfg, recorder));
-    }
     if (options.warm_start) {
       return from_louvain(seq::louvain_warm(graph, options.warm_start->seed,
                                             options.warm_start->frontier, cfg,
@@ -149,10 +126,6 @@ class PlmDetector final : public Detector {
 
   Result run(const graph::Csr& graph, const Options& options,
              obs::Recorder* recorder) override {
-    if (options.storage != Storage::kPlain) {
-      throw std::invalid_argument(
-          "plm: compressed storage is not supported (use --storage plain)");
-    }
     plm::Config cfg;
     static_cast<Options&>(cfg) = options;
     return from_louvain(plm::louvain(graph, cfg, recorder));
@@ -170,10 +143,6 @@ class ShardDetector final : public Detector {
 
   Result run(const graph::Csr& graph, const Options& options,
              obs::Recorder* recorder) override {
-    if (options.storage != Storage::kPlain) {
-      throw std::invalid_argument(
-          "shard: compressed storage is not supported (use --storage plain)");
-    }
     if (options.warm_start) {
       throw std::invalid_argument(
           "shard: warm_start is not supported (shards are rebuilt per run)");

@@ -21,12 +21,11 @@
 // Tables and rows are duck-typed (capacity/key_at/weight_at/occupied/
 // insert_add/insert_add_claim; adj/w/deg) so this header depends on no
 // core/ or zg/ type. Vector fast paths additionally use the raw-span
-// accessors (keys_data/weights_data, kOccLayout, occ_data).
+// accessors (keys_data/weights_data).
 #pragma once
 
 #include <algorithm>
 #include <array>
-#include <concepts>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -169,17 +168,6 @@ void hash_row(const Group& group, const Row& r, const std::uint32_t* community,
   });
 }
 
-namespace detail {
-
-template <typename Table>
-concept HasRawSlots = requires(const Table& t) {
-  { Table::kOccLayout } -> std::convertible_to<bool>;
-  t.keys_data();
-  t.weights_data();
-};
-
-}  // namespace detail
-
 /// Algorithm 2 line 14 as a group collective: scan the table's slots,
 /// evaluate gain = weight - k * tot[key] * inv_m2 for every candidate
 /// community, and reduce to the best (gain, community) — the software
@@ -210,21 +198,12 @@ BestComm scan_best(const Group& group, const Table& table,
       }
       return best;
     }
-    if constexpr (detail::HasRawSlots<Table>) {
-      vec::BestSlot bs;
-      if constexpr (Table::kOccLayout) {
-        bs = vec::scan_best_occ(table.keys_data(), table.weights_data(),
-                                table.occ_data(), table.capacity(), skip_key,
-                                tot, k, inv_m2);
-      } else {
-        bs = vec::scan_best_sentinel(table.keys_data(), table.weights_data(),
-                                     table.capacity(), skip_key, tot, k,
-                                     inv_m2);
-      }
-      detail::note_rounds(group, touched.size(), table.capacity());
-      d_skip = bs.d_skip;
-      return {bs.gain, bs.key};
-    }
+    const vec::BestSlot bs = vec::scan_best_sentinel(
+        table.keys_data(), table.weights_data(), table.capacity(), skip_key,
+        tot, k, inv_m2);
+    detail::note_rounds(group, touched.size(), table.capacity());
+    d_skip = bs.d_skip;
+    return {bs.gain, bs.key};
   }
 
   // Scalar reference: per-lane fold + tree reduction, verbatim from

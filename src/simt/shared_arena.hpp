@@ -25,6 +25,11 @@ class SharedArena {
   explicit SharedArena(std::size_t capacity_bytes = kDefaultCapacity)
       : shared_(capacity_bytes) {
     if (!shared_.empty()) check::register_arena(shared_.data(), shared_.size());
+    // The first overflow chunk exists up front: which worker meets the
+    // first spill or global-bucket table is up to the dynamic scheduler,
+    // so a lazy chunk would let a warm device still touch the heap.
+    chunks_.emplace_back(kMinChunk);
+    check::register_arena(chunks_.back().data(), chunks_.back().size());
   }
 
   ~SharedArena() {
@@ -87,6 +92,8 @@ class SharedArena {
   void clear_spills() noexcept { spills_ = 0; }
 
  private:
+  static constexpr std::size_t kMinChunk = 256 * 1024;
+
   static std::size_t align_up(std::size_t bytes) noexcept {
     constexpr std::size_t kAlign = alignof(std::max_align_t);
     return (bytes + kAlign - 1) & ~(kAlign - 1);
@@ -95,7 +102,6 @@ class SharedArena {
   /// Bump allocator over a list of fixed chunks. Chunks are never
   /// resized or freed while in use, so earlier spans stay valid.
   unsigned char* global_alloc(std::size_t bytes) {
-    static constexpr std::size_t kMinChunk = 256 * 1024;
     while (chunk_index_ < chunks_.size()) {
       auto& chunk = chunks_[chunk_index_];
       if (chunk_used_ + bytes <= chunk.size()) {

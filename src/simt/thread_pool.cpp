@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 namespace glouvain::simt {
 
@@ -98,8 +99,11 @@ void ThreadPool::run_job(std::size_t n, std::size_t grain, RawChunkFn fn,
   }
   job_fn_ = nullptr;
   job_ctx_ = nullptr;
+  // Take the error out before releasing the pool: the next caller's
+  // job resets first_error_ as soon as it acquires in_parallel_.
+  const std::exception_ptr error = std::exchange(first_error_, nullptr);
   in_parallel_.store(false, std::memory_order_release);
-  if (first_error_) std::rethrow_exception(first_error_);
+  if (error) std::rethrow_exception(error);
 }
 
 ThreadPool& ThreadPool::global() {

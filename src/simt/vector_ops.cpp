@@ -12,34 +12,6 @@
 
 namespace glouvain::simt::vec {
 
-namespace {
-
-BestSlot scan_best_emulated(const std::uint32_t* keys, const double* weights,
-                            const std::uint32_t* occ, std::size_t cap,
-                            std::uint32_t skip_key, const double* tot,
-                            double k, double inv_m2) noexcept {
-  constexpr std::uint32_t kNull = 0xffffffffu;
-  BestComm best = kEmptyBest;
-  double d_skip = 0;
-  for (std::size_t pos = 0; pos < cap; ++pos) {
-    if (occ != nullptr) {
-      if ((occ[pos >> 5] & (1u << (pos & 31))) == 0) continue;
-    } else if (keys[pos] == kNull) {
-      continue;
-    }
-    const std::uint32_t c = keys[pos];
-    if (c == skip_key) {
-      d_skip = weights[pos];
-      continue;
-    }
-    const double gain = weights[pos] - k * tot[c] * inv_m2;
-    best = better(best, {gain, c});
-  }
-  return {best.gain, best.comm, d_skip};
-}
-
-}  // namespace
-
 void gather_u32(const std::uint32_t* idx, std::size_t n,
                 const std::uint32_t* table, std::uint32_t* out) noexcept {
   if (cpu_has_avx2()) {
@@ -57,20 +29,20 @@ BestSlot scan_best_sentinel(const std::uint32_t* keys, const double* weights,
     return detail::scan_best_sentinel_avx2(keys, weights, cap, skip_key, tot,
                                            k, inv_m2);
   }
-  return scan_best_emulated(keys, weights, nullptr, cap, skip_key, tot, k,
-                            inv_m2);
-}
-
-BestSlot scan_best_occ(const std::uint32_t* keys, const double* weights,
-                       const std::uint32_t* occ, std::size_t cap,
-                       std::uint32_t skip_key, const double* tot, double k,
-                       double inv_m2) noexcept {
-  if (cpu_has_avx2()) {
-    return detail::scan_best_occ_avx2(keys, weights, occ, cap, skip_key, tot,
-                                      k, inv_m2);
+  constexpr std::uint32_t kNull = 0xffffffffu;
+  BestComm best = kEmptyBest;
+  double d_skip = 0;
+  for (std::size_t pos = 0; pos < cap; ++pos) {
+    const std::uint32_t c = keys[pos];
+    if (c == kNull) continue;
+    if (c == skip_key) {
+      d_skip = weights[pos];
+      continue;
+    }
+    const double gain = weights[pos] - k * tot[c] * inv_m2;
+    best = better(best, {gain, c});
   }
-  return scan_best_emulated(keys, weights, occ, cap, skip_key, tot, k,
-                            inv_m2);
+  return {best.gain, best.comm, d_skip};
 }
 
 double row_internal_weight(const std::uint32_t* adj, const double* w,

@@ -47,14 +47,6 @@ BestSlot scan_best_sentinel(const std::uint32_t* keys, const double* weights,
                             const double* tot, double k,
                             double inv_m2) noexcept;
 
-/// scan_best over the bit-packed-occupancy layout (zg::OccCommunityHashMap):
-/// slot pos is live iff occ[pos >> 5] bit (pos & 31) is set; keys and
-/// weights of dead slots are garbage and must stay masked out.
-BestSlot scan_best_occ(const std::uint32_t* keys, const double* weights,
-                       const std::uint32_t* occ, std::size_t cap,
-                       std::uint32_t skip_key, const double* tot, double k,
-                       double inv_m2) noexcept;
-
 /// Sum of w[i] over i in [0, deg) where community[adj[i]] == c — the
 /// inner loop of the device modularity evaluation. The vector form
 /// re-associates the sum (4 accumulator lanes folded at the end).
@@ -71,10 +63,6 @@ BestSlot scan_best_sentinel_avx2(const std::uint32_t* keys,
                                  const double* weights, std::size_t cap,
                                  std::uint32_t skip_key, const double* tot,
                                  double k, double inv_m2) noexcept;
-BestSlot scan_best_occ_avx2(const std::uint32_t* keys, const double* weights,
-                            const std::uint32_t* occ, std::size_t cap,
-                            std::uint32_t skip_key, const double* tot,
-                            double k, double inv_m2) noexcept;
 double row_internal_weight_avx2(const std::uint32_t* adj, const double* w,
                                 std::size_t deg,
                                 const std::uint32_t* community,

@@ -98,10 +98,6 @@ inline void scan_step(__m256i ks, __m256i cand, const double* weights,
   hi.fold(gain_hi, u32_to_pd(keys_hi));
 }
 
-inline BestComm collapse(const BestLanes& lo, const BestLanes& hi) noexcept {
-  return better(lo.collapse(), hi.collapse());
-}
-
 }  // namespace
 
 void gather_u32_avx2(const std::uint32_t* idx, std::size_t n,
@@ -141,55 +137,10 @@ BestSlot scan_best_sentinel_avx2(const std::uint32_t* keys,
         _mm256_or_si256(isnull, isskip), _mm256_set1_epi32(-1));
     scan_step(ks, cand, weights, i, tot, vk, vinv, lo, hi);
   }
-  BestComm best = collapse(lo, hi);
+  BestComm best = better(lo.collapse(), hi.collapse());
   for (; i < cap; ++i) {
     const std::uint32_t c = keys[i];
     if (c == 0xffffffffu) continue;
-    if (c == skip_key) {
-      d_skip = weights[i];
-      continue;
-    }
-    best = better(best, {weights[i] - k * tot[c] * inv_m2, c});
-  }
-  return {best.gain, best.comm, d_skip};
-}
-
-BestSlot scan_best_occ_avx2(const std::uint32_t* keys, const double* weights,
-                            const std::uint32_t* occ, std::size_t cap,
-                            std::uint32_t skip_key, const double* tot,
-                            double k, double inv_m2) noexcept {
-  const __m256i bitsel = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
-  const __m256i vskip = _mm256_set1_epi32(static_cast<int>(skip_key));
-  const __m256d vk = _mm256_set1_pd(k);
-  const __m256d vinv = _mm256_set1_pd(inv_m2);
-  BestLanes lo, hi;
-  double d_skip = 0;
-  std::size_t i = 0;
-  // i stays a multiple of 8, so the 8 occupancy bits of a chunk never
-  // straddle a 32-bit word.
-  for (; i + 8 <= cap; i += 8) {
-    const unsigned bits8 = (occ[i >> 5] >> (i & 31)) & 0xffu;
-    if (bits8 == 0) continue;
-    const __m256i vb = _mm256_set1_epi32(static_cast<int>(bits8));
-    const __m256i live =
-        _mm256_cmpeq_epi32(_mm256_and_si256(vb, bitsel), bitsel);
-    const __m256i ks =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    // Dead slots hold garbage keys — every comparison is masked by the
-    // occupancy word.
-    const __m256i isskip =
-        _mm256_and_si256(_mm256_cmpeq_epi32(ks, vskip), live);
-    const int skipm = _mm256_movemask_ps(_mm256_castsi256_ps(isskip));
-    if (skipm != 0) {
-      d_skip = weights[i + __builtin_ctz(static_cast<unsigned>(skipm))];
-    }
-    const __m256i cand = _mm256_andnot_si256(isskip, live);
-    scan_step(ks, cand, weights, i, tot, vk, vinv, lo, hi);
-  }
-  BestComm best = collapse(lo, hi);
-  for (; i < cap; ++i) {
-    if ((occ[i >> 5] & (1u << (i & 31))) == 0) continue;
-    const std::uint32_t c = keys[i];
     if (c == skip_key) {
       d_skip = weights[i];
       continue;
@@ -243,11 +194,6 @@ void gather_u32_avx2(const std::uint32_t*, std::size_t, const std::uint32_t*,
 BestSlot scan_best_sentinel_avx2(const std::uint32_t*, const double*,
                                  std::size_t, std::uint32_t, const double*,
                                  double, double) noexcept {
-  __builtin_trap();
-}
-BestSlot scan_best_occ_avx2(const std::uint32_t*, const double*,
-                            const std::uint32_t*, std::size_t, std::uint32_t,
-                            const double*, double, double) noexcept {
   __builtin_trap();
 }
 double row_internal_weight_avx2(const std::uint32_t*, const double*,

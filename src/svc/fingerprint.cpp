@@ -62,10 +62,6 @@ Fingerprint job_key(const Fingerprint& graph_fp, std::string_view backend,
   b.absorb(options.thresholds.adaptive ? 1 : 2);
   a.absorb(static_cast<std::uint64_t>(options.max_levels));
   b.absorb(static_cast<std::uint64_t>(options.max_sweeps_per_level));
-  // Results are bitwise-identical across storage modes, but the memory
-  // and timing profile is not — keep the cached spans honest.
-  a.absorb(static_cast<std::uint64_t>(options.storage) + 1);
-  b.absorb(static_cast<std::uint64_t>(options.storage) * 0x9e3779b97f4a7c15ULL);
   // The RESOLVED lane backend keys the cache, not the request: kAuto
   // and an explicit request for what kAuto resolves to produce the
   // same partition, and a vector-backend result must never satisfy a
@@ -74,10 +70,6 @@ Fingerprint job_key(const Fingerprint& graph_fp, std::string_view backend,
       static_cast<std::uint64_t>(simt::resolve_backend(options.device));
   a.absorb(resolved + 0x517cc1b727220a95ULL);
   b.absorb(~resolved);
-  // Table layout is bitwise-invariant too, but keeps the spans honest
-  // like storage above.
-  a.absorb(static_cast<std::uint64_t>(options.table_layout) + 3);
-  b.absorb(static_cast<std::uint64_t>(options.table_layout) * 0xff51afd7ed558ccdULL);
   a.absorb(options.use_coloring ? 5 : 7);
   b.absorb(options.use_coloring ? 11 : 13);
   // Sharding changes the computation (a different partition explores a
@@ -92,8 +84,8 @@ Fingerprint job_key(const Fingerprint& graph_fp, std::string_view backend,
   b.absorb(options.partition_seed ^ 0x9e3779b97f4a7c15ULL);
   // Concurrent Jacobi rounds are a different move schedule than the
   // sequential Gauss-Seidel simulation, so the flag keys the cache;
-  // shard storage is bitwise-invariant but keeps the cached spans
-  // honest, like Options::storage above.
+  // shard storage is bitwise-invariant, but its memory and timing
+  // profile is not — keep the cached spans honest.
   a.absorb(options.concurrent_shards ? 19 : 23);
   b.absorb(options.concurrent_shards ? 29 : 31);
   a.absorb(static_cast<std::uint64_t>(options.shard_storage) + 37);

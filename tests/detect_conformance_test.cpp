@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/check.hpp"
@@ -17,6 +20,7 @@
 #include "gen/sbm.hpp"
 #include "obs/recorder.hpp"
 #include "svc/service.hpp"
+#include "zg/container.hpp"
 
 namespace glouvain {
 namespace {
@@ -185,35 +189,68 @@ TEST(DetectConformance, DetectorsAreReusableAcrossRuns) {
   check_labels(rb, b.num_vertices(), "core run 2");
 }
 
-// --- Device-backend parity matrix (DESIGN.md §13): the scalar lane
-// substrate is the bitwise reference — identical partitions across
-// every storage × table-layout combination — while the vector substrate
-// answers to a quality bar (≥98% of the sequential modularity) plus
-// label validity, since its argmax fold order differs.
+// --- Entry-point matrix (DESIGN.md §12-13). The input type alone picks
+// the storage: run(g) reads plain rows, run_z(ZCsr::encode(g))
+// compressed rows in memory, and run_z on a mapped .zg container the
+// same rows from a file. The scalar lane substrate is the bitwise
+// reference across all three, while the vector substrate answers to a
+// quality bar (>=98% of the sequential modularity) plus label validity,
+// since its argmax fold order differs.
 
-TEST(DetectConformance, ScalarDeviceIsBitwiseStableAcrossStorageAndLayout) {
+/// One graph behind the three entry points. The container lives in a
+/// per-test temp directory: ctest -j runs tests as concurrent processes.
+struct EntryPoints {
+  explicit EntryPoints(const graph::Csr& graph)
+      : g(graph),
+        z(zg::ZCsr::encode(graph)),
+        dir(std::filesystem::temp_directory_path() /
+            (std::string("glouvain_conformance_") +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name())) {
+    std::filesystem::create_directories(dir);
+    const std::string file = (dir / "g.zg").string();
+    if (!zg::save(z, file).ok()) return;
+    auto m = zg::MappedGraph::open(file);
+    if (m.ok()) mapped.emplace(std::move(m).value());
+  }
+  ~EntryPoints() { std::filesystem::remove_all(dir); }
+  EntryPoints(const EntryPoints&) = delete;
+  EntryPoints& operator=(const EntryPoints&) = delete;
+
+  /// Each entry point's result, labelled for SCOPED_TRACE. Callers
+  /// assert `mapped` first.
+  std::vector<std::pair<std::string, detect::Result>> run_all(
+      detect::Detector& d, const detect::Options& options) const {
+    std::vector<std::pair<std::string, detect::Result>> out;
+    out.emplace_back("run", d.run(g, options));
+    out.emplace_back("run_z encoded", d.run_z(z, options));
+    out.emplace_back("run_z mapped", d.run_z(mapped->zcsr(), options));
+    return out;
+  }
+
+  const graph::Csr& g;
+  zg::ZCsr z;
+  std::filesystem::path dir;
+  std::optional<zg::MappedGraph> mapped;
+};
+
+TEST(DetectConformance, ScalarDeviceIsBitwiseStableAcrossEntryPoints) {
   const graph::Csr g = sbm_graph();
-  auto d = detect::make("core");
-  ASSERT_TRUE(d.ok());
-
+  const EntryPoints entry(g);
+  ASSERT_TRUE(entry.mapped);
   detect::Options options = small_options();
   options.device = simt::Backend::kScalar;
-  const detect::Result reference = (*d)->run(g, options);
-  check_labels(reference, g.num_vertices(), "scalar/plain/sentinel");
-
-  for (const detect::Storage storage :
-       {detect::Storage::kPlain, detect::Storage::kZcsr,
-        detect::Storage::kMmap}) {
-    for (const detect::TableLayout layout :
-         {detect::TableLayout::kSentinel, detect::TableLayout::kOccupancy}) {
-      SCOPED_TRACE(std::string(detect::storage_name(storage)) + "/" +
-                   detect::table_layout_name(layout));
-      detect::Options combo = options;
-      combo.storage = storage;
-      combo.table_layout = layout;
-      const detect::Result result = (*d)->run(g, combo);
+  // core on the scalar device and seq both read compressed rows natively.
+  for (const char* backend : {"core", "seq"}) {
+    auto d = detect::make(backend);
+    ASSERT_TRUE(d.ok());
+    const auto results = entry.run_all(**d, options);
+    const detect::Result& reference = results.front().second;
+    check_labels(reference, g.num_vertices(), backend);
+    for (const auto& [entry_point, result] : results) {
+      SCOPED_TRACE(std::string(backend) + " " + entry_point);
       // Bitwise: the same labels, not merely the same modularity.
       EXPECT_EQ(result.community, reference.community);
+      EXPECT_EQ(result.modularity, reference.modularity);
     }
   }
 }
@@ -225,23 +262,37 @@ TEST(DetectConformance, VectorDeviceMeetsQualityParityAcrossTheMatrix) {
   const double seq_q = (*seq)->run(g, small_options()).modularity;
   ASSERT_GT(seq_q, 0.3);
 
+  const EntryPoints entry(g);
+  ASSERT_TRUE(entry.mapped);
   auto d = detect::make("core");
   ASSERT_TRUE(d.ok());
-  for (const detect::Storage storage :
-       {detect::Storage::kPlain, detect::Storage::kZcsr,
-        detect::Storage::kMmap}) {
-    for (const detect::TableLayout layout :
-         {detect::TableLayout::kSentinel, detect::TableLayout::kOccupancy}) {
-      SCOPED_TRACE(std::string(detect::storage_name(storage)) + "/" +
-                   detect::table_layout_name(layout));
-      detect::Options options = small_options();
-      options.device = simt::Backend::kVector;
-      options.storage = storage;
-      options.table_layout = layout;
-      const detect::Result result = (*d)->run(g, options);
-      check_labels(result, g.num_vertices(), "vector");
-      EXPECT_GE(result.modularity, 0.98 * seq_q);
-    }
+  detect::Options options = small_options();
+  options.device = simt::Backend::kVector;
+  for (const auto& [entry_point, result] : entry.run_all(**d, options)) {
+    SCOPED_TRACE(entry_point);
+    check_labels(result, g.num_vertices(), "vector");
+    EXPECT_GE(result.modularity, 0.98 * seq_q);
+  }
+}
+
+TEST(DetectConformance, EveryBackendRunsCompressedInput) {
+  // Backends without a native compressed path (plm, shard) reach run_z
+  // through the base class's decode fallback.
+  const graph::Csr g = sbm_graph();
+  const auto options = small_options();
+  auto seq = detect::make("seq");
+  ASSERT_TRUE(seq.ok());
+  const double seq_q = (*seq)->run(g, options).modularity;
+
+  const EntryPoints entry(g);
+  ASSERT_TRUE(entry.mapped);
+  for (const std::string& backend : kBuiltInBackends) {
+    SCOPED_TRACE(backend);
+    auto d = detect::make(backend);
+    ASSERT_TRUE(d.ok());
+    const detect::Result result = (*d)->run_z(entry.mapped->zcsr(), options);
+    check_labels(result, g.num_vertices(), backend);
+    EXPECT_NEAR(result.modularity, seq_q, 0.08);
   }
 }
 

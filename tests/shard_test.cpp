@@ -344,9 +344,6 @@ TEST(Detector, ShardRejectsIncompatibleKnobs) {
   auto detector = detect::make("shard");
   ASSERT_TRUE(detector.ok());
   detect::Options options;
-  options.storage = detect::Storage::kZcsr;
-  EXPECT_THROW((*detector)->run(g, options), std::invalid_argument);
-  options.storage = detect::Storage::kPlain;
   options.use_coloring = true;
   EXPECT_THROW((*detector)->run(g, options), std::invalid_argument);
   options.use_coloring = false;

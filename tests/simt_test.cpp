@@ -8,6 +8,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "simt/atomics.hpp"
@@ -74,6 +75,40 @@ TEST(ThreadPool, PropagatesExceptions) {
   std::atomic<int> ok{0};
   pool.parallel_for(100, [&](std::size_t, unsigned) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 100);
+}
+
+TEST(ThreadPool, ConcurrentCallersSeeOnlyTheirOwnErrors) {
+  // Two threads drive one pool; whichever loses the race for the
+  // workers runs its job inline. The throwing caller must see its
+  // exception every round, the other caller never.
+  ThreadPool pool(4);
+  constexpr int kRounds = 2000;
+  std::atomic<int> missed{0};
+  std::atomic<int> stray{0};
+  std::thread thrower([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      try {
+        pool.parallel_for(256, 8, [](std::size_t i, unsigned) {
+          if (i == 100) throw std::runtime_error("boom");
+        });
+        missed.fetch_add(1);
+      } catch (const std::runtime_error&) {
+      }
+    }
+  });
+  std::thread clean([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      try {
+        pool.parallel_for(256, 8, [](std::size_t, unsigned) {});
+      } catch (...) {
+        stray.fetch_add(1);
+      }
+    }
+  });
+  thrower.join();
+  clean.join();
+  EXPECT_EQ(missed.load(), 0);
+  EXPECT_EQ(stray.load(), 0);
 }
 
 TEST(ThreadPool, NestedCallsRunInline) {
@@ -527,16 +562,13 @@ namespace {
 // Scalar reference for the fused scan: ascending slot order, the
 // kernel_ops epsilon rule (1e-15 band, ties to the lowest key).
 vec::BestSlot scan_ref(const std::uint32_t* keys, const double* weights,
-                       const std::uint32_t* occ, std::size_t cap,
-                       std::uint32_t skip_key, const double* tot, double k,
-                       double inv_m2) {
+                       std::size_t cap, std::uint32_t skip_key,
+                       const double* tot, double k, double inv_m2) {
   constexpr double kEps = 1e-15;
   vec::BestSlot best{-std::numeric_limits<double>::infinity(), 0xffffffffu,
                      0.0};
   for (std::size_t i = 0; i < cap; ++i) {
-    const bool live = occ != nullptr ? ((occ[i >> 5] >> (i & 31)) & 1u) != 0
-                                     : keys[i] != 0xffffffffu;
-    if (!live) continue;
+    if (keys[i] == 0xffffffffu) continue;
     if (keys[i] == skip_key) {
       best.d_skip = weights[i];
       continue;
@@ -572,8 +604,8 @@ TEST(VecOps, ScanBestSentinelMatchesReference) {
   const double inv_m2 = 1.0 / 256.0;
   const auto got = vec::scan_best_sentinel(keys.data(), weights.data(), kCap,
                                            42, tot.data(), k, inv_m2);
-  const auto want = scan_ref(keys.data(), weights.data(), nullptr, kCap, 42,
-                             tot.data(), k, inv_m2);
+  const auto want =
+      scan_ref(keys.data(), weights.data(), kCap, 42, tot.data(), k, inv_m2);
   EXPECT_EQ(got.key, want.key);
   EXPECT_DOUBLE_EQ(got.gain, want.gain);
   EXPECT_DOUBLE_EQ(got.d_skip, 3.25);
@@ -613,35 +645,6 @@ TEST(VecOps, ScanBestSentinelAllEmptyAndAllSkip) {
                                 1.0, 0.5);
   EXPECT_EQ(got.key, kEmpty);
   EXPECT_DOUBLE_EQ(got.d_skip, 2.5);
-}
-
-TEST(VecOps, ScanBestOccMatchesReferenceWithGarbageDeadSlots) {
-  // Occupancy layout: dead slots deliberately hold garbage keys that
-  // would win the argmax if the mask leaked.
-  constexpr std::size_t kCap = 64;
-  std::vector<std::uint32_t> keys(kCap, 3);   // garbage: a real key id
-  std::vector<double> weights(kCap, 1e9);     // garbage: huge gain
-  std::vector<std::uint32_t> occ((kCap + 31) / 32, 0);
-  std::vector<double> tot(64, 0.0);
-  for (std::size_t c = 0; c < tot.size(); ++c) {
-    tot[c] = 0.5 + 0.21 * static_cast<double>(c);
-  }
-  const std::size_t live[] = {0, 5, 8, 21, 22, 23, 40, 63};
-  for (std::size_t i : live) {
-    occ[i >> 5] |= (1u << (i & 31));
-    keys[i] = static_cast<std::uint32_t>((i * 11) % 50);
-    weights[i] = 0.25 + 0.07 * static_cast<double>(i);
-  }
-  const double k = 2.0;
-  const double inv_m2 = 1.0 / 128.0;
-  const auto got =
-      vec::scan_best_occ(keys.data(), weights.data(), occ.data(), kCap,
-                         keys[21], tot.data(), k, inv_m2);
-  const auto want = scan_ref(keys.data(), weights.data(), occ.data(), kCap,
-                             keys[21], tot.data(), k, inv_m2);
-  EXPECT_EQ(got.key, want.key);
-  EXPECT_DOUBLE_EQ(got.gain, want.gain);
-  EXPECT_DOUBLE_EQ(got.d_skip, want.d_skip);
 }
 
 TEST(VecOps, RowInternalWeightMatchesScalarSum) {

@@ -49,11 +49,35 @@ expect(0 "detect with --device auto"
 expect(2 "detect without --in" detect)
 expect(2 "unknown detect backend" detect --in "${graph}" --backend bogus)
 expect(2 "unknown device backend" detect --in "${graph}" --device avx512)
-expect(2 "unknown table layout" detect --in "${graph}" --table cuckoo)
+# Flags a subcommand never declared are rejected, not ignored: a stale
+# flag must not silently run a different program.
+expect(2 "undeclared --table flag" detect --in "${graph}" --table cuckoo)
+expect(2 "retired --table flag" detect --in "${graph}" --table occ)
+expect(2 "retired --storage flag" detect --in "${graph}" --storage zcsr)
+expect(2 "retired --algo flag" detect --in "${graph}" --algo seq)
+expect(2 "undeclared stats flag" stats --in "${graph}" --verbose)
 set(deltas "${WORK_DIR}/cli_codes.deltas")
 file(WRITE "${deltas}" "batch 1\n+ 0 1\n")
 expect(2 "unknown stream backend"
   stream --in "${graph}" --deltas "${deltas}" --backend bogus)
+
+# The input type picks the storage: a .zg container runs through the
+# compressed entry point and must give the same partition, byte for
+# byte, as the plain graph it was compressed from.
+set(zg "${WORK_DIR}/cli_codes_graph.zg")
+expect(0 "compress to a .zg container" compress --in "${graph}" --out "${zg}")
+expect(0 "detect on the plain graph"
+  detect --in "${graph}" --device scalar --threads 2
+  --out "${WORK_DIR}/cli_plain.part")
+expect(0 "detect on the .zg container"
+  detect --in "${zg}" --device scalar --threads 2
+  --out "${WORK_DIR}/cli_zg.part")
+execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
+  "${WORK_DIR}/cli_plain.part" "${WORK_DIR}/cli_zg.part" RESULT_VARIABLE rv)
+if(NOT rv EQUAL 0)
+  message(FATAL_ERROR ".zg partition differs from the plain-graph partition")
+endif()
+message(STATUS "ok .zg and plain partitions are byte-identical")
 
 # 3 not found
 expect(3 "detect on a missing graph" detect --in "${WORK_DIR}/absent.bin")

@@ -1,8 +1,8 @@
 // Tests for the zg compressed-storage subsystem (DESIGN.md §12):
-// varint/zigzag codec properties, ZCsr round-trips, container io,
-// the bit-packed-occupancy hash table, and the end-to-end guarantee
-// the whole layer rests on — Louvain partitions bitwise-identical to
-// the plain-CSR path under every storage mode and table layout.
+// varint/zigzag codec properties, ZCsr round-trips, container io, and
+// the end-to-end guarantee the whole layer rests on — Louvain
+// partitions bitwise-identical to the plain-CSR path whether level 0
+// reads plain, compressed or mapped rows.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -13,7 +13,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/hash_map.hpp"
 #include "core/louvain.hpp"
 #include "detect/detector.hpp"
 #include "gen/cliques.hpp"
@@ -21,10 +20,8 @@
 #include "gen/sbm.hpp"
 #include "graph/builder.hpp"
 #include "seq/louvain.hpp"
-#include "util/primes.hpp"
 #include "util/prng.hpp"
 #include "zg/container.hpp"
-#include "zg/occmap.hpp"
 #include "zg/varint.hpp"
 #include "zg/zcsr.hpp"
 
@@ -311,103 +308,6 @@ TEST_F(ZgContainer, CorruptVersionIsInvalidArgument) {
   EXPECT_NE(bad.status().to_string().find("version"), std::string::npos);
 }
 
-// --------------------------------------------------- occupancy hash map
-
-struct OccStorage {
-  explicit OccStorage(const util::HashTableParams& params)
-      : keys(params.capacity),
-        weights(params.capacity),
-        occ(OccCommunityHashMap::occ_words(params.capacity)),
-        params_(params) {}
-  std::vector<Community> keys;
-  std::vector<Weight> weights;
-  std::vector<std::uint32_t> occ;
-  util::HashTableParams params_;
-  OccCommunityHashMap map() {
-    return OccCommunityHashMap(keys, weights, occ, params_);
-  }
-};
-
-struct SentinelStorage {
-  explicit SentinelStorage(const util::HashTableParams& params)
-      : keys(params.capacity), weights(params.capacity), params_(params) {}
-  std::vector<Community> keys;
-  std::vector<Weight> weights;
-  util::HashTableParams params_;
-  core::LocalCommunityHashMap map() {
-    return core::LocalCommunityHashMap(keys, weights, params_);
-  }
-};
-
-TEST(OccCommunityHashMap, MatchesSentinelLayoutSlotForSlot) {
-  // Identical insert_add sequences must visit identical slots (the
-  // probe sequences are the same) and yield identical lookups — the
-  // property that makes the layouts interchangeable mid-kernel.
-  for (const std::uint32_t deg : {2u, 5u, 17u, 200u, 1000u}) {
-    const util::HashTableParams params = util::hash_params_for_degree(deg);
-    OccStorage occ_storage(params);
-    SentinelStorage sen_storage(params);
-    auto occ = occ_storage.map();
-    auto sen = sen_storage.map();
-    occ.clear();
-    sen.clear();
-    util::Xoshiro256 rng(deg);
-    std::vector<Community> inserted;
-    for (std::uint32_t i = 0; i < deg; ++i) {
-      const auto c = static_cast<Community>(rng.next_below(deg * 4 + 8));
-      const auto w = 0.5 + static_cast<Weight>(rng.next_below(16));
-      bool occ_claimed = false;
-      bool sen_claimed = false;
-      const std::size_t occ_pos = occ.insert_add_claim(c, w, occ_claimed);
-      const std::size_t sen_pos = sen.insert_add_claim(c, w, sen_claimed);
-      EXPECT_EQ(occ_pos, sen_pos) << c;
-      EXPECT_EQ(occ_claimed, sen_claimed) << c;
-      inserted.push_back(c);
-    }
-    for (const Community c : inserted) {
-      EXPECT_EQ(occ.lookup(c), sen.lookup(c)) << c;
-    }
-    // Absent keys miss in both; key_at agrees slot-for-slot, with the
-    // occupancy map presenting the sentinel for unoccupied slots.
-    for (Community c = 0; c < deg * 4 + 8; ++c) {
-      EXPECT_EQ(occ.lookup(c), sen.lookup(c)) << c;
-    }
-    for (std::size_t pos = 0; pos < params.capacity; ++pos) {
-      EXPECT_EQ(occ.key_at(pos), sen.key_at(pos)) << pos;
-      if (occ.key_at(pos) != OccCommunityHashMap::kNull) {
-        EXPECT_EQ(occ.weight_at(pos), sen.weight_at(pos)) << pos;
-      }
-    }
-  }
-}
-
-TEST(OccCommunityHashMap, ClearMakesTableReusable) {
-  const util::HashTableParams params = util::hash_params_for_degree(8);
-  OccStorage storage(params);
-  auto map = storage.map();
-  map.clear();
-  map.insert_add(3, 2.0);
-  map.insert_add(3, 1.5);
-  EXPECT_DOUBLE_EQ(map.lookup(3), 3.5);
-  map.clear();
-  EXPECT_DOUBLE_EQ(map.lookup(3), 0.0);
-  EXPECT_EQ(map.key_at(0), OccCommunityHashMap::kNull);
-  map.insert_add(3, 1.0);
-  EXPECT_DOUBLE_EQ(map.lookup(3), 1.0);
-}
-
-TEST(OccCommunityHashMap, HandlesCollisionsToFullLoad) {
-  const util::HashTableParams params = util::hash_params_for_degree(5);
-  OccStorage storage(params);
-  auto map = storage.map();
-  map.clear();
-  const std::uint32_t cap = params.capacity;
-  for (Community c = 0; c < cap; ++c) map.insert_add(c * cap, 1.0);
-  for (Community c = 0; c < cap; ++c) {
-    EXPECT_DOUBLE_EQ(map.lookup(c * cap), 1.0) << c;
-  }
-}
-
 // ----------------------------------------------------- bitwise louvain
 
 Csr sbm_graph() {
@@ -451,20 +351,6 @@ TEST(ZLouvain, CoreRunZOnWeightedGraphIsBitwiseIdentical) {
                      compressed.modularity);
 }
 
-TEST(ZLouvain, OccupancyTableLayoutIsBitwiseIdentical) {
-  const Csr g = sbm_graph();
-  core::Config sentinel_cfg;
-  sentinel_cfg.threads = 2;
-  core::Config occ_cfg = sentinel_cfg;
-  occ_cfg.table_layout = core::TableLayout::kOccupancy;
-  const auto a = core::louvain(g, sentinel_cfg);
-  const auto b = core::louvain(g, occ_cfg);
-  expect_same_result(a.community, a.modularity, b.community, b.modularity);
-  // And the occupancy layout composes with the compressed storage path.
-  const auto c = core::louvain_z(ZCsr::encode(g), occ_cfg);
-  expect_same_result(a.community, a.modularity, c.community, c.modularity);
-}
-
 TEST(ZLouvain, CoreRunZRejectsColoring) {
   core::Config cfg;
   cfg.use_coloring = true;
@@ -501,38 +387,6 @@ TEST(ZLouvain, MappedGraphRunMatchesPlain) {
 
 // ------------------------------------------------------- detect wiring
 
-TEST(ZDetect, StorageKnobIsBitwiseIdenticalAcrossModes) {
-  const Csr g = sbm_graph();
-  for (const char* backend : {"core", "seq"}) {
-    auto detector = detect::make(backend);
-    ASSERT_TRUE(detector.ok());
-    detect::Options options;
-    options.threads = 2;
-    const auto plain = (*detector)->run(g, options);
-    options.storage = detect::Storage::kZcsr;
-    const auto zcsr = (*detector)->run(g, options);
-    options.storage = detect::Storage::kMmap;
-    const auto mmap = (*detector)->run(g, options);
-    expect_same_result(plain.community, plain.modularity, zcsr.community,
-                       zcsr.modularity);
-    expect_same_result(plain.community, plain.modularity, mmap.community,
-                       mmap.modularity);
-  }
-}
-
-TEST(ZDetect, BackendsWithoutCompressedPathReject) {
-  const Csr g = sbm_graph();
-  detect::Options options;
-  options.threads = 2;
-  options.storage = detect::Storage::kZcsr;
-  for (const char* backend : {"plm", "shard"}) {
-    auto detector = detect::make(backend);
-    ASSERT_TRUE(detector.ok());
-    EXPECT_THROW((void)(*detector)->run(g, options), std::invalid_argument)
-        << backend;
-  }
-}
-
 TEST(ZDetect, BaseRunZFallbackDecodesAndDelegates) {
   // shard has no native z path: its inherited run_z must decode to a
   // plain Csr and produce the backend's ordinary result. (plm has none
@@ -548,32 +402,6 @@ TEST(ZDetect, BaseRunZFallbackDecodesAndDelegates) {
   const auto via_plain = (*detector)->run(g, options);
   expect_same_result(via_plain.community, via_plain.modularity,
                      via_z.community, via_z.modularity);
-}
-
-TEST(ZDetect, WarmStartRequiresPlainStorage) {
-  const Csr g = sbm_graph();
-  auto detector = detect::make("core");
-  ASSERT_TRUE(detector.ok());
-  detect::Options options;
-  options.threads = 2;
-  auto warm = std::make_shared<detect::WarmStart>();
-  warm->seed.assign(g.num_vertices(), 0);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) warm->seed[v] = v;
-  options.warm_start = warm;
-  options.storage = detect::Storage::kZcsr;
-  EXPECT_THROW((void)(*detector)->run(g, options), std::invalid_argument);
-}
-
-TEST(ZDetect, StorageNamesRoundTrip) {
-  for (const auto s : {detect::Storage::kPlain, detect::Storage::kZcsr,
-                       detect::Storage::kMmap}) {
-    detect::Storage parsed = detect::Storage::kPlain;
-    EXPECT_TRUE(detect::parse_storage(detect::storage_name(s), parsed));
-    EXPECT_EQ(parsed, s);
-  }
-  detect::Storage out = detect::Storage::kMmap;
-  EXPECT_FALSE(detect::parse_storage("gzip", out));
-  EXPECT_EQ(out, detect::Storage::kMmap);  // untouched on failure
 }
 
 }  // namespace

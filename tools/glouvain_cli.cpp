@@ -58,7 +58,6 @@ int usage(const char* error = nullptr) {
                "            --in FILE --backend core|seq|plm|shard\n"
                "            [--out FILE] [--trace FILE] [--tbin X --tfinal Y]\n"
                "            [--coloring] [--threads N] [--verbose]\n"
-               "            [--storage plain|zcsr|mmap] [--table sentinel|occ]\n"
                "            [--device scalar|vector|auto] [--shards K]\n"
                "            [--partition block|random|hubrep] [--partition-seed N]\n"
                "            [--concurrent-shards] [--shard-storage plain|mmap]\n"
@@ -82,12 +81,11 @@ int usage(const char* error = nullptr) {
                "  convert   re-encode a graph file      --in FILE --out FILE\n"
                "  color     greedy parallel coloring    --in FILE\n"
                "\n"
-               "storage modes (detect --storage; .zg inputs default to mmap):\n"
-               "  plain  raw CSR arrays in memory (default for other inputs)\n"
-               "  zcsr   delta/varint-compressed adjacency, rows decoded\n"
-               "         through per-worker cursors; partitions bitwise-equal\n"
-               "  mmap   the zcsr layout read from a mapped .zg container\n"
+               "storage follows the input (detect --in):\n"
+               "  .zg    mapped container; level 0 decodes compressed rows\n"
                "         (out-of-core: the plain arrays never materialize)\n"
+               "  other  loaded into plain CSR arrays; on the scalar device\n"
+               "         the partition is bitwise-equal to the .zg run\n"
                "\n"
                "partition strategies (shard backend): block = arc-balanced\n"
                "  contiguous ranges, random = hashed assignment, hubrep =\n"
@@ -103,10 +101,10 @@ int usage(const char* error = nullptr) {
                "          GLOUVAIN_NO_AVX2 set\n"
                "  auto    vector iff the CPU supports AVX2 (default)\n"
                "\n"
-               "flag/exit-code matrix: unknown names for --backend, --storage,\n"
-               "  --table or --device, and unsupported combinations (zcsr/mmap\n"
-               "  with --coloring or warm starts; non-plain storage on plm or\n"
-               "  shard) all exit 2 (invalid argument).\n"
+               "flag/exit-code matrix: flags a command does not declare,\n"
+               "  unknown names for --backend or --device, and unsupported\n"
+               "  combinations (--coloring on the shard backend, or on core\n"
+               "  with a .zg input) all exit 2 (invalid argument).\n"
                "\n"
                "exit codes (util::Status, see README):\n"
                "  0 ok                 1 usage error          2 invalid argument\n"
@@ -122,8 +120,20 @@ int fail_status(const util::Status& status) {
   return util::exit_code(status);
 }
 
-util::StatusOr<graph::Csr> load_required(util::Options& opt) {
-  const std::string in = opt.get_string("in", "", "input graph file");
+/// Every subcommand calls this after its last option declaration, so a
+/// flag it never declared (a typo, or one that no longer exists) exits
+/// 2 instead of being silently ignored. Returns 0 when all are known.
+int reject_unknown(const util::Options& opt) {
+  const std::vector<std::string> unknown = opt.unknown();
+  if (unknown.empty()) return 0;
+  std::string names;
+  for (const std::string& key : unknown) {
+    names += (names.empty() ? "--" : ", --") + key;
+  }
+  return fail_status(util::Status::invalid_argument("unknown flag: " + names));
+}
+
+util::StatusOr<graph::Csr> load_required(const std::string& in) {
   if (in.empty()) return util::Status::invalid_argument("--in is required");
   return graph::try_load_auto(in);
 }
@@ -134,6 +144,7 @@ int cmd_generate(util::Options& opt) {
   const double scale = opt.get_double("scale", 0.1, "size multiplier");
   const std::int64_t seed = opt.get_int("seed", 1, "generator seed");
   const std::string out = opt.get_string("out", "", "output file (.bin/.txt)");
+  if (const int rc = reject_unknown(opt)) return rc;
   if (family == "list") {
     util::Table table({"name", "family", "stands in for"});
     for (const auto& e : gen::table1_suite()) {
@@ -175,10 +186,6 @@ bool is_zg_path(const std::string& path) {
 int cmd_detect(util::Options& opt) {
   const std::string in =
       opt.get_string("in", "", "input graph file (.bin/.txt/.mtx/.zg)");
-  if (in.empty()) {
-    return fail_status(util::Status::invalid_argument("--in is required"));
-  }
-
   const std::string backend =
       opt.get_string("backend", "core", "core | seq | plm | shard");
   const std::string out = opt.get_string("out", "", "community output file");
@@ -191,19 +198,12 @@ int cmd_detect(util::Options& opt) {
   const bool coloring = opt.get_flag("coloring", "serialize moves by graph coloring");
   const bool verbose =
       opt.get_flag("verbose", "print per-level timings and device stats");
-  const std::string storage_arg = opt.get_string(
-      "storage", "", "level-0 storage: plain | zcsr | mmap (see below)");
-  const std::string table_arg = opt.get_string(
-      "table", "sentinel", "modopt hash-table layout: sentinel | occ");
   const std::string device_arg = opt.get_string(
       "device", "auto", "lane substrate: scalar | vector | auto");
-
-  detect::Storage storage =
-      is_zg_path(in) ? detect::Storage::kMmap : detect::Storage::kPlain;
-  if (!storage_arg.empty() && !detect::parse_storage(storage_arg, storage)) {
-    return fail_status(
-        util::Status::invalid_argument("unknown --storage: " + storage_arg));
-  }
+  const std::string shard_storage_arg = opt.get_string(
+      "shard-storage", "plain", "plain | mmap (out-of-core shard graphs)");
+  const std::string partition_arg = opt.get_string(
+      "partition", "", "block | random | hubrep (shard backend only)");
 
   // One canonical Options carries every algorithm knob; detect's
   // Extensions stay at their defaults here.
@@ -212,7 +212,6 @@ int cmd_detect(util::Options& opt) {
                                          .adaptive_limit = 100'000,
                                          .adaptive = true};
   options.threads = threads;
-  options.storage = storage;
   options.use_coloring = coloring;
   options.shards = static_cast<unsigned>(
       opt.get_int("shards", 1, "shard count (shard backend only)"));
@@ -220,23 +219,16 @@ int cmd_detect(util::Options& opt) {
       opt.get_int("partition-seed", 1, "random-partition seed"));
   options.concurrent_shards = opt.get_flag(
       "concurrent-shards", "run shards concurrently on pooled devices");
-  const std::string shard_storage_arg = opt.get_string(
-      "shard-storage", "plain", "plain | mmap (out-of-core shard graphs)");
+
+  if (const int rc = reject_unknown(opt)) return rc;
   if (!detect::parse_shard_storage(shard_storage_arg, options.shard_storage)) {
     return fail_status(util::Status::invalid_argument(
         "unknown --shard-storage: " + shard_storage_arg));
-  }
-  if (!detect::parse_table_layout(table_arg, options.table_layout)) {
-    return fail_status(
-        util::Status::invalid_argument("unknown --table: " + table_arg));
   }
   if (!simt::parse_backend(device_arg, options.device)) {
     return fail_status(
         util::Status::invalid_argument("unknown --device: " + device_arg));
   }
-
-  const std::string partition_arg = opt.get_string(
-      "partition", "", "block | random | hubrep (shard backend only)");
   if (!partition_arg.empty() &&
       !detect::parse_partition(partition_arg, options.partition)) {
     return fail_status(
@@ -251,31 +243,19 @@ int cmd_detect(util::Options& opt) {
   obs::Recorder recorder;
   obs::Recorder* rec = (!trace_path.empty() || verbose) ? &recorder : nullptr;
 
-  // .zg containers dispatch through the compressed entry point (the
-  // graph library itself stays below zg in the dependency order, so
-  // the format is routed here, not in try_load_auto). --storage plain
-  // on a .zg input decodes once and runs the plain path.
+  // The input type picks the storage: a .zg container is mapped and run
+  // through the compressed entry point (the graph library itself stays
+  // below zg in the dependency order, so the format is routed here, not
+  // in try_load_auto); every other format loads into plain rows.
   detect::Result result;
   if (is_zg_path(in)) {
-    if (storage == detect::Storage::kMmap) {
-      auto mapped = zg::MappedGraph::open(in);
-      if (!mapped.ok()) return fail_status(mapped.status());
-      result = (*detector)->run_z(mapped->zcsr(), options, rec);
-    } else {
-      auto z = zg::load(in);
-      if (!z.ok()) return fail_status(z.status());
-      if (storage == detect::Storage::kPlain) {
-        const graph::Csr g = z->decode_all();
-        result = (*detector)->run(g, options, rec);
-      } else {
-        result = (*detector)->run_z(*z, options, rec);
-      }
-    }
+    auto mapped = zg::MappedGraph::open(in);
+    if (!mapped.ok()) return fail_status(mapped.status());
+    result = (*detector)->run_z(mapped->zcsr(), options, rec);
   } else {
-    auto loaded = graph::try_load_auto(in);
+    auto loaded = load_required(in);
     if (!loaded.ok()) return fail_status(loaded.status());
-    const graph::Csr g = std::move(loaded).value();
-    result = (*detector)->run(g, options, rec);
+    result = (*detector)->run(*loaded, options, rec);
   }
 
   const auto stats = metrics::partition_stats(result.community);
@@ -355,26 +335,27 @@ int cmd_batch(util::Options& opt) {
       "concurrent-shards", "run shards concurrently on pooled devices");
   const std::string serve_storage_arg = opt.get_string(
       "shard-storage", "plain", "plain | mmap (out-of-core shard graphs)");
+  const std::string partition_arg = opt.get_string(
+      "partition", "", "block | random | hubrep (shard backend only)");
+  const std::string backend_arg =
+      opt.get_string("backend", "auto", "auto | core | seq | plm | shard");
+  const auto repeat = static_cast<int>(
+      opt.get_int("repeat", 1, "submit the whole manifest this many times"));
+  const auto deadline_ms = opt.get_int(
+      "deadline", 0, "per-job deadline in milliseconds (0 = none)");
+  if (const int rc = reject_unknown(opt)) return rc;
   if (!detect::parse_shard_storage(serve_storage_arg,
                                    cfg.options.shard_storage)) {
     return fail_status(util::Status::invalid_argument(
         "unknown --shard-storage: " + serve_storage_arg));
   }
-  const std::string partition_arg = opt.get_string(
-      "partition", "", "block | random | hubrep (shard backend only)");
   if (!partition_arg.empty() &&
       !detect::parse_partition(partition_arg, cfg.options.partition)) {
     return fail_status(
         util::Status::invalid_argument("unknown --partition: " + partition_arg));
   }
-  const auto backend = parse_backend(
-      opt.get_string("backend", "auto",
-                     "auto | core | seq | plm | shard"));
+  const auto backend = parse_backend(backend_arg);
   if (!backend.ok()) return fail_status(backend.status());
-  const auto repeat = static_cast<int>(
-      opt.get_int("repeat", 1, "submit the whole manifest this many times"));
-  const auto deadline_ms = opt.get_int(
-      "deadline", 0, "per-job deadline in milliseconds (0 = none)");
   if (manifest_path.empty()) return usage("--manifest is required for batch");
 
   struct Entry {
@@ -513,10 +494,7 @@ util::StatusOr<std::vector<graph::Community>> load_labels(
 }
 
 int cmd_stream(util::Options& opt) {
-  auto loaded = load_required(opt);
-  if (!loaded.ok()) return fail_status(loaded.status());
-  graph::Csr g = std::move(loaded).value();
-
+  const std::string in = opt.get_string("in", "", "input graph file");
   const std::string deltas_path =
       opt.get_string("deltas", "", "delta batch file (`batch` / `+ u v w` / `- u v` lines)");
   const std::string out = opt.get_string("out", "", "final community output file");
@@ -530,6 +508,10 @@ int cmd_stream(util::Options& opt) {
       opt.get_int("hops", 0, "extra frontier adjacency expansions"));
   so.frontier.community_closure =
       !opt.get_flag("no-closure", "frontier = touched endpoints only");
+  if (const int rc = reject_unknown(opt)) return rc;
+  auto loaded = load_required(in);
+  if (!loaded.ok()) return fail_status(loaded.status());
+  graph::Csr g = std::move(loaded).value();
   if (deltas_path.empty()) return usage("--deltas is required for stream");
 
   auto deltas = stream::try_load_deltas(deltas_path);
@@ -579,10 +561,7 @@ int cmd_stream(util::Options& opt) {
 }
 
 int cmd_churn(util::Options& opt) {
-  auto loaded = load_required(opt);
-  if (!loaded.ok()) return fail_status(loaded.status());
-  const graph::Csr g = std::move(loaded).value();
-
+  const std::string in = opt.get_string("in", "", "input graph file");
   const std::string out = opt.get_string("out", "", "delta file to write");
   const std::string labels_path = opt.get_string(
       "labels", "", "community file (`v c` lines); default: seq detection");
@@ -594,6 +573,10 @@ int cmd_churn(util::Options& opt) {
   params.seed = static_cast<std::uint64_t>(opt.get_int("seed", 1, "RNG seed"));
   const std::string mode =
       opt.get_string("mode", "preserve", "preserve | merge");
+  if (const int rc = reject_unknown(opt)) return rc;
+  auto loaded = load_required(in);
+  if (!loaded.ok()) return fail_status(loaded.status());
+  const graph::Csr g = std::move(loaded).value();
   if (mode == "merge") {
     params.mode = gen::ChurnMode::CommunityMerging;
   } else if (mode != "preserve") {
@@ -627,7 +610,9 @@ int cmd_churn(util::Options& opt) {
 }
 
 int cmd_stats(util::Options& opt) {
-  auto loaded = load_required(opt);
+  const std::string in = opt.get_string("in", "", "input graph file");
+  if (const int rc = reject_unknown(opt)) return rc;
+  auto loaded = load_required(in);
   if (!loaded.ok()) return fail_status(loaded.status());
   const graph::Csr g = std::move(loaded).value();
   const auto stats = graph::degree_stats(g);
@@ -655,10 +640,12 @@ int cmd_stats(util::Options& opt) {
 }
 
 int cmd_convert(util::Options& opt) {
-  auto loaded = load_required(opt);
+  const std::string in = opt.get_string("in", "", "input graph file");
+  const std::string out = opt.get_string("out", "", "output file (.bin/.txt)");
+  if (const int rc = reject_unknown(opt)) return rc;
+  auto loaded = load_required(in);
   if (!loaded.ok()) return fail_status(loaded.status());
   const graph::Csr g = std::move(loaded).value();
-  const std::string out = opt.get_string("out", "", "output file (.bin/.txt)");
   if (out.empty()) return usage("--out is required for convert");
   const util::Status saved =
       (out.size() > 4 && out.compare(out.size() - 4, 4, ".bin") == 0)
@@ -670,10 +657,12 @@ int cmd_convert(util::Options& opt) {
 }
 
 int cmd_compress(util::Options& opt) {
-  auto loaded = load_required(opt);
+  const std::string in = opt.get_string("in", "", "input graph file");
+  const std::string out = opt.get_string("out", "", "output container (.zg)");
+  if (const int rc = reject_unknown(opt)) return rc;
+  auto loaded = load_required(in);
   if (!loaded.ok()) return fail_status(loaded.status());
   const graph::Csr g = std::move(loaded).value();
-  const std::string out = opt.get_string("out", "", "output container (.zg)");
   if (out.empty()) return usage("--out is required for compress");
 
   const zg::ZCsr z = zg::ZCsr::encode(g);
@@ -697,7 +686,9 @@ int cmd_compress(util::Options& opt) {
 }
 
 int cmd_color(util::Options& opt) {
-  auto loaded = load_required(opt);
+  const std::string in = opt.get_string("in", "", "input graph file");
+  if (const int rc = reject_unknown(opt)) return rc;
+  auto loaded = load_required(in);
   if (!loaded.ok()) return fail_status(loaded.status());
   const graph::Csr g = std::move(loaded).value();
   const auto coloring = graph::color_graph(g);
@@ -743,9 +734,8 @@ int main(int argc, char** argv) {
     if (command == "color") return with_check_report(cmd_color(opt));
     if (command == "--help" || command == "-h" || command == "help") return usage();
   } catch (const std::invalid_argument& e) {
-    // Backend rejections (e.g. compressed storage on a backend without
-    // a z path) are invalid arguments, not usage errors: exit 2, no
-    // usage dump.
+    // Backend rejections (e.g. --coloring on a .zg input) are invalid
+    // arguments, not usage errors: exit 2, no usage dump.
     return fail_status(util::Status::invalid_argument(e.what()));
   } catch (const std::exception& e) {
     return usage(e.what());
