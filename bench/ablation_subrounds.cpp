@@ -7,8 +7,9 @@
 // bucket holds nearly every vertex and adjacent vertices oscillate by
 // swapping communities in lockstep, capping modularity well below
 // sequential (observed Q ~ 0.03 vs 0.18 on the channel mesh at level
-// 0). Sub-rounds are a cheap stand-in for the graph coloring of Lu et
-// al. [16], which the paper cites as the source of its move controls.
+// 0). Sub-rounds are the repo's one stand-in for the graph coloring of
+// Lu et al. [16], which the paper cites as the source of its move
+// controls (DESIGN.md §6.1).
 #include "bench_common.hpp"
 
 using namespace glouvain;
@@ -28,31 +29,24 @@ int main(int argc, char** argv) {
                 "pseudocode; S>1 breaks synchronous swap oscillation on "
                 "uniform-degree graphs at a small scheduling cost");
 
-  // S=1 is the literal pseudocode; S>1 hash sub-rounds; "col" uses a
-  // proper graph coloring (the full mechanism of [16]).
+  // S=1 is the literal pseudocode; S>1 hash sub-rounds.
   const std::vector<unsigned> rounds{1, 2, 4, 8};
   util::Table table([&] {
     std::vector<std::string> headers{"graph", "Q(seq)"};
     for (auto s : rounds) headers.push_back("Q S=" + std::to_string(s));
-    headers.push_back("Q col");
     for (auto s : rounds) headers.push_back("t S=" + std::to_string(s));
-    headers.push_back("t col");
     return headers;
   }());
 
-  std::vector<double> q_ratio_sum(rounds.size() + 1, 0);
+  std::vector<double> q_ratio_sum(rounds.size(), 0);
   for (const auto& name : graphs) {
     const auto g = gen::suite_entry(name).build(scale, static_cast<std::uint64_t>(seed));
     const auto seq_run = bench::run_seq(g, /*adaptive=*/false);
     std::vector<std::string> row{name, util::Table::fixed(seq_run.modularity, 4)};
     std::vector<std::string> time_cells;
-    for (std::size_t i = 0; i <= rounds.size(); ++i) {
+    for (std::size_t i = 0; i < rounds.size(); ++i) {
       core::Config cfg;
-      if (i < rounds.size()) {
-        cfg.commit_subrounds = rounds[i];
-      } else {
-        cfg.use_coloring = true;
-      }
+      cfg.commit_subrounds = rounds[i];
       const auto r = bench::run_core(g, cfg);
       q_ratio_sum[i] += seq_run.modularity > 1e-9
                             ? r.modularity / seq_run.modularity
@@ -65,9 +59,8 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   std::printf("\naverage modularity vs sequential:");
-  for (std::size_t i = 0; i <= rounds.size(); ++i) {
-    const std::string label =
-        i < rounds.size() ? "S=" + std::to_string(rounds[i]) : "coloring";
+  for (std::size_t i = 0; i < rounds.size(); ++i) {
+    const std::string label = "S=" + std::to_string(rounds[i]);
     std::printf(" %s: %s", label.c_str(),
                 util::Table::percent(q_ratio_sum[i] / static_cast<double>(graphs.size()), 1)
                     .c_str());

@@ -1,13 +1,11 @@
-// google-benchmark microbenches for the Thrust-analogue primitives and
-// the concurrent hash table — the building blocks whose throughput the
-// kernels inherit.
+// google-benchmark microbenches for the Thrust-analogue primitives the
+// library calls (exclusive scan, sort) and the concurrent hash table —
+// the building blocks whose throughput the kernels inherit.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "core/hash_map.hpp"
-#include "prim/partition.hpp"
-#include "prim/reduce.hpp"
 #include "prim/scan.hpp"
 #include "prim/sort.hpp"
 #include "util/primes.hpp"
@@ -37,19 +35,6 @@ void BM_ExclusiveScan(benchmark::State& state) {
 }
 BENCHMARK(BM_ExclusiveScan)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 22);
 
-void BM_StablePartition(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  auto in = make_data(n);
-  std::vector<std::uint64_t> out(n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(prim::stable_partition_copy(
-        std::span<const std::uint64_t>(in), std::span<std::uint64_t>(out),
-        [](std::uint64_t x) { return (x & 7) == 0; }));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
-}
-BENCHMARK(BM_StablePartition)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 22);
-
 void BM_Sort(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto base = make_data(n);
@@ -62,16 +47,6 @@ void BM_Sort(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
 }
 BENCHMARK(BM_Sort)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
-
-void BM_Reduce(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  auto in = make_data(n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(prim::sum(std::span<const std::uint64_t>(in)));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
-}
-BENCHMARK(BM_Reduce)->Arg(1 << 16)->Arg(1 << 22);
 
 /// Single-threaded insert-accumulate throughput of the Algorithm-2
 /// hash table at the paper's load factor (<= 2/3).

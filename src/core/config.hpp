@@ -74,12 +74,12 @@ struct Config : detect::Options {
   UpdateStrategy update = UpdateStrategy::Bucketed;
   /// Each degree bucket is processed in this many hash-partitioned
   /// sub-rounds, committing moves after each. 1 reproduces the paper's
-  /// pseudocode exactly; >1 is a lightweight stand-in for the graph
+  /// pseudocode exactly; >1 is the repo's one stand-in for the graph
   /// coloring of Lu et al. [16] (which the paper cites as the source
   /// of its move-control heuristics) and breaks the synchronous
   /// swap oscillation on uniform-degree graphs, where a single bucket
   /// holds nearly every vertex. Quality/cost measured by the
-  /// `ablation_subrounds` bench; see DESIGN.md.
+  /// `ablation_subrounds` bench; see DESIGN.md §6.1.
   unsigned commit_subrounds = 4;
   /// Evaluate the exact modularity inside optimize_phase (one O(|E|)
   /// pass up front plus one per surviving sweep — the oscillation
@@ -92,10 +92,6 @@ struct Config : detect::Options {
   /// alone (bounded by max_sweeps_per_level) and
   /// PhaseResult::modularity is 0.
   bool eval_phase_modularity = true;
-  /// use_coloring lives in the detect::Options base — a front-end
-  /// knob, inherited here. Only the device machinery below remains
-  /// core-specific.
-  ///
   /// NOTE: this member hides the inherited Options::device backend
   /// knob (a simt::Backend) by design: within core the full
   /// DeviceConfig is the source of truth, and to_config() copies the

@@ -52,11 +52,6 @@ Result Louvain::run(const Csr& graph, obs::Recorder* rec) {
 }
 
 Result Louvain::run_z(const zg::ZCsr& z, obs::Recorder* rec) {
-  if (config_.use_coloring) {
-    throw std::invalid_argument(
-        "run_z: use_coloring requires plain storage (the coloring pass "
-        "walks the raw Csr)");
-  }
   return run_impl(nullptr, &z, {}, {}, /*warm=*/false, rec);
 }
 

@@ -49,9 +49,7 @@ class Louvain {
   /// Compressed-storage run: level 0 decodes neighbour rows from the
   /// varint-compressed `z` instead of reading a plain Csr; the much
   /// smaller contracted levels run uncompressed as usual. Partitions
-  /// are bitwise-identical to run() on the graph `z` encodes. Throws
-  /// std::invalid_argument when config.use_coloring is set (the
-  /// coloring pass walks the raw Csr).
+  /// are bitwise-identical to run() on the graph `z` encodes.
   Result run_z(const zg::ZCsr& z, obs::Recorder* recorder = nullptr);
 
   /// Warm-start run (the dynamic-graph path): level 0 starts from

@@ -9,7 +9,6 @@
 #include "core/buckets.hpp"
 #include "core/rows.hpp"
 #include "core/workspace.hpp"
-#include "graph/coloring.hpp"
 #include "core/hash_map.hpp"
 #include "obs/recorder.hpp"
 #include "simt/atomics.hpp"
@@ -440,30 +439,14 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
 
   // Sub-round grouping within each bucket: vertices of one bucket are
   // reordered so sub-round classes are contiguous, preserving relative
-  // order inside each class. Classes come either from a hash
-  // (Config::commit_subrounds) or from a proper graph coloring
-  // (Config::use_coloring — the mechanism of [16], under which no two
-  // adjacent vertices ever decide concurrently).
-  graph::Coloring coloring;
-  unsigned subrounds = 1;
-  if (config.update == UpdateStrategy::Bucketed) {
-    if (config.use_coloring) {
-      // Coloring walks the raw Csr; the compressed path rejects the
-      // combination upstream (louvain validates before phase entry).
-      if constexpr (Rows::kPlain) {
-        coloring = graph::color_graph(rows.graph());
-        subrounds = std::max(1u, coloring.num_colors);
-      } else {
-        check::contract(false, "modopt: coloring requires plain storage");
-      }
-    } else {
-      subrounds = std::max(1u, config.commit_subrounds);
-    }
-  }
+  // order inside each class. A vertex's class is a hash of its id
+  // (Config::commit_subrounds) — the stand-in for the graph coloring
+  // of [16] (DESIGN.md §6.1).
+  const unsigned subrounds = config.update == UpdateStrategy::Bucketed
+                                 ? std::max(1u, config.commit_subrounds)
+                                 : 1u;
   const auto class_of = [&](VertexId v) -> unsigned {
-    return config.use_coloring
-               ? coloring.color[v]
-               : static_cast<unsigned>(util::hash64(v) % subrounds);
+    return static_cast<unsigned>(util::hash64(v) % subrounds);
   };
   const std::size_t order_span = rec ? rec->begin_span("modopt/order") : 0;
   // Every position of `order` is written by the class regrouping below,

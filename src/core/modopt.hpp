@@ -96,9 +96,8 @@ PhaseResult optimize_phase(simt::Device& device, const graph::Csr& graph,
 
 /// The compressed-storage phase: same kernels templated over a ZRows
 /// source (neighbour lists decoded per worker instead of read from
-/// raw arrays). Restrictions of the z path: no coloring (it needs the
-/// plain Csr) — callers gate on Config::use_coloring. Partitions are
-/// bitwise-identical to the plain overloads' on the same graph.
+/// raw arrays). Partitions are bitwise-identical to the plain
+/// overloads' on the same graph.
 PhaseResult optimize_phase(simt::Device& device, ZRows& rows,
                            const Config& config, PhaseState& state,
                            std::span<const graph::VertexId> active,

@@ -38,8 +38,6 @@ struct RowView {
 
 class PlainRows {
  public:
-  static constexpr bool kPlain = true;
-
   explicit PlainRows(const graph::Csr& g) noexcept : g_(&g) {}
 
   graph::VertexId num_vertices() const noexcept { return g_->num_vertices(); }
@@ -55,16 +53,12 @@ class PlainRows {
             static_cast<std::uint32_t>(g_->degree(v))};
   }
 
-  const graph::Csr& graph() const noexcept { return *g_; }
-
  private:
   const graph::Csr* g_;
 };
 
 class ZRows {
  public:
-  static constexpr bool kPlain = false;
-
   ZRows(const zg::ZCsr& z, unsigned workers) : z_(&z), workers_(workers) {
     for (unsigned w = 0; w < workers; ++w) {
       workers_state_.emplace_back(z.cursor());

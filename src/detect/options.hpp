@@ -106,10 +106,6 @@ struct Options {
   /// AVX2 lowering, kAuto picks vector iff the CPU supports it.
   /// Ignored by backends without a simt device (seq, plm).
   simt::Backend device = simt::Backend::kAuto;
-  /// Serialize moves by a proper graph coloring (Lu et al. [16])
-  /// instead of hash-partitioned sub-rounds. GPU-style backend only;
-  /// requires plain rows (run_z rejects it).
-  bool use_coloring = false;
   /// Sharded backend only: number of edge-cut shards (0 and 1 both
   /// mean a single shard, which is bitwise-identical to "core").
   unsigned shards = 1;

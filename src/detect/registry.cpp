@@ -147,11 +147,6 @@ class ShardDetector final : public Detector {
       throw std::invalid_argument(
           "shard: warm_start is not supported (shards are rebuilt per run)");
     }
-    if (options.use_coloring) {
-      throw std::invalid_argument(
-          "shard: use_coloring is not supported (moves are serialized by "
-          "the shard round structure)");
-    }
     shard::Result sr = engine_for(options).run(graph, recorder);
     return static_cast<Result&&>(std::move(sr));  // slice off shard extras
   }

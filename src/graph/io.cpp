@@ -33,13 +33,6 @@ Status io_failure(const std::string& path, const std::string& what) {
   return Status::io_error(msg(path, what));
 }
 
-/// VertexId is 32-bit with the top value reserved as kInvalidVertex;
-/// ids at or above it would silently wrap under static_cast. Every
-/// loader funnels untrusted counts/ids through these guards.
-bool fits_vertex_id(unsigned long long id) {
-  return id < kInvalidVertex;
-}
-
 Status vertex_overflow(const std::string& path, unsigned long long value) {
   return Status::invalid_argument(
       msg(path, "vertex id/count " + std::to_string(value) +

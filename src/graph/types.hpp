@@ -24,6 +24,15 @@ using Community = std::uint32_t;
 inline constexpr VertexId kInvalidVertex = std::numeric_limits<VertexId>::max();
 inline constexpr Community kInvalidCommunity = std::numeric_limits<Community>::max();
 
+/// Whether an id or count from outside input fits the vertex-id space.
+/// The top 32-bit value is reserved as kInvalidVertex; ids at or above
+/// it would wrap under static_cast, and so would the `id + 1` a loader
+/// or delta uses to size the graph. Every reader of untrusted ids
+/// (graph io, delta files, stream sessions) checks this one rule.
+constexpr bool fits_vertex_id(unsigned long long id) noexcept {
+  return id < kInvalidVertex;
+}
+
 /// A weighted edge in coordinate form, the builder's input currency.
 struct Edge {
   VertexId u = 0;

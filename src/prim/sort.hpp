@@ -1,4 +1,4 @@
-// Parallel sort (Thrust sort/sort_by_key analogue).
+// Parallel sort (Thrust sort analogue).
 //
 // Used by the core algorithm to order the highest degree bucket by
 // descending degree before interleaved assignment to blocks (§4.1) and
@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -89,53 +88,6 @@ void sort(std::span<T> data, Compare comp = {},
   }
   std::vector<T> buffer(n);
   detail::sort_chunked(data, std::span<T>(buffer), comp, pool);
-}
-
-/// Sort `keys` and apply the same permutation to `values`. Trivially
-/// copyable pairs stage through the scratch arena (the allocation-free
-/// hot path); anything else falls back to a properly-constructed
-/// vector, since arena memory is raw.
-template <typename K, typename V, typename Compare = std::less<K>>
-void sort_by_key(std::span<K> keys, std::span<V> values, Compare comp,
-                 Scratch& scratch,
-                 simt::ThreadPool& pool = simt::ThreadPool::global()) {
-  struct Pair {
-    K k;
-    V v;
-  };
-  const auto pair_comp = [&comp](const Pair& a, const Pair& b) {
-    return comp(a.k, b.k);
-  };
-  if constexpr (std::is_trivially_copyable_v<K> &&
-                std::is_trivially_copyable_v<V>) {
-    Scratch::Frame frame(scratch);
-    auto pairs = scratch.alloc<Pair>(keys.size());
-    pool.parallel_for(keys.size(), [&](std::size_t i, unsigned) {
-      pairs[i] = {keys[i], values[i]};
-    });
-    prim::sort(pairs, pair_comp, scratch, pool);
-    pool.parallel_for(keys.size(), [&](std::size_t i, unsigned) {
-      keys[i] = pairs[i].k;
-      values[i] = pairs[i].v;
-    });
-  } else {
-    std::vector<Pair> pairs(keys.size());
-    pool.parallel_for(keys.size(), [&](std::size_t i, unsigned) {
-      pairs[i] = {std::move(keys[i]), std::move(values[i])};
-    });
-    prim::sort(std::span<Pair>(pairs), pair_comp, pool);
-    pool.parallel_for(keys.size(), [&](std::size_t i, unsigned) {
-      keys[i] = std::move(pairs[i].k);
-      values[i] = std::move(pairs[i].v);
-    });
-  }
-}
-
-template <typename K, typename V, typename Compare = std::less<K>>
-void sort_by_key(std::span<K> keys, std::span<V> values, Compare comp = {},
-                 simt::ThreadPool& pool = simt::ThreadPool::global()) {
-  Scratch scratch;
-  sort_by_key(keys, values, comp, scratch, pool);
 }
 
 }  // namespace glouvain::prim

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <stdexcept>
@@ -27,6 +26,33 @@ using graph::Csr;
 using graph::VertexId;
 using graph::Weight;
 using graph::kInvalidVertex;
+
+/// Move/exchange rounds per level before aggregating. Round r+1
+/// re-seeds every shard from the exchanged labels and only revisits the
+/// change frontier, so rounds after the first are cheap; the round loop
+/// additionally stops once a round's all-reduced moved count drops under
+/// kRoundMoveFloor (cross-shard moves need tighter settling than
+/// intra-phase sweeps, or the cut boundary freezes prematurely and
+/// quality decays with 1/k).
+constexpr int kRoundsPerLevel = 12;
+
+/// Rounds during which dirty high-degree vertices (local degree >
+/// Config::hub_degree) are re-scanned like everyone else. From this
+/// round on a hub re-enters the frontier only by moving itself: on a
+/// scale-free graph some neighbour of every hub moves every round, so
+/// dirty-marking alone would re-scan each hub's full row per round
+/// forever — the dominant term of the settle tail's critical path —
+/// while the hubs themselves, holding the strongest community signal,
+/// settle within the first rounds.
+constexpr int kHubSettleRounds = 2;
+
+/// Round stopping rule: stop the move/exchange rounds of a level once a
+/// round migrates fewer than this fraction of the level's vertices
+/// (floored at 16 absolute). It trades cut-boundary settling depth
+/// against rounds on the critical path; with hubs settled the tail
+/// rounds are cheap (non-hub frontier only), so a deep 0.1% floor buys
+/// quality margin for a few M arcs.
+constexpr double kRoundMoveFloor = 1e-3;
 
 std::int64_t steady_now_ns() noexcept {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -117,7 +143,7 @@ struct LocalGraph {
 SweepOutcome run_shard_sweep(
     simt::Device& device, const Shard& sh, core::PhaseState& st,
     const core::Config& frontier_cfg, double threshold, int round,
-    graph::EdgeIdx hub_degree, int hub_settle_rounds, const GlobalState& gs,
+    graph::EdgeIdx hub_degree, const GlobalState& gs,
     const std::vector<int>& last_moved, const std::vector<int>& dirty_round,
     std::span<const VertexId> all_owned, Lane& lane, core::Workspace& ws,
     obs::Recorder* rec, std::vector<Proposal>& proposals) {
@@ -140,12 +166,12 @@ SweepOutcome run_shard_sweep(
   double active_arcs = 0;
   if (round > 0) {
     lane.frontier.clear();
-    // Hub settling (Config::hub_settle_rounds): past the opening
+    // Hub settling (kHubSettleRounds): past the opening
     // rounds a dirty hub row is not re-scanned — on a scale-free cut
     // every hub is dirtied every round, and those full-degree
     // re-scans would dominate the settle tail. A hub that itself
     // moved stays eligible.
-    const bool settle_hubs = round >= hub_settle_rounds;
+    const bool settle_hubs = round >= kHubSettleRounds;
     for (VertexId i = 0; i < sh.num_owned; ++i) {
       const VertexId g = sh.global_of[i];
       const bool moved_recently = last_moved[g] >= round - 1;
@@ -446,6 +472,8 @@ bool spill_intact(const Plan& plan) {
 }  // namespace engine_detail
 
 namespace {
+using engine_detail::kRoundMoveFloor;
+using engine_detail::kRoundsPerLevel;
 using engine_detail::Lane;
 using engine_detail::LocalGraph;
 using engine_detail::Proposal;
@@ -549,7 +577,6 @@ std::shared_ptr<const Plan> Engine::plan_for(const Csr& graph, unsigned k,
 }
 
 Result Engine::run(const Csr& graph, obs::Recorder* rec) {
-  const bool debug = std::getenv("GLOUVAIN_SHARD_DEBUG") != nullptr;
   util::Timer total_timer;
   device_->clear_spills();
 
@@ -710,7 +737,7 @@ Result Engine::run(const Csr& graph, obs::Recorder* rec) {
       double level_critical = 0;
       double level_work = 0;
       double first_sweep_max = 0;
-      for (int round = 0; round < config_.rounds_per_level; ++round) {
+      for (int round = 0; round < kRoundsPerLevel; ++round) {
         std::uint64_t moved = 0;
         double max_shard_seconds = 0;
         double max_shard_work = 0;
@@ -729,7 +756,7 @@ Result Engine::run(const Csr& graph, obs::Recorder* rec) {
             obs::Span shard_span(rec, "shard/phase");
             const SweepOutcome o = run_shard_sweep(
                 *device_, sh, shard_states_[s], frontier_cfg, threshold,
-                round, config_.hub_degree, config_.hub_settle_rounds, gs,
+                round, config_.hub_degree, gs,
                 last_moved, dirty_round,
                 std::span<const VertexId>(active_ids.data(), sh.num_owned),
                 seq_lane, ws_, rec, proposals[s]);
@@ -743,10 +770,6 @@ Result Engine::run(const Csr& graph, obs::Recorder* rec) {
                                      round, last_moved, dirty_round);
             max_shard_seconds = std::max(max_shard_seconds, o.seconds);
             max_shard_work = std::max(max_shard_work, o.work);
-            if (debug) {
-              std::fprintf(stderr, "  [shard %u] props=%zu sweeps=%d t=%.3fs\n",
-                           s, proposals[s].size(), o.sweeps, o.seconds);
-            }
           }
         } else {
           // Jacobi round: every shard sweeps against the same
@@ -768,7 +791,7 @@ Result Engine::run(const Csr& graph, obs::Recorder* rec) {
               if (sh.num_owned == 0) continue;
               outcomes[s] = run_shard_sweep(
                   dev, sh, shard_states_[s], frontier_cfg, threshold, round,
-                  config_.hub_degree, config_.hub_settle_rounds, gs,
+                  config_.hub_degree, gs,
                   last_moved, dirty_round,
                   std::span<const VertexId>(active_ids.data(), sh.num_owned),
                   lane, lane.ws, nullptr, proposals[s]);
@@ -806,13 +829,6 @@ Result Engine::run(const Csr& graph, obs::Recorder* rec) {
           for (unsigned s = 0; s < k; ++s) {
             all_props.insert(all_props.end(), proposals[s].begin(),
                              proposals[s].end());
-            if (debug && outcomes[s].ran) {
-              std::fprintf(stderr,
-                           "  [shard %u @lane %u] props=%zu sweeps=%d "
-                           "t=%.3fs\n",
-                           s, lease.lane_of(s), proposals[s].size(),
-                           outcomes[s].sweeps, outcomes[s].seconds);
-            }
           }
           std::sort(all_props.begin(), all_props.end(),
                     [](const Proposal& a, const Proposal& b) {
@@ -853,17 +869,8 @@ Result Engine::run(const Csr& graph, obs::Recorder* rec) {
         // Rounds settle the cut boundary, so run them until migration
         // dries up; the frontier restriction above makes the trailing
         // rounds cheap.
-        if (debug) {
-          std::fprintf(stderr,
-                       "[shard] level=%d k=%u round=%d moved=%llu "
-                       "max_shard=%.3fs work=%.1fM exchange=%.3fs%s\n",
-                       level, k, round,
-                       static_cast<unsigned long long>(moved),
-                       max_shard_seconds, max_shard_work * 1e-6,
-                       exchange_seconds, concurrent ? " [jacobi]" : "");
-        }
         const auto move_floor = static_cast<std::uint64_t>(
-            config_.round_move_floor * static_cast<double>(n));
+            kRoundMoveFloor * static_cast<double>(n));
         if (moved < std::max<std::uint64_t>(move_floor, 16)) break;
       }
       // One global modularity evaluation per level (the figure a real

@@ -69,33 +69,9 @@ struct Config : detect::Options {
   core::Config core;
   /// Degree above which a vertex is a replicated hub (hubrep only).
   graph::EdgeIdx hub_degree = 319;
-  /// Move/exchange rounds per level before aggregating. Round r+1
-  /// re-seeds every shard from the exchanged labels and only revisits
-  /// the change frontier, so rounds after the first are cheap; the
-  /// round loop additionally stops once a round's all-reduced moved
-  /// count drops under round_move_floor (cross-shard moves
-  /// need tighter settling than intra-phase sweeps, or the cut
-  /// boundary freezes prematurely and quality decays with 1/k).
-  int rounds_per_level = 12;
   /// Contracted levels smaller than this collapse to a single shard
   /// (the core-identical path doubles as the finishing pass).
   graph::VertexId min_shard_vertices = 1u << 13;
-  /// Rounds during which dirty high-degree vertices (local degree >
-  /// hub_degree) are re-scanned like everyone else. From this round
-  /// on a hub re-enters the frontier only by moving itself: on a
-  /// scale-free graph some neighbour of every hub moves every round,
-  /// so dirty-marking alone would re-scan each hub's full row per
-  /// round forever — the dominant term of the settle tail's critical
-  /// path — while the hubs themselves, holding the strongest
-  /// community signal, settle within the first rounds.
-  int hub_settle_rounds = 2;
-  /// Round stopping rule: stop the move/exchange rounds of a level
-  /// once a round migrates fewer than this fraction of the level's
-  /// vertices (floored at 16 absolute). The knob trades cut-boundary
-  /// settling depth against rounds on the critical path; with hubs
-  /// settled the tail rounds are cheap (non-hub frontier only), so a
-  /// deep 0.1% floor buys quality margin for a few M arcs.
-  double round_move_floor = 1e-3;
   /// Device pool for concurrent rounds (Options::concurrent_shards):
   /// the svc service injects its shared pool; null makes the engine
   /// build a private one (shards-wide, splitting Options::threads) on

@@ -19,9 +19,9 @@
 
 namespace glouvain::simt {
 
+/// Lane counts (a 32-lane warp, 128-thread blocks) are properties of
+/// the kernels' lane groups (core::BucketScheme), not of the device.
 struct DeviceConfig {
-  unsigned warp_size = 32;      ///< lanes per physical warp
-  unsigned block_threads = 128; ///< 4 warps per block, as in the paper
   unsigned worker_threads = 0;  ///< 0 = hardware concurrency
   std::size_t shared_bytes = SharedArena::kDefaultCapacity;
   /// Lane substrate for the kernels launched on this device. kAuto

@@ -37,6 +37,8 @@ struct ApplyResult {
 /// bitwise-identical to rebuilding the mutated edge list through
 /// graph::build_csr (see tests/stream_test.cpp). Insertions with
 /// non-positive weight and deletions of absent edges are ignored.
+/// Every endpoint must pass graph::fits_vertex_id (Session::apply and
+/// try_load_deltas reject the rest).
 ApplyResult apply_delta(const graph::Csr& graph, const Delta& delta,
                         simt::ThreadPool& pool = simt::ThreadPool::global());
 

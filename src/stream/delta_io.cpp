@@ -15,6 +15,12 @@ util::Status bad_line(std::size_t line_no, const std::string& line) {
                                        ": malformed: '" + line + "'");
 }
 
+util::Status vertex_overflow(std::size_t line_no, const std::string& line) {
+  return util::Status::invalid_argument(
+      "delta file line " + std::to_string(line_no) + ": vertex id exceeds "
+      "the 32-bit vertex-id space: '" + line + "'");
+}
+
 }  // namespace
 
 util::StatusOr<std::vector<Delta>> try_load_deltas(const std::string& path) {
@@ -41,10 +47,15 @@ util::StatusOr<std::vector<Delta>> try_load_deltas(const std::string& path) {
     }
 
     if (head != "+" && head != "-") return bad_line(line_no, line);
-    graph::Edge e;
-    if (!(ls >> e.u >> e.v)) return bad_line(line_no, line);
-    e.w = 1;
-    if (head == "+") ls >> e.w;  // optional weight, insertions only
+    unsigned long long u = 0;
+    unsigned long long v = 0;
+    if (!(ls >> u >> v)) return bad_line(line_no, line);
+    if (!graph::fits_vertex_id(u) || !graph::fits_vertex_id(v)) {
+      return vertex_overflow(line_no, line);
+    }
+    graph::Edge e{static_cast<graph::VertexId>(u),
+                  static_cast<graph::VertexId>(v)};
+    if (head == "+") ls >> e.w;  // optional weight (default 1), insertions only
 
     if (!open_batch) {
       deltas.emplace_back();

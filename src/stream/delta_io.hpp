@@ -7,7 +7,8 @@
 //
 // Edges before the first `batch` line form an implicit batch 0. Status
 // vocabulary matches graph/io: missing file -> kNotFound, malformed
-// line -> kInvalidArgument, mid-stream failure -> kIoError.
+// line or a vertex id >= graph::kInvalidVertex -> kInvalidArgument,
+// mid-stream failure -> kIoError.
 #pragma once
 
 #include <string>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <string>
 #include <utility>
 
 #include "obs/recorder.hpp"
@@ -40,6 +41,17 @@ util::StatusOr<Session> Session::open(graph::Csr graph, SessionOptions options,
 
 util::StatusOr<DeltaReport> Session::apply(const Delta& delta,
                                            obs::Recorder* recorder) {
+  // apply_delta grows the graph to `id + 1`; try_load_deltas applies
+  // the same rule to files.
+  for (const auto* edges : {&delta.insertions, &delta.deletions}) {
+    for (const graph::Edge& e : *edges) {
+      if (!graph::fits_vertex_id(e.u) || !graph::fits_vertex_id(e.v)) {
+        return util::Status::invalid_argument(
+            "delta names vertex id " + std::to_string(graph::kInvalidVertex) +
+            ", which exceeds the 32-bit vertex-id space");
+      }
+    }
+  }
   DeltaReport report;
   util::Timer timer;
 

@@ -75,7 +75,8 @@ class Session {
   Session& operator=(const Session&) = delete;
 
   /// Apply one delta batch: mutate the graph, compute the affected
-  /// frontier, re-detect (warm unless options().warm is false). On
+  /// frontier, re-detect (warm unless options().warm is false). A
+  /// delta naming graph::kInvalidVertex fails with kInvalidArgument. On
   /// error the session is unchanged — same graph, partition and epoch.
   /// `recorder` (optional) receives stream/apply, stream/frontier and
   /// stream/detect spans with the detector's own tree nested inside.

@@ -70,8 +70,6 @@ Fingerprint job_key(const Fingerprint& graph_fp, std::string_view backend,
       static_cast<std::uint64_t>(simt::resolve_backend(options.device));
   a.absorb(resolved + 0x517cc1b727220a95ULL);
   b.absorb(~resolved);
-  a.absorb(options.use_coloring ? 5 : 7);
-  b.absorb(options.use_coloring ? 11 : 13);
   // Sharding changes the computation (a different partition explores a
   // different move order), so shard count, strategy and seed all key
   // the cache. Backends that ignore them absorb the defaults, which is

@@ -74,34 +74,64 @@ TEST_P(DendrogramCapture, LastLevelEqualsFinalCommunity) {
   }
 }
 
+/// Writes `text` to a file private to the running test; returns its path.
+std::string partition_file(const std::string& text) {
+  const std::string path =
+      testing::TempDir() + "/glouvain_pio_" +
+      testing::UnitTest::GetInstance()->current_test_info()->name() + ".txt";
+  std::ofstream(path) << text;
+  return path;
+}
+
 TEST(PartitionIo, RoundTrip) {
-  const auto dir = std::filesystem::temp_directory_path() / "glouvain_pio";
-  std::filesystem::create_directories(dir);
-  const std::string path = (dir / "p.txt").string();
-  const std::vector<Community> part{3, 1, 4, 1, 5};
-  metrics::save_partition(part, path);
-  EXPECT_EQ(metrics::load_partition(path), part);
-  std::filesystem::remove_all(dir);
+  const std::string path = partition_file("");
+  const std::vector<Community> part{3, 1, 4, 1, 0};
+  ASSERT_TRUE(metrics::save_partition(part, path).ok());
+  const auto loaded = metrics::load_partition(path, 5);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  EXPECT_EQ(*loaded, part);
+  std::filesystem::remove(path);
 }
 
 TEST(PartitionIo, MissingVerticesAreInvalid) {
-  const auto dir = std::filesystem::temp_directory_path() / "glouvain_pio2";
-  std::filesystem::create_directories(dir);
-  const std::string path = (dir / "p.txt").string();
-  {
-    std::ofstream out(path);
-    out << "# comment\n0 7\n2 9\n";
-  }
-  const auto part = metrics::load_partition(path);
-  ASSERT_EQ(part.size(), 3u);
-  EXPECT_EQ(part[0], 7u);
-  EXPECT_EQ(part[1], graph::kInvalidCommunity);
-  EXPECT_EQ(part[2], 9u);
-  std::filesystem::remove_all(dir);
+  const std::string path = partition_file("# comment\n0 2\n\n2 1\n");
+  const auto part = metrics::load_partition(path, 3);  // vertex 1 has no line
+  EXPECT_EQ(part.status().code(), util::StatusCode::kInvalidArgument);
+  std::filesystem::remove(path);
 }
 
-TEST(PartitionIo, MissingFileThrows) {
-  EXPECT_THROW(metrics::load_partition("/nonexistent/p.txt"), std::runtime_error);
+TEST(PartitionIo, MissingFileIsNotFound) {
+  const auto part = metrics::load_partition("/nonexistent/p.txt", 1);
+  EXPECT_EQ(part.status().code(), util::StatusCode::kNotFound);
+}
+
+TEST(PartitionIo, MalformedLineIsInvalid) {
+  const std::string path = partition_file("0 0\n1 x\n");
+  const auto part = metrics::load_partition(path, 2);
+  EXPECT_EQ(part.status().code(), util::StatusCode::kInvalidArgument);
+  std::filesystem::remove(path);
+}
+
+TEST(PartitionIo, VertexOutOfRangeIsInvalid) {
+  const std::string path = partition_file("0 0\n1 0\n2 0\n");
+  const auto part = metrics::load_partition(path, 2);
+  EXPECT_EQ(part.status().code(), util::StatusCode::kInvalidArgument);
+  std::filesystem::remove(path);
+}
+
+TEST(PartitionIo, LabelOutOfRangeIsInvalid) {
+  // 2^32 - 1 would wrap `label + 1` to 0 in a consumer sizing per-label
+  // arrays (gen::churn's member lists).
+  const std::string path = partition_file("0 4294967295\n1 0\n");
+  const auto part = metrics::load_partition(path, 2);
+  EXPECT_EQ(part.status().code(), util::StatusCode::kInvalidArgument);
+  std::filesystem::remove(path);
+}
+
+TEST(PartitionIo, UnwritablePathIsIoError) {
+  const util::Status saved =
+      metrics::save_partition({0, 0}, "/nonexistent/dir/p.txt");
+  EXPECT_EQ(saved.code(), util::StatusCode::kIoError);
 }
 
 TEST(Occupancy, ExactOnUniformDegrees) {

@@ -1,16 +1,13 @@
 // Unit + parameterized property tests for the Thrust-analogue
-// primitives: scans, reductions, partition, sort.
+// primitives: exclusive scans and sorts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
+#include <functional>
 #include <vector>
 
-#include "prim/partition.hpp"
-#include "prim/reduce.hpp"
 #include "prim/scan.hpp"
 #include "prim/sort.hpp"
-#include "prim/transform.hpp"
 #include "util/prng.hpp"
 
 namespace glouvain::prim {
@@ -59,54 +56,6 @@ TEST_P(PrimSizes, ExclusiveScanInPlace) {
   EXPECT_EQ(data, copy);
 }
 
-TEST_P(PrimSizes, InclusiveScanMatchesSerial) {
-  const std::size_t n = GetParam();
-  auto in = random_vector(n, 7 + n);
-  std::vector<std::uint64_t> expect(n), got(n);
-  std::uint64_t running = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    running += in[i];
-    expect[i] = running;
-  }
-  inclusive_scan(std::span<const std::uint64_t>(in), std::span<std::uint64_t>(got));
-  EXPECT_EQ(got, expect);
-}
-
-TEST_P(PrimSizes, InclusiveScanInPlaceAliased) {
-  const std::size_t n = GetParam();
-  auto data = random_vector(n, 9 + n);
-  auto expect = data;
-  std::uint64_t running = 0;
-  for (auto& x : expect) {
-    running += x;
-    x = running;
-  }
-  inclusive_scan(std::span<std::uint64_t>(data));
-  EXPECT_EQ(data, expect);
-}
-
-TEST_P(PrimSizes, SumMatchesAccumulate) {
-  const std::size_t n = GetParam();
-  auto in = random_vector(n, 11 + n);
-  EXPECT_EQ(sum(std::span<const std::uint64_t>(in)),
-            std::accumulate(in.begin(), in.end(), std::uint64_t{0}));
-}
-
-TEST_P(PrimSizes, PartitionKeepsAllElementsAndIsStable) {
-  const std::size_t n = GetParam();
-  auto in = random_vector(n, 13 + n);
-  std::vector<std::uint64_t> out(n);
-  auto pred = [](std::uint64_t x) { return x % 3 == 0; };
-  const std::size_t split =
-      stable_partition_copy(std::span<const std::uint64_t>(in),
-                            std::span<std::uint64_t>(out), pred);
-  // Expected via std::stable_partition on a copy.
-  auto expect = in;
-  auto mid = std::stable_partition(expect.begin(), expect.end(), pred);
-  EXPECT_EQ(split, static_cast<std::size_t>(mid - expect.begin()));
-  EXPECT_EQ(out, expect);
-}
-
 TEST_P(PrimSizes, SortMatchesStdSort) {
   const std::size_t n = GetParam();
   auto data = random_vector(n, 17 + n, 1u << 30);
@@ -122,86 +71,10 @@ TEST(Scan, AllZeros) {
   for (auto v : z) ASSERT_EQ(v, 0u);
 }
 
-TEST(Reduce, CustomCombine) {
-  std::vector<std::uint64_t> v{5, 9, 1, 7};
-  const auto max = reduce(std::span<const std::uint64_t>(v), std::uint64_t{0},
-                          [](std::uint64_t a, std::uint64_t b) { return std::max(a, b); });
-  EXPECT_EQ(max, 9u);
-}
-
-TEST(Reduce, CountIfIndex) {
-  EXPECT_EQ(count_if_index(100000, [](std::size_t i) { return i % 7 == 0; }),
-            (100000 + 6) / 7);
-  EXPECT_EQ(count_if_index(0, [](std::size_t) { return true; }), 0u);
-}
-
-TEST(Reduce, MaxValue) {
-  auto v = random_vector(200000, 3, 1u << 20);
-  EXPECT_EQ(max_value(std::span<const std::uint64_t>(v), std::uint64_t{0}),
-            *std::max_element(v.begin(), v.end()));
-}
-
-TEST(Partition, AllTrueAllFalse) {
-  auto in = random_vector(50000, 23);
-  std::vector<std::uint64_t> out(in.size());
-  EXPECT_EQ(stable_partition_copy(std::span<const std::uint64_t>(in),
-                                  std::span<std::uint64_t>(out),
-                                  [](std::uint64_t) { return true; }),
-            in.size());
-  EXPECT_EQ(out, in);
-  EXPECT_EQ(stable_partition_copy(std::span<const std::uint64_t>(in),
-                                  std::span<std::uint64_t>(out),
-                                  [](std::uint64_t) { return false; }),
-            0u);
-  EXPECT_EQ(out, in);
-}
-
 TEST(Sort, DescendingComparator) {
   auto data = random_vector(100000, 29);
   prim::sort(std::span<std::uint64_t>(data), std::greater<std::uint64_t>{});
   EXPECT_TRUE(std::is_sorted(data.begin(), data.end(), std::greater<std::uint64_t>{}));
-}
-
-TEST(Sort, ByKeyAppliesSamePermutation) {
-  std::vector<std::uint32_t> keys{5, 1, 4, 2, 3};
-  std::vector<std::string> vals{"e", "a", "d", "b", "c"};
-  sort_by_key(std::span<std::uint32_t>(keys), std::span<std::string>(vals));
-  EXPECT_EQ(keys, (std::vector<std::uint32_t>{1, 2, 3, 4, 5}));
-  EXPECT_EQ(vals, (std::vector<std::string>{"a", "b", "c", "d", "e"}));
-}
-
-TEST(Transform, FillIotaGatherScatter) {
-  std::vector<std::uint32_t> v(1000);
-  fill(std::span<std::uint32_t>(v), 7u);
-  for (auto x : v) ASSERT_EQ(x, 7u);
-
-  iota(std::span<std::uint32_t>(v), 5u);
-  EXPECT_EQ(v[0], 5u);
-  EXPECT_EQ(v[999], 1004u);
-
-  std::vector<std::uint32_t> idx(1000);
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    idx[i] = static_cast<std::uint32_t>(idx.size() - 1 - i);
-  }
-  std::vector<std::uint32_t> out(1000);
-  gather(std::span<const std::uint32_t>(v), std::span<const std::uint32_t>(idx),
-         std::span<std::uint32_t>(out));
-  EXPECT_EQ(out[0], 1004u);
-  EXPECT_EQ(out[999], 5u);
-
-  std::vector<std::uint32_t> back(1000);
-  scatter(std::span<const std::uint32_t>(out), std::span<const std::uint32_t>(idx),
-          std::span<std::uint32_t>(back));
-  EXPECT_EQ(back, v);
-}
-
-TEST(Transform, TransformApplies) {
-  std::vector<std::uint32_t> in(5000);
-  iota(std::span<std::uint32_t>(in), 0u);
-  std::vector<std::uint64_t> out(in.size());
-  transform(std::span<const std::uint32_t>(in), std::span<std::uint64_t>(out),
-            [](std::uint32_t x) { return std::uint64_t{x} * 2; });
-  for (std::size_t i = 0; i < out.size(); ++i) ASSERT_EQ(out[i], 2 * i);
 }
 
 }  // namespace

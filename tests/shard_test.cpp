@@ -344,9 +344,6 @@ TEST(Detector, ShardRejectsIncompatibleKnobs) {
   auto detector = detect::make("shard");
   ASSERT_TRUE(detector.ok());
   detect::Options options;
-  options.use_coloring = true;
-  EXPECT_THROW((*detector)->run(g, options), std::invalid_argument);
-  options.use_coloring = false;
   auto warm = std::make_shared<detect::WarmStart>();
   warm->seed.assign(g.num_vertices(), 0);
   options.warm_start = warm;

@@ -395,8 +395,6 @@ TEST(Device, ForEachCoversRange) {
 
 TEST(Device, ConfigDefaultsMatchPaper) {
   Device device;
-  EXPECT_EQ(device.config().warp_size, 32u);
-  EXPECT_EQ(device.config().block_threads, 128u);  // 4 warps per block
   EXPECT_EQ(device.config().shared_bytes, 48u * 1024u);  // Kepler SM
 }
 

@@ -34,6 +34,7 @@ expect(0 "stats on a valid graph" stats --in "${graph}")
 expect(1 "no command" )
 expect(1 "unknown command" frobnicate)
 expect(1 "churn without --out" churn --in "${graph}")
+expect(1 "retired color command" color --in "${graph}")
 
 # 0 ok: the device-backend matrix documented in --help. `vector` on a
 # machine without AVX2 silently runs the scalar-emulation twins, so all
@@ -55,11 +56,23 @@ expect(2 "undeclared --table flag" detect --in "${graph}" --table cuckoo)
 expect(2 "retired --table flag" detect --in "${graph}" --table occ)
 expect(2 "retired --storage flag" detect --in "${graph}" --storage zcsr)
 expect(2 "retired --algo flag" detect --in "${graph}" --algo seq)
+expect(2 "retired --coloring flag" detect --in "${graph}" --coloring)
 expect(2 "undeclared stats flag" stats --in "${graph}" --verbose)
 set(deltas "${WORK_DIR}/cli_codes.deltas")
 file(WRITE "${deltas}" "batch 1\n+ 0 1\n")
 expect(2 "unknown stream backend"
   stream --in "${graph}" --deltas "${deltas}" --backend bogus)
+# Vertex id and label 2^32 - 1 (graph::kInvalidVertex): `id + 1` wraps
+# to 0, so both inputs must be rejected before anything is sized by it.
+file(WRITE "${WORK_DIR}/cli_codes_overflow.deltas" "batch 1\n+ 0 4294967295\n")
+expect(2 "stream delta naming vertex 2^32-1"
+  stream --in "${graph}" --deltas "${WORK_DIR}/cli_codes_overflow.deltas")
+set(path3 "${WORK_DIR}/cli_codes_path3.txt")
+file(WRITE "${path3}" "0 1\n1 2\n")
+file(WRITE "${WORK_DIR}/cli_codes_overflow.labels" "0 4294967295\n1 0\n2 0\n")
+expect(2 "churn labels naming community 2^32-1"
+  churn --in "${path3}" --labels "${WORK_DIR}/cli_codes_overflow.labels"
+  --out "${WORK_DIR}/cli_codes_overflow_out.deltas")
 
 # The input type picks the storage: a .zg container runs through the
 # compressed entry point and must give the same partition, byte for

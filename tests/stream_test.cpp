@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -210,6 +212,17 @@ TEST(StreamDeltaIo, Roundtrip) {
   EXPECT_EQ(missing.status().code(), util::StatusCode::kNotFound);
 }
 
+TEST(StreamDeltaIo, VertexIdBeyondTheIdSpaceIsInvalid) {
+  // 4294967295 is graph::kInvalidVertex: apply_delta would grow the
+  // graph to id + 1, which wraps to 0.
+  const std::string path = testing::TempDir() + "/deltas_overflow.txt";
+  std::ofstream(path) << "batch 1\n+ 0 1\n+ 0 4294967295\n";
+  auto loaded = stream::try_load_deltas(path);
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("line 3"), std::string::npos)
+      << loaded.status().to_string();
+}
+
 class WarmVsColdTest : public testing::TestWithParam<const char*> {};
 
 TEST_P(WarmVsColdTest, ModularityWithinToleranceOverChurn) {
@@ -258,6 +271,21 @@ TEST(StreamSession, EmptyDeltaIsNoop) {
   EXPECT_EQ(rep->frontier_size, 0u);
   EXPECT_EQ(rep->modularity, q0);
   EXPECT_EQ(session->epoch(), 1u);
+}
+
+TEST(StreamSession, InvalidVertexIdIsRejectedAndLeavesSessionUnchanged) {
+  auto sbm = small_sbm(37);
+  auto session = stream::Session::open(sbm.graph, {});
+  ASSERT_TRUE(session.ok());
+  const std::vector<Community> before = session->community();
+  stream::Delta delta;
+  delta.insertions = {{0, 1, 1.0}, {0, graph::kInvalidVertex, 1.0}};
+  auto rep = session->apply(delta);
+  EXPECT_EQ(rep.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(session->epoch(), 0u);
+  EXPECT_EQ(session->graph().num_vertices(), sbm.graph.num_vertices());
+  expect_bitwise_equal(session->graph(), sbm.graph);
+  EXPECT_EQ(session->community(), before);
 }
 
 TEST(StreamSession, UnknownBackendRejected) {

@@ -10,7 +10,6 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <stdexcept>
 #include <vector>
 
 #include "core/louvain.hpp"
@@ -349,14 +348,6 @@ TEST(ZLouvain, CoreRunZOnWeightedGraphIsBitwiseIdentical) {
   const auto compressed = runner.run_z(z);
   expect_same_result(plain.community, plain.modularity, compressed.community,
                      compressed.modularity);
-}
-
-TEST(ZLouvain, CoreRunZRejectsColoring) {
-  core::Config cfg;
-  cfg.use_coloring = true;
-  core::Louvain runner(cfg);
-  const ZCsr z = ZCsr::encode(sbm_graph());
-  EXPECT_THROW((void)runner.run_z(z), std::invalid_argument);
 }
 
 TEST(ZLouvain, SeqLouvainZIsBitwiseIdenticalToPlain) {

@@ -28,15 +28,14 @@
 #include "zg/container.hpp"
 #include "gen/churn.hpp"
 #include "gen/suite.hpp"
-#include "graph/coloring.hpp"
 #include "graph/io.hpp"
 #include "graph/ops.hpp"
 #include "metrics/partition.hpp"
+#include "metrics/partition_io.hpp"
 #include "obs/recorder.hpp"
 #include "stream/delta_io.hpp"
 #include "stream/session.hpp"
 #include "svc/service.hpp"
-#include "util/log.hpp"
 #include "util/options.hpp"
 #include "util/status.hpp"
 #include "util/table.hpp"
@@ -57,7 +56,7 @@ int usage(const char* error = nullptr) {
                "  detect    run community detection\n"
                "            --in FILE --backend core|seq|plm|shard\n"
                "            [--out FILE] [--trace FILE] [--tbin X --tfinal Y]\n"
-               "            [--coloring] [--threads N] [--verbose]\n"
+               "            [--threads N] [--verbose]\n"
                "            [--device scalar|vector|auto] [--shards K]\n"
                "            [--partition block|random|hubrep] [--partition-seed N]\n"
                "            [--concurrent-shards] [--shard-storage plain|mmap]\n"
@@ -79,7 +78,6 @@ int usage(const char* error = nullptr) {
                "            [--fraction F] [--mode preserve|merge] [--seed N]\n"
                "  stats     print graph statistics      --in FILE\n"
                "  convert   re-encode a graph file      --in FILE --out FILE\n"
-               "  color     greedy parallel coloring    --in FILE\n"
                "\n"
                "storage follows the input (detect --in):\n"
                "  .zg    mapped container; level 0 decodes compressed rows\n"
@@ -102,9 +100,9 @@ int usage(const char* error = nullptr) {
                "  auto    vector iff the CPU supports AVX2 (default)\n"
                "\n"
                "flag/exit-code matrix: flags a command does not declare,\n"
-               "  unknown names for --backend or --device, and unsupported\n"
-               "  combinations (--coloring on the shard backend, or on core\n"
-               "  with a .zg input) all exit 2 (invalid argument).\n"
+               "  unknown names for --backend or --device, and malformed\n"
+               "  inputs (graph, deltas, labels) all exit 2 (invalid\n"
+               "  argument).\n"
                "\n"
                "exit codes (util::Status, see README):\n"
                "  0 ok                 1 usage error          2 invalid argument\n"
@@ -195,7 +193,6 @@ int cmd_detect(util::Options& opt) {
   const double t_final = opt.get_double("tfinal", 1e-6, "fine threshold");
   const auto threads = static_cast<unsigned>(opt.get_int(
       "threads", 0, "simt device worker threads (0 = hardware)"));
-  const bool coloring = opt.get_flag("coloring", "serialize moves by graph coloring");
   const bool verbose =
       opt.get_flag("verbose", "print per-level timings and device stats");
   const std::string device_arg = opt.get_string(
@@ -212,7 +209,6 @@ int cmd_detect(util::Options& opt) {
                                          .adaptive_limit = 100'000,
                                          .adaptive = true};
   options.threads = threads;
-  options.use_coloring = coloring;
   options.shards = static_cast<unsigned>(
       opt.get_int("shards", 1, "shard count (shard backend only)"));
   options.partition_seed = static_cast<std::uint64_t>(
@@ -291,14 +287,8 @@ int cmd_detect(util::Options& opt) {
     std::printf("trace written to %s\n", trace_path.c_str());
   }
   if (!out.empty()) {
-    std::ofstream os(out);
-    for (std::size_t v = 0; v < result.community.size(); ++v) {
-      os << v << ' ' << result.community[v] << '\n';
-    }
-    if (!os) {
-      return fail_status(
-          util::Status::io_error("cannot write communities: " + out));
-    }
+    const util::Status saved = metrics::save_partition(result.community, out);
+    if (!saved.ok()) return fail_status(saved);
     std::printf("communities written to %s\n", out.c_str());
   }
   return 0;
@@ -466,33 +456,6 @@ int cmd_batch(util::Options& opt) {
   return util::exit_code(worst);
 }
 
-/// `v c` lines, the format `detect --out` writes. Labels must cover
-/// every vertex of the graph the deltas will mutate.
-util::StatusOr<std::vector<graph::Community>> load_labels(
-    const std::string& path, graph::VertexId num_vertices) {
-  std::ifstream is(path);
-  if (!is) return util::Status::not_found("cannot open labels: " + path);
-  std::vector<graph::Community> labels(num_vertices, 0);
-  std::vector<bool> seen(num_vertices, false);
-  std::uint64_t v = 0;
-  std::uint64_t c = 0;
-  while (is >> v >> c) {
-    if (v >= num_vertices) {
-      return util::Status::invalid_argument(
-          "labels: vertex " + std::to_string(v) + " out of range");
-    }
-    labels[v] = static_cast<graph::Community>(c);
-    seen[v] = true;
-  }
-  for (graph::VertexId u = 0; u < num_vertices; ++u) {
-    if (!seen[u]) {
-      return util::Status::invalid_argument(
-          "labels: vertex " + std::to_string(u) + " missing from " + path);
-    }
-  }
-  return labels;
-}
-
 int cmd_stream(util::Options& opt) {
   const std::string in = opt.get_string("in", "", "input graph file");
   const std::string deltas_path =
@@ -547,14 +510,8 @@ int cmd_stream(util::Options& opt) {
               static_cast<unsigned long long>(stats.num_communities),
               session->graph().num_vertices(), wall.seconds());
   if (!out.empty()) {
-    std::ofstream os(out);
-    for (std::size_t v = 0; v < session->community().size(); ++v) {
-      os << v << ' ' << session->community()[v] << '\n';
-    }
-    if (!os) {
-      return fail_status(
-          util::Status::io_error("cannot write communities: " + out));
-    }
+    const util::Status saved = metrics::save_partition(session->community(), out);
+    if (!saved.ok()) return fail_status(saved);
     std::printf("communities written to %s\n", out.c_str());
   }
   return 0;
@@ -586,7 +543,7 @@ int cmd_churn(util::Options& opt) {
 
   std::vector<graph::Community> labels;
   if (!labels_path.empty()) {
-    auto l = load_labels(labels_path, g.num_vertices());
+    auto l = metrics::load_partition(labels_path, g.num_vertices());
     if (!l.ok()) return fail_status(l.status());
     labels = std::move(l).value();
   } else {
@@ -685,22 +642,6 @@ int cmd_compress(util::Options& opt) {
   return 0;
 }
 
-int cmd_color(util::Options& opt) {
-  const std::string in = opt.get_string("in", "", "input graph file");
-  if (const int rc = reject_unknown(opt)) return rc;
-  auto loaded = load_required(in);
-  if (!loaded.ok()) return fail_status(loaded.status());
-  const graph::Csr g = std::move(loaded).value();
-  const auto coloring = graph::color_graph(g);
-  std::printf("colors: %u (max degree + 1 bound: %llu), %d speculative rounds\n",
-              coloring.num_colors,
-              static_cast<unsigned long long>(graph::degree_stats(g).max_degree + 1),
-              coloring.rounds);
-  const std::string problem = graph::validate_coloring(g, coloring);
-  std::printf("validate: %s\n", problem.empty() ? "ok" : problem.c_str());
-  return problem.empty() ? 0 : 1;
-}
-
 // Under GLOUVAIN_SIMTCHECK builds, surface the checker's report at
 // exit: print every retained violation to stderr and turn a clean
 // command exit into the report's util::Status exit code. In normal
@@ -731,10 +672,9 @@ int main(int argc, char** argv) {
     if (command == "stats") return cmd_stats(opt);
     if (command == "convert") return cmd_convert(opt);
     if (command == "compress") return with_check_report(cmd_compress(opt));
-    if (command == "color") return with_check_report(cmd_color(opt));
     if (command == "--help" || command == "-h" || command == "help") return usage();
   } catch (const std::invalid_argument& e) {
-    // Backend rejections (e.g. --coloring on a .zg input) are invalid
+    // Library rejections (e.g. an unknown suite family) are invalid
     // arguments, not usage errors: exit 2, no usage dump.
     return fail_status(util::Status::invalid_argument(e.what()));
   } catch (const std::exception& e) {
