@@ -11,6 +11,7 @@
 #include "core/workspace.hpp"
 #include "core/hash_map.hpp"
 #include "obs/recorder.hpp"
+#include "prim/reduce.hpp"
 #include "simt/atomics.hpp"
 #include "simt/kernel_ops.hpp"
 #include "simt/lane_group.hpp"
@@ -137,42 +138,42 @@ void compute_move_deg1(Rows& rows, unsigned worker, PhaseState& state,
 struct CommitResult {
   double gain = 0;          ///< accumulated predicted modularity gain
   std::size_t moved = 0;    ///< vertices that changed community
+
+  CommitResult& operator+=(const CommitResult& o) noexcept {
+    gain += o.gain;
+    moved += o.moved;
+    return *this;
+  }
 };
 
 /// Commit newComm for the vertices of one bucket and update a_c and the
 /// community sizes incrementally (equivalent to the paper's "recompute
 /// a_c in parallel", Algorithm 1 lines 8-11, but O(bucket) not O(n)).
-/// Per-worker partials come from the workspace: no heap traffic.
+/// The gain and moved sums are chunk-ordered partials drawn from the
+/// workspace scratch: no heap traffic, no shared accumulator line.
 CommitResult commit_moves(simt::Device& device, PhaseState& state,
                           std::span<const VertexId> vertices, Workspace& ws) {
-  auto gain_partial =
-      ws.buffer<double>(Workspace::Slot::kModoptGainPartial, device.workers());
-  auto moved_partial = ws.buffer<std::size_t>(
-      Workspace::Slot::kModoptMovedPartial, device.workers());
-  for (unsigned w = 0; w < device.workers(); ++w) {
-    gain_partial[w] = 0;
-    moved_partial[w] = 0;
-  }
-  device.pool().parallel_for(vertices.size(), [&](std::size_t i, unsigned worker) {
-    const VertexId v = vertices[i];
-    const Community to = state.new_comm[v];
-    const Community from = state.community[v];
-    if (to == from) return;
-    const Weight k = state.strengths[v];
-    simt::atomic_add(state.tot[from], -k);
-    simt::atomic_add(state.tot[to], k);
-    simt::atomic_sub(state.com_size[from], VertexId{1});
-    simt::atomic_add(state.com_size[to], VertexId{1});
-    state.community[v] = to;
-    gain_partial[worker] += state.move_gain[v];
-    ++moved_partial[worker];
-  });
-  CommitResult total;
-  for (unsigned w = 0; w < device.workers(); ++w) {
-    total.gain += gain_partial[w];
-    total.moved += moved_partial[w];
-  }
-  return total;
+  return prim::reduce(
+      vertices.size(),
+      [&](std::size_t begin, std::size_t end, unsigned) {
+        CommitResult part;
+        for (std::size_t i = begin; i < end; ++i) {
+          const VertexId v = vertices[i];
+          const Community to = state.new_comm[v];
+          const Community from = state.community[v];
+          if (to == from) continue;
+          const Weight k = state.strengths[v];
+          simt::atomic_add(state.tot[from], -k);
+          simt::atomic_add(state.tot[to], k);
+          simt::atomic_sub(state.com_size[from], VertexId{1});
+          simt::atomic_add(state.com_size[to], VertexId{1});
+          state.community[v] = to;
+          part.gain += state.move_gain[v];
+          ++part.moved;
+        }
+        return part;
+      },
+      ws.scratch(), device.pool());
 }
 
 }  // namespace
@@ -277,49 +278,57 @@ void PhaseState::reset(ZRows& rows, simt::Device& device) {
 
 namespace {
 
+/// in_c and tot_c^2 summed over one chunk of vertices.
+struct QSums {
+  Weight in = 0;
+  Weight tot_sq = 0;
+
+  QSums& operator+=(const QSums& o) noexcept {
+    in += o.in;
+    tot_sq += o.tot_sq;
+    return *this;
+  }
+};
+
 template <typename Rows>
 double device_modularity_impl(simt::Device& device, Rows& rows,
                               const std::vector<Community>& community,
                               const std::vector<Weight>& tot,
-                              std::span<Weight> in_partial,
-                              std::span<Weight> tot_partial) {
+                              prim::Scratch& scratch) {
   const Weight m2 = rows.total_weight();
-  for (unsigned w = 0; w < device.workers(); ++w) {
-    in_partial[w] = 0;
-    tot_partial[w] = 0;
-  }
   // The vector backend gathers + mask-sums each row's internal weight
   // (re-associated sum — permitted there, not on the bitwise-stable
   // scalar backend). Under the checker the scalar loop runs so its
   // plain reads stay visible.
   const bool vec_rows =
       device.backend() == simt::Backend::kVector && !check::enabled();
-  auto& pool = device.pool();
-  pool.parallel_for(rows.num_vertices(), [&](std::size_t vi, unsigned worker) {
-    const auto v = static_cast<VertexId>(vi);
-    const Community c = community[v];
-    const RowView r = rows.row(v, worker);
-    Weight internal;
-    if (vec_rows) {
-      internal = simt::vec::row_internal_weight(r.adj, r.w, r.deg,
-                                                community.data(), c);
-    } else {
-      internal = 0;
-      for (std::uint32_t i = 0; i < r.deg; ++i) {
-        if (community[r.adj[i]] == c) internal += r.w[i];
-      }
-    }
-    in_partial[worker] += internal;
-    // Each community's tot is summed once by its representative slot:
-    // slot v holds tot[v] which is nonzero only for live communities.
-    tot_partial[worker] += tot[v] * tot[v];
-  });
-  Weight in_total = 0, tot_sq = 0;
-  for (unsigned w = 0; w < device.workers(); ++w) {
-    in_total += in_partial[w];
-    tot_sq += tot_partial[w];
-  }
-  return in_total / m2 - tot_sq / (m2 * m2);
+  const QSums q = prim::reduce(
+      rows.num_vertices(),
+      [&](std::size_t begin, std::size_t end, unsigned worker) {
+        QSums part;
+        for (std::size_t vi = begin; vi < end; ++vi) {
+          const auto v = static_cast<VertexId>(vi);
+          const Community c = community[v];
+          const RowView r = rows.row(v, worker);
+          if (vec_rows) {
+            part.in += simt::vec::row_internal_weight(r.adj, r.w, r.deg,
+                                                      community.data(), c);
+          } else {
+            Weight internal = 0;
+            for (std::uint32_t i = 0; i < r.deg; ++i) {
+              if (community[r.adj[i]] == c) internal += r.w[i];
+            }
+            part.in += internal;
+          }
+          // Each community's tot is summed once by its representative
+          // slot: slot v holds tot[v] which is nonzero only for live
+          // communities.
+          part.tot_sq += tot[v] * tot[v];
+        }
+        return part;
+      },
+      scratch, device.pool());
+  return q.in / m2 - q.tot_sq / (m2 * m2);
 }
 
 }  // namespace
@@ -328,11 +337,9 @@ double device_modularity(simt::Device& device, const Csr& graph,
                          const std::vector<Community>& community,
                          const std::vector<Weight>& tot) {
   if (graph.total_weight() <= 0) return 0;
-  std::vector<Weight> in_partial(device.workers());
-  std::vector<Weight> tot_partial(device.workers());
   PlainRows rows(graph);
-  return device_modularity_impl(device, rows, community, tot, in_partial,
-                                tot_partial);
+  prim::Scratch scratch;
+  return device_modularity_impl(device, rows, community, tot, scratch);
 }
 
 double device_modularity(simt::Device& device, const Csr& graph,
@@ -340,20 +347,14 @@ double device_modularity(simt::Device& device, const Csr& graph,
                          const std::vector<Weight>& tot, Workspace& ws) {
   if (graph.total_weight() <= 0) return 0;
   PlainRows rows(graph);
-  return device_modularity_impl(
-      device, rows, community, tot,
-      ws.buffer<Weight>(Workspace::Slot::kModoptInPartial, device.workers()),
-      ws.buffer<Weight>(Workspace::Slot::kModoptTotPartial, device.workers()));
+  return device_modularity_impl(device, rows, community, tot, ws.scratch());
 }
 
 double device_modularity(simt::Device& device, ZRows& rows,
                          const std::vector<Community>& community,
                          const std::vector<Weight>& tot, Workspace& ws) {
   if (rows.total_weight() <= 0) return 0;
-  return device_modularity_impl(
-      device, rows, community, tot,
-      ws.buffer<Weight>(Workspace::Slot::kModoptInPartial, device.workers()),
-      ws.buffer<Weight>(Workspace::Slot::kModoptTotPartial, device.workers()));
+  return device_modularity_impl(device, rows, community, tot, ws.scratch());
 }
 
 namespace {
@@ -387,12 +388,10 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
   // check::enabled()), so the checker keeps validating every build.
   const bool vector_backend =
       device.backend() == simt::Backend::kVector && !check::enabled();
-  std::span<simt::VecLaneStats> vstats;
-  if (vector_backend) {
-    vstats = ws.buffer<simt::VecLaneStats>(Workspace::Slot::kModoptVecStats,
-                                           device.workers());
-    for (unsigned w = 0; w < device.workers(); ++w) vstats[w] = {};
-  }
+  // Lane occupancy feeds only a recorder counter, so it is collected
+  // only with one attached; groups built without stats skip the count.
+  std::vector<simt::VecLaneStats> vstats;
+  if (vector_backend && rec) vstats.resize(device.workers());
 
   const BucketScheme& scheme = config.modopt_buckets;
   // Degrees are fixed within a phase, so one binning serves every sweep
@@ -477,11 +476,8 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
   if (rec) rec->end_span(order_span);
 
   const auto eval_q = [&] {
-    return device_modularity_impl(
-        device, rows, state.community, state.tot,
-        ws.buffer<Weight>(Workspace::Slot::kModoptInPartial, device.workers()),
-        ws.buffer<Weight>(Workspace::Slot::kModoptTotPartial,
-                          device.workers()));
+    return device_modularity_impl(device, rows, state.community, state.tot,
+                                  ws.scratch());
   };
   double current_q = 0;
   if (config.eval_phase_modularity) {
@@ -567,7 +563,8 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
             // and masked scans; non-standard ablation widths stay on
             // the scalar substrate.
             if (vector_backend) {
-              simt::VecLaneStats* st = &vstats[ctx.worker()];
+              simt::VecLaneStats* st =
+                  vstats.empty() ? nullptr : &vstats[ctx.worker()];
               switch (lanes) {
                 case 4:
                   compute_move(rows, ctx.worker(), state, m2, v,
@@ -669,12 +666,12 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
   }
 
   if (rec) rec->count("modopt/sweeps", result.sweeps);
-  if (rec && vector_backend) {
+  if (!vstats.empty()) {
     std::uint64_t lanes_active = 0;
     std::uint64_t lanes_issued = 0;
-    for (unsigned w = 0; w < device.workers(); ++w) {
-      lanes_active += vstats[w].active;
-      lanes_issued += vstats[w].slots;
+    for (const simt::VecLaneStats& st : vstats) {
+      lanes_active += st.active;
+      lanes_issued += st.slots;
     }
     if (lanes_issued > 0) {
       rec->count("modopt/vector_lane_occupancy",

@@ -110,7 +110,7 @@ double device_modularity(simt::Device& device, const graph::Csr& graph,
                          const std::vector<graph::Community>& community,
                          const std::vector<graph::Weight>& tot);
 
-/// Same, with per-worker partials drawn from `ws`.
+/// Same, with the chunk partials drawn from `ws`'s scratch.
 double device_modularity(simt::Device& device, const graph::Csr& graph,
                          const std::vector<graph::Community>& community,
                          const std::vector<graph::Weight>& tot, Workspace& ws);

@@ -8,12 +8,13 @@
 // Three kinds of storage, all grow-only:
 //
 //   * SLOT BUFFERS — named per-phase arrays (binning orders, atomic
-//     histograms, scatter cursors, per-worker partials). Each slot is
-//     one byte buffer that grows to its high-water mark on first use
-//     and is handed out as an uninitialized typed span afterwards.
+//     histograms, scatter cursors). Each slot is one byte buffer that
+//     grows to its high-water mark on first use and is handed out as
+//     an uninitialized typed span afterwards.
 //   * SCRATCH     — a prim::Scratch bump arena threaded through every
-//     prim call (scan partials, merge buffers, counting-sort
-//     histograms) and through simt kernel launches' host-side needs.
+//     prim call (scan and reduction partials, merge buffers,
+//     counting-sort histograms) and through simt kernel launches'
+//     host-side needs.
 //   * VECTOR POOLS — recycled std::vector storage for arrays whose
 //     OWNERSHIP leaves the hot loop (the contracted CSR's three
 //     arrays, renumbering maps): take<T>() re-uses the capacity of a
@@ -56,11 +57,6 @@ class Workspace {
     kModoptActive,       ///< active-vertex list
     kModoptOrder,        ///< binned processing order (copy of Binned)
     kModoptSubBegin,     ///< sub-round boundaries per bucket
-    kModoptGainPartial,  ///< per-worker gain sums (commit)
-    kModoptMovedPartial, ///< per-worker moved counts (commit)
-    kModoptInPartial,    ///< per-worker internal-weight sums (modularity)
-    kModoptTotPartial,   ///< per-worker tot^2 sums (modularity)
-    kModoptVecStats,     ///< per-worker vector-lane occupancy counters
     // --- aggregation (core/aggregate.cpp) ---
     kAggComSize,         ///< members per community (atomic histogram)
     kAggComDegree,       ///< degree sum per community (atomic histogram)

@@ -1,18 +1,32 @@
 #include "graph/csr.hpp"
 
+#include "prim/reduce.hpp"
 #include "simt/thread_pool.hpp"
 
 namespace glouvain::graph {
+
+namespace {
+
+/// 2m and the loop count of a Csr, summed over one chunk of rows.
+struct Totals {
+  Weight weight = 0;
+  EdgeIdx loops = 0;
+
+  Totals& operator+=(const Totals& o) noexcept {
+    weight += o.weight;
+    loops += o.loops;
+    return *this;
+  }
+};
+
+}  // namespace
 
 Csr::Csr(std::vector<EdgeIdx> offsets, std::vector<VertexId> adj,
          std::vector<Weight> weights)
     : offsets_(std::move(offsets)),
       adj_(std::move(adj)),
       weights_(std::move(weights)) {
-  const unsigned workers = simt::ThreadPool::global().size();
-  std::vector<Weight> partial_w(workers, 0);
-  std::vector<EdgeIdx> partial_loops(workers, 0);
-  compute_totals(partial_w, partial_loops);
+  compute_totals(nullptr);
 }
 
 Csr::Csr(std::vector<EdgeIdx> offsets, std::vector<VertexId> adj,
@@ -20,39 +34,32 @@ Csr::Csr(std::vector<EdgeIdx> offsets, std::vector<VertexId> adj,
     : offsets_(std::move(offsets)),
       adj_(std::move(adj)),
       weights_(std::move(weights)) {
-  const unsigned workers = simt::ThreadPool::global().size();
-  prim::Scratch::Frame frame(scratch);
-  auto partial_w = scratch.alloc<Weight>(workers);
-  auto partial_loops = scratch.alloc<EdgeIdx>(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    partial_w[w] = 0;
-    partial_loops[w] = 0;
-  }
-  compute_totals(partial_w, partial_loops);
+  compute_totals(&scratch);
 }
 
-void Csr::compute_totals(std::span<Weight> partial_w,
-                         std::span<EdgeIdx> partial_loops) {
+void Csr::compute_totals(prim::Scratch* scratch) {
   assert(!offsets_.empty());
   assert(adj_.size() == offsets_.back());
   assert(weights_.size() == adj_.size());
 
-  const VertexId n = num_vertices();
-  simt::ThreadPool::global().parallel_for(n, [&](std::size_t v, unsigned worker) {
-    Weight s = 0;
-    EdgeIdx loops = 0;
-    const EdgeIdx b = offsets_[v], e = offsets_[v + 1];
-    for (EdgeIdx i = b; i < e; ++i) {
-      s += weights_[i];
-      if (adj_[i] == static_cast<VertexId>(v)) ++loops;
+  const auto rows = [&](std::size_t begin, std::size_t end, unsigned) {
+    Totals part;
+    for (std::size_t v = begin; v < end; ++v) {
+      Weight s = 0;
+      EdgeIdx loops = 0;
+      for (EdgeIdx i = offsets_[v]; i < offsets_[v + 1]; ++i) {
+        s += weights_[i];
+        if (adj_[i] == static_cast<VertexId>(v)) ++loops;
+      }
+      part.weight += s;
+      part.loops += loops;
     }
-    partial_w[worker] += s;
-    partial_loops[worker] += loops;
-  });
-  for (std::size_t w = 0; w < partial_w.size(); ++w) {
-    total_weight_ += partial_w[w];
-    num_loops_ += partial_loops[w];
-  }
+    return part;
+  };
+  const Totals totals = scratch ? prim::reduce(num_vertices(), rows, *scratch)
+                                : prim::reduce(num_vertices(), rows);
+  total_weight_ = totals.weight;
+  num_loops_ = totals.loops;
 }
 
 Weight Csr::loop_weight(VertexId v) const noexcept {

@@ -32,7 +32,7 @@ class Csr {
   Csr(std::vector<EdgeIdx> offsets, std::vector<VertexId> adj,
       std::vector<Weight> weights);
 
-  /// Same, but the totals pass draws its per-worker partials from
+  /// Same, but the totals pass draws its chunk partials from
   /// `scratch` instead of the heap (the allocation-free hot path).
   Csr(std::vector<EdgeIdx> offsets, std::vector<VertexId> adj,
       std::vector<Weight> weights, prim::Scratch& scratch);
@@ -107,8 +107,9 @@ class Csr {
   }
 
  private:
-  void compute_totals(std::span<Weight> partial_w,
-                      std::span<EdgeIdx> partial_loops);
+  /// 2m and the loop count; chunk partials from `scratch`, or from
+  /// the heap when it is null.
+  void compute_totals(prim::Scratch* scratch);
 
   std::vector<EdgeIdx> offsets_;
   std::vector<VertexId> adj_;

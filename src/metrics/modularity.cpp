@@ -1,6 +1,6 @@
 #include "metrics/modularity.hpp"
 
-#include "simt/thread_pool.hpp"
+#include "prim/reduce.hpp"
 
 namespace glouvain::metrics {
 
@@ -23,21 +23,22 @@ double modularity(const graph::Csr& graph,
   const graph::Weight m2 = graph.total_weight();
   if (m2 <= 0) return 0;
 
-  auto& pool = simt::ThreadPool::global();
-  std::vector<graph::Weight> in_partial(pool.size(), 0);
-  pool.parallel_for(n, [&](std::size_t vi, unsigned worker) {
-    const auto v = static_cast<graph::VertexId>(vi);
-    const graph::Community c = community[v];
-    auto nbrs = graph.neighbors(v);
-    auto ws = graph.weights(v);
-    graph::Weight internal = 0;
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      if (community[nbrs[i]] == c) internal += ws[i];
-    }
-    in_partial[worker] += internal;
-  });
-  graph::Weight in_total = 0;
-  for (auto p : in_partial) in_total += p;
+  const graph::Weight in_total = prim::reduce(
+      n, [&](std::size_t begin, std::size_t end, unsigned) {
+        graph::Weight part = 0;
+        for (std::size_t vi = begin; vi < end; ++vi) {
+          const auto v = static_cast<graph::VertexId>(vi);
+          const graph::Community c = community[v];
+          auto nbrs = graph.neighbors(v);
+          auto ws = graph.weights(v);
+          graph::Weight internal = 0;
+          for (std::size_t i = 0; i < nbrs.size(); ++i) {
+            if (community[nbrs[i]] == c) internal += ws[i];
+          }
+          part += internal;
+        }
+        return part;
+      });
 
   const std::vector<graph::Weight> tot = community_totals(graph, community);
   graph::Weight tot_sq = 0;

@@ -21,6 +21,14 @@ using graph::EdgeIdx;
 using graph::VertexId;
 using graph::Weight;
 
+/// One worker's sparse accumulator (value + touched list), reset in
+/// O(deg) after each vertex. Cache-line aligned: the touched list's
+/// clear() and push_back write its header for every vertex.
+struct alignas(64) Accumulator {
+  std::vector<Weight> neigh;
+  std::vector<Community> touched;
+};
+
 /// One modularity-optimization phase with immediate (asynchronous)
 /// moves. Returns the number of sweeps.
 int optimize_phase(const Csr& graph, std::vector<Community>& community,
@@ -37,13 +45,10 @@ int optimize_phase(const Csr& graph, std::vector<Community>& community,
   std::vector<Weight> tot = strengths;
   std::vector<VertexId> com_size(n, 1);
 
-  // Per-worker sparse accumulators (value + touched list), reset in
-  // O(deg) after each vertex.
-  std::vector<std::vector<Weight>> neigh(pool.size());
-  std::vector<std::vector<Community>> touched(pool.size());
-  for (unsigned w = 0; w < pool.size(); ++w) {
-    neigh[w].assign(n, -1);
-    touched[w].reserve(256);
+  std::vector<Accumulator> acc(pool.size());
+  for (Accumulator& a : acc) {
+    a.neigh.assign(n, -1);
+    a.touched.reserve(256);
   }
 
   double current_q = metrics::modularity(graph, community);
@@ -58,8 +63,8 @@ int optimize_phase(const Csr& graph, std::vector<Community>& community,
       const Community old_c = simt::atomic_load(community[v]);
       const Weight k = strengths[v];
 
-      auto& nw = neigh[worker];
-      auto& tc = touched[worker];
+      auto& nw = acc[worker].neigh;
+      auto& tc = acc[worker].touched;
       tc.clear();
 
       auto nbrs = graph.neighbors(v);

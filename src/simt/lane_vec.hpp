@@ -24,8 +24,9 @@ namespace glouvain::simt {
 
 /// Per-worker vector-lane occupancy accounting, surfaced by the obs
 /// counters ("modopt/vector_lane_occupancy"): `active` useful lane
-/// slots out of `slots` issued by the vector rounds.
-struct VecLaneStats {
+/// slots out of `slots` issued by the vector rounds. Cache-line
+/// aligned: note_rounds() updates it for every vertex.
+struct alignas(64) VecLaneStats {
   std::uint64_t active = 0;
   std::uint64_t slots = 0;
 };

@@ -18,7 +18,10 @@
 
 namespace glouvain::simt {
 
-class SharedArena {
+// Cache-line aligned: Device::launch resets a worker's arena for every
+// task and each table allocation bumps its cursor, so neighbouring
+// workers' arenas must not share a line.
+class alignas(64) SharedArena {
  public:
   static constexpr std::size_t kDefaultCapacity = 48 * 1024;  // Kepler SM
 

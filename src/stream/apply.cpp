@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "prim/reduce.hpp"
 #include "prim/scan.hpp"
 #include "prim/sort.hpp"
 
@@ -23,6 +24,18 @@ struct DeltaArc {
   VertexId nbr = 0;
   Weight w = 0;
   bool del = false;
+};
+
+/// Applied-entry counts of pass A, summed over one chunk of rows.
+struct Applied {
+  std::size_t inserted = 0;
+  std::size_t deleted = 0;
+
+  Applied& operator+=(const Applied& o) noexcept {
+    inserted += o.inserted;
+    deleted += o.deleted;
+    return *this;
+  }
 };
 
 bool arc_less(const DeltaArc& a, const DeltaArc& b) noexcept {
@@ -146,33 +159,32 @@ ApplyResult apply_delta(const Csr& graph, const Delta& delta,
     new_degree[v] =
         v < old_n ? graph.degree(static_cast<VertexId>(v)) : EdgeIdx{0};
   });
-  prim::Scratch::Frame frame(ws.scratch());
-  auto ins_partial = ws.scratch().alloc<std::size_t>(pool.size());
-  auto del_partial = ws.scratch().alloc<std::size_t>(pool.size());
-  for (unsigned w = 0; w < pool.size(); ++w) {
-    ins_partial[w] = 0;
-    del_partial[w] = 0;
-  }
-  pool.parallel_for(result.touched.size(), [&](std::size_t t, unsigned worker) {
-    const VertexId v = result.touched[t];
-    const auto [a, b] = ranges[t];
-    const bool existing = v < old_n;
-    EdgeIdx count = 0;
-    merge_row(existing ? graph.neighbors(v) : std::span<const VertexId>{},
-              existing ? graph.weights(v) : std::span<const Weight>{},
-              std::span<const DeltaArc>(arcs.data() + a, b - a),
-              [&](VertexId, Weight) { ++count; },
-              [&](VertexId nbr, bool was_present, bool has_del, Weight ins_w) {
-                if (v > nbr) return;  // count undirected edges once
-                if (has_del && was_present) ++del_partial[worker];
-                if (ins_w > 0) ++ins_partial[worker];
-              });
-    new_degree[v] = count;
-  });
-  for (unsigned w = 0; w < pool.size(); ++w) {
-    result.inserted += ins_partial[w];
-    result.deleted += del_partial[w];
-  }
+  const Applied applied = prim::reduce(
+      result.touched.size(),
+      [&](std::size_t begin, std::size_t end, unsigned) {
+        Applied part;
+        for (std::size_t t = begin; t < end; ++t) {
+          const VertexId v = result.touched[t];
+          const auto [a, b] = ranges[t];
+          const bool existing = v < old_n;
+          EdgeIdx count = 0;
+          merge_row(existing ? graph.neighbors(v) : std::span<const VertexId>{},
+                    existing ? graph.weights(v) : std::span<const Weight>{},
+                    std::span<const DeltaArc>(arcs.data() + a, b - a),
+                    [&](VertexId, Weight) { ++count; },
+                    [&](VertexId nbr, bool was_present, bool has_del,
+                        Weight ins_w) {
+                      if (v > nbr) return;  // count undirected edges once
+                      if (has_del && was_present) ++part.deleted;
+                      if (ins_w > 0) ++part.inserted;
+                    });
+          new_degree[v] = count;
+        }
+        return part;
+      },
+      ws.scratch(), pool);
+  result.inserted = applied.inserted;
+  result.deleted = applied.deleted;
 
   // New offsets (Thrust-style scan), then the row copy/merge pass. The
   // three CSR arrays leave with the result: recycling pool.

@@ -2,6 +2,10 @@
 // GPU-style core.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "core/louvain.hpp"
 #include "core/modopt.hpp"
 #include "gen/cliques.hpp"
@@ -10,6 +14,7 @@
 #include "graph/builder.hpp"
 #include "metrics/modularity.hpp"
 #include "metrics/partition.hpp"
+#include "util/prng.hpp"
 
 namespace glouvain::core {
 namespace {
@@ -39,6 +44,38 @@ TEST(DeviceModularity, MatchesReference) {
   // All singletons.
   EXPECT_NEAR(device_modularity(device, g, state.community, state.tot),
               metrics::modularity(g, state.community), 1e-9);
+}
+
+TEST(DeviceModularity, BitwiseRepeatableAndWorkerCountIndependent) {
+  // Non-integer weights on 200k vertices: a schedule-ordered sum would
+  // give several bit patterns over repeated calls.
+  const VertexId n = 200000;
+  util::Xoshiro256 rng(9);
+  std::vector<graph::Edge> edges;
+  for (VertexId v = 0; v < n; ++v) {
+    for (int k = 0; k < 3; ++k) {
+      edges.push_back({v, static_cast<VertexId>(rng.next_below(n)),
+                       0.1 + static_cast<double>(rng.next_below(1000)) / 7.0});
+    }
+  }
+  const graph::Csr g = graph::build_csr(n, std::move(edges));
+  std::vector<Community> community(n);
+  std::vector<Weight> tot(n, 0);
+  for (VertexId v = 0; v < n; ++v) {
+    community[v] = (v / 16) * 16;
+    tot[community[v]] += g.strength(v);
+  }
+  simt::Device four({.worker_threads = 4});
+  simt::Device one({.worker_threads = 1});
+  const double reference = device_modularity(one, g, community, tot);
+  EXPECT_NEAR(reference, metrics::modularity(g, community), 1e-9);
+  Workspace ws;
+  for (int rep = 0; rep < 30; ++rep) {
+    const double q = device_modularity(four, g, community, tot, ws);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(q),
+              std::bit_cast<std::uint64_t>(reference))
+        << "call " << rep;
+  }
 }
 
 TEST(OptimizePhase, OneCliqueCollapses) {

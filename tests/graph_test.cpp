@@ -2,10 +2,12 @@
 // canonicalization, file IO round-trips, graph operations.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
@@ -114,6 +116,36 @@ TEST(Csr, StrengthsMatchTotalWeight) {
   Weight sum = 0;
   for (auto s : strengths) sum += s;
   EXPECT_NEAR(sum, g.total_weight(), 1e-9);
+}
+
+TEST(Csr, TotalWeightIsBitwiseStableAcrossConstructions) {
+  // Non-integer weights: every summation order rounds differently, so
+  // one bit pattern over repeated constructions pins a fixed order.
+  const VertexId n = 200000;
+  util::Xoshiro256 rng(5);
+  std::vector<Edge> edges;
+  for (VertexId v = 0; v < n; ++v) {
+    for (int k = 0; k < 3; ++k) {
+      edges.push_back({v, static_cast<VertexId>(rng.next_below(n)),
+                       0.1 + static_cast<double>(rng.next_below(1000)) / 7.0});
+    }
+  }
+  const Csr g = build_csr(n, std::move(edges));
+  std::set<std::uint64_t> patterns;
+  prim::Scratch scratch;
+  for (int rep = 0; rep < 30; ++rep) {
+    std::vector<EdgeIdx> offsets(g.offsets().begin(), g.offsets().end());
+    std::vector<VertexId> adj(g.adjacency().begin(), g.adjacency().end());
+    std::vector<Weight> w(g.edge_weights().begin(), g.edge_weights().end());
+    // Both constructors: partials from the heap, and from a Scratch.
+    const Csr copy = rep % 2 == 0
+                         ? Csr(std::move(offsets), std::move(adj), std::move(w))
+                         : Csr(std::move(offsets), std::move(adj), std::move(w),
+                               scratch);
+    patterns.insert(std::bit_cast<std::uint64_t>(copy.total_weight()));
+  }
+  EXPECT_EQ(patterns.size(), 1u);
+  EXPECT_EQ(*patterns.begin(), std::bit_cast<std::uint64_t>(g.total_weight()));
 }
 
 TEST(Validate, DetectsAsymmetry) {

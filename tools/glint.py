@@ -54,6 +54,18 @@ checks that need to see THROUGH a function call:
                       opened 100 lines up in an outer block pairs, and
                       an unrelated span whose block already closed does
                       not.
+  worker-partial      a compound update (+=, -=, ++, --) of an element
+                      indexed by the worker id — the body's `unsigned`
+                      worker parameter or ctx.worker() — inside a
+                      parallel_for / for_each_worker / launch body,
+                      lambdas nested in it included. Every worker then
+                      adds into one packed per-worker array once per
+                      element, so all of them write the same cache
+                      lines, and the sum depends on the schedule. Return
+                      a chunk partial from prim::reduce instead.
+                      parallel_chunks bodies (one write per chunk) and
+                      a member of a per-worker struct (`st[w].n += x`,
+                      which padding fixes) are not flagged.
 
 and per-token rules over whole files:
 
@@ -118,7 +130,7 @@ FILE_RULES = ("raw-atomic", "raw-intrinsic", "seq-cst", "shard-ghost")
 ALL_RULES = (
     "lock-cycle", "blocking-under-lock", "wait-holding-lock",
     "status-discard", "unchecked-value", "arena-escape",
-    "shard-barrier", "kernel-alloc", "unpaired-launch",
+    "shard-barrier", "kernel-alloc", "unpaired-launch", "worker-partial",
 ) + FILE_RULES
 SOURCE_EXT = (".cpp", ".hpp", ".cc", ".h")
 SUPPRESS_RE = re.compile(r"glint:\s*allow\(([a-z-]+)\)")
@@ -360,6 +372,19 @@ def _type_str(toks):
     return " ".join(t.text for t in toks)
 
 
+def _skip_class_attrs(head, j):
+    """Index of the first token after the attributes between a class
+    key and the class name: `[[...]]` groups and `alignas(...)`."""
+    while j + 1 < len(head):
+        if head[j].text == "[" and head[j + 1].text == "[":
+            j = match_close(head, j, "[", "]") + 1
+        elif head[j].text == "alignas" and head[j + 1].text == "(":
+            j = match_close(head, j + 1) + 1
+        else:
+            break
+    return j
+
+
 class TokenFrontend:
     """Single pass over the token stream with a scope stack. Built for
     this repo's (clang-format-consistent) style; fixture tests under
@@ -461,9 +486,7 @@ class TokenFrontend:
                 # — but NOT a return type (`struct X f() {`) or a
                 # variable (`struct X x = {`): those have a '(' or '='
                 # after the name.
-                j = k + 1
-                while j < len(texts) and texts[j].startswith("[["):
-                    j += 1
+                j = _skip_class_attrs(head, k + 1)
                 name_parts = []
                 while j < len(texts) and (head[j].kind == "id" or
                                           texts[j] == "::"):
@@ -1525,17 +1548,27 @@ def check_arena_escape(an, fns, findings):
         static_locals = set()
         ci = p.lookup_class(fn.cls) if fn.cls else None
         # Pre-pass: locals declared `static Type name...;` stay alive
-        # across epochs even when assigned in a later statement.
+        # across epochs even when assigned in a later statement. Every
+        # local declaration shadows a member or global of its name from
+        # there on, as a parameter does throughout the body.
+        declared_at = {}
         stmt = []
-        for t in toks:
+        for idx, t in enumerate(toks):
             if t.text in (";", "{", "}"):
                 if stmt and stmt[0].text == "static":
                     ids = [x.text for x in stmt if x.kind == "id"]
                     if len(ids) >= 2:
                         static_locals.add(ids[-1])
+                name = _declared_name(stmt)
+                if name:
+                    declared_at.setdefault(name, idx)
                 stmt = []
             else:
                 stmt.append(t)
+
+        def shadowed(name, at):
+            return name in fn.params or declared_at.get(name, n) <= at
+
         i = 0
         while i < n:
             t = toks[i]
@@ -1556,10 +1589,11 @@ def check_arena_escape(an, fns, findings):
                     target = lhs_ids[-1] if lhs_ids else ""
                     lhs_texts = [x.text for x in lhs]
                     declares = len(lhs_ids) >= 2 or "auto" in lhs_texts
+                    local = declares or shadowed(target, stmt_start)
                     is_member = ci is not None and target in ci.members \
-                        and not declares
+                        and not local
                     is_this = "this" in lhs_texts
-                    is_global = target in p.globals and not declares
+                    is_global = target in p.globals and not local
                     is_static = "static" in lhs_texts or \
                         target in static_locals
                     if is_member or is_this or is_global or is_static:
@@ -1583,7 +1617,8 @@ def check_arena_escape(an, fns, findings):
                     lhs_ids = [x.text for x in lhs if x.kind == "id"]
                     if lhs_ids:
                         target = lhs_ids[-1]
-                        if ci is not None and target in ci.members:
+                        if ci is not None and target in ci.members and \
+                                not shadowed(target, i):
                             findings.append(Finding(
                                 "arena-escape", fn.file, t.line,
                                 f"arena-derived value '{rhs_ids[0]}' stored "
@@ -1593,6 +1628,30 @@ def check_arena_escape(an, fns, findings):
                         else:
                             tainted.add(target)
             i += 1
+
+
+_NOT_DECL_HEAD = frozenset({"return", "throw", "delete", "goto", "case",
+                            "else", "do", "co_return", "co_yield",
+                            "using", "typedef"})
+
+
+def _declared_name(stmt):
+    """The variable a `Type name [= init]` statement declares, or None:
+    two or more words before any `=`, joined only by type punctuation."""
+    head = []
+    for t in stmt:
+        if t.text == "=":
+            break
+        head.append(t)
+    words = [t.text for t in head
+             if re.fullmatch(r"[A-Za-z_]\w*", t.text)]
+    if len(words) < 2 or words[0] in _NOT_DECL_HEAD:
+        return None
+    if not all(re.fullmatch(r"[A-Za-z_]\w*", t.text) or
+               t.text in ("::", "<", ">", "&", "&&", "*", ",")
+               for t in head):
+        return None
+    return words[-1]
 
 
 def _arena_source_in(toks, tainted):
@@ -1719,6 +1778,106 @@ def check_fanout(an, fns, findings):
                     f"{fn.name}) — kernels must be attributable in phase "
                     "tables and traces",
                     fn.qual, key=f"{recv_txt}|{toks[ci].line - fn.line}"))
+
+
+WORKER_FANOUTS = ("parallel_for", "for_each_worker", "launch")
+COMPOUND_UPDATES = ("+=", "-=", "++", "--")
+
+
+def _lambda_worker(toks, b0, b1):
+    """Name of the `unsigned` parameter of the first lambda in the call
+    arguments toks[b0:b1], or None (unnamed, or no such parameter)."""
+    for j in range(b0, b1):
+        if toks[j].text != "{":
+            continue
+        k = j - 1
+        while k > b0 and toks[k].text in ("mutable", "noexcept"):
+            k -= 1
+        if toks[k].text != ")":
+            continue
+        o = _match_open(toks, k)
+        if o <= b0 or toks[o - 1].text != "]":
+            continue  # a brace-init argument, not a lambda body
+        params, cur = [], []
+        for t in toks[o + 1:k]:
+            if t.text == ",":
+                params.append(cur)
+                cur = []
+            else:
+                cur.append(t.text)
+        params.append(cur)
+        for words in params:
+            if "unsigned" in words and words[-1] not in (
+                    "unsigned", "int", "long", "short", "char"):
+                return words[-1]
+        return None
+    return None
+
+
+def _indexes_worker(index, worker):
+    """Is the index expression the worker id (`w` or `ctx.worker()`)?"""
+    if worker is not None and index == [worker]:
+        return True
+    return len(index) == 5 and index[1] in (".", "->") and \
+        index[2:] == ["worker", "(", ")"]
+
+
+def check_worker_partial(fns, findings):
+    for fn in fns:
+        toks = fn.toks
+        for _, name, b0, b1 in _fanout_regions(toks, WORKER_FANOUTS):
+            worker = _lambda_worker(toks, b0, b1)
+            reported = set()
+            for i in range(b0, b1):
+                if toks[i].text != "[":
+                    continue
+                close = match_close(toks, i, "[", "]")
+                index = [t.text for t in toks[i + 1:close]]
+                if not _indexes_worker(index, worker):
+                    continue
+                # Walk back over the postfix expression to see a prefix
+                # ++/-- applied to the whole element.
+                s = i - 1
+                while s >= b0:
+                    t = toks[s].text
+                    if t in ("]", ")"):
+                        s = _match_open(toks, s) - 1
+                    elif toks[s].kind == "id" or t in (".", "->", "::"):
+                        s -= 1
+                    else:
+                        break
+                after = toks[close + 1].text if close + 1 < b1 else ""
+                op = after if after in COMPOUND_UPDATES else (
+                    toks[s].text if s >= b0 and
+                    toks[s].text in ("++", "--") else None)
+                line = toks[i].line
+                if op is None or line in reported:
+                    continue
+                reported.add(line)
+                elem = expr_text(toks[s + 1:close + 1])
+                findings.append(Finding(
+                    "worker-partial", fn.file, line,
+                    f"'{elem}' {op} inside a {name}() body — workers "
+                    "write each other's cache lines once per element and "
+                    "the sum follows the schedule; return a chunk partial "
+                    "from prim::reduce",
+                    fn.qual, key=f"{elem}{op}"))
+
+
+def _match_open(toks, i):
+    """Index of the token opening the bracket that toks[i] closes."""
+    close = toks[i].text
+    open_ch = "[" if close == "]" else "("
+    depth = 0
+    while i >= 0:
+        if toks[i].text == close:
+            depth += 1
+        elif toks[i].text == open_ch:
+            depth -= 1
+            if depth == 0:
+                return i
+        i -= 1
+    return 0
 
 
 INCLUDE_RE = re.compile(r"^\s*#\s*include\s*<([^>]+)>")
@@ -1966,6 +2125,8 @@ def main():
         check_arena_escape(an, fns, findings)
     if {"shard-barrier", "kernel-alloc", "unpaired-launch"} & set(rules):
         check_fanout(an, fns, findings)
+    if "worker-partial" in rules:
+        check_worker_partial(fns, findings)
     if set(FILE_RULES) & set(rules):
         check_files(program, rules, findings)
 
