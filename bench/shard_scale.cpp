@@ -13,8 +13,8 @@
 // shard/concurrent_speedup.
 //
 // Gates (exit 1 on failure; the CI shard-smoke job runs these):
-//   * k = 1 is bitwise-identical to the core backend — under plain AND
-//     (with --concurrent) mmap shard storage;
+//   * k = 1 is bitwise-identical to the core backend, sequential AND
+//     (with --concurrent) concurrent;
 //   * quality stays >= 98% of sequential Louvain at every sharded k
 //     for both block and hubrep partitioning, sequential AND
 //     concurrent (the Jacobi schedule must not cost quality);
@@ -22,8 +22,6 @@
 //     (Result::critical_work: sweeps x active arcs on the busiest
 //     shard + marshal + exchange per round), decreases strictly
 //     monotonically across the sequential k ladder for each strategy;
-//   * with --concurrent, mmap hubrep k=4 is bitwise-identical to the
-//     plain-storage run at the same k (storage must not change moves);
 //   * with --concurrent on a host with >= 8 hardware threads, hubrep
 //     k=4 concurrent wall-clock beats sequential by >= 1.8x. On
 //     smaller hosts (the 1-CPU CI runner included) the speedup is
@@ -61,13 +59,12 @@ const char* partition_label(detect::Partition p) {
 }
 
 shard::Config make_cfg(unsigned k, detect::Partition strategy,
-                       bool concurrent, detect::ShardStorage storage) {
+                       bool concurrent) {
   shard::Config cfg;
   cfg.thresholds = bench::paper_thresholds();
   cfg.shards = k;
   cfg.partition = strategy;
   cfg.concurrent_shards = concurrent;
-  cfg.shard_storage = storage;
   return cfg;
 }
 
@@ -129,8 +126,7 @@ int main(int argc, char** argv) {
 
   // k = 1 first (partition-independent): must replicate core exactly.
   {
-    shard::Config cfg = make_cfg(1, detect::Partition::kHubRep, false,
-                                 detect::ShardStorage::kPlain);
+    shard::Config cfg = make_cfg(1, detect::Partition::kHubRep, false);
     util::Timer t;
     ShardRun run{1, "-", false, shard::louvain(g, shard::to_config(cfg, cfg)),
                  0, 0};
@@ -143,29 +139,22 @@ int main(int argc, char** argv) {
     runs.push_back(std::move(run));
   }
   if (concurrent) {
-    // The unsharded path ignores the concurrency and storage knobs at
-    // the moves level, but both must still reproduce core exactly
-    // end to end (k=1 mmap exercises the spill/decode round-trip).
-    for (const auto storage :
-         {detect::ShardStorage::kPlain, detect::ShardStorage::kMmap}) {
-      shard::Config cfg =
-          make_cfg(1, detect::Partition::kHubRep, true, storage);
-      const shard::Result r = shard::louvain(g, shard::to_config(cfg, cfg));
-      const bool bitwise = r.community == core_r.community &&
-                           r.modularity == core_r.modularity;
-      std::printf("k=1 concurrent/%s bitwise vs core: %s\n",
-                  detect::shard_storage_name(storage),
-                  bitwise ? "identical" : "MISMATCH");
-      if (!bitwise) ok = false;
-    }
+    // The unsharded path ignores the concurrency knob at the moves
+    // level, but must still reproduce core exactly end to end.
+    shard::Config cfg = make_cfg(1, detect::Partition::kHubRep, true);
+    const shard::Result r = shard::louvain(g, shard::to_config(cfg, cfg));
+    const bool bitwise = r.community == core_r.community &&
+                         r.modularity == core_r.modularity;
+    std::printf("k=1 concurrent bitwise vs core: %s\n",
+                bitwise ? "identical" : "MISMATCH");
+    if (!bitwise) ok = false;
   }
   std::printf("\n");
 
   for (const auto strategy : strategies) {
     for (const unsigned k : ks) {
       if (k == 1) continue;
-      shard::Config cfg =
-          make_cfg(k, strategy, false, detect::ShardStorage::kPlain);
+      shard::Config cfg = make_cfg(k, strategy, false);
       util::Timer t;
       ShardRun run{k, partition_label(strategy), false,
                    shard::louvain(g, shard::to_config(cfg, cfg)), 0, 0};
@@ -174,8 +163,7 @@ int main(int argc, char** argv) {
       runs.push_back(std::move(run));
 
       if (concurrent) {
-        shard::Config ccfg =
-            make_cfg(k, strategy, true, detect::ShardStorage::kPlain);
+        shard::Config ccfg = make_cfg(k, strategy, true);
         util::Timer ct;
         ShardRun crun{k, partition_label(strategy), true,
                       shard::louvain(g, shard::to_config(ccfg, ccfg)), 0, 0};
@@ -184,30 +172,6 @@ int main(int argc, char** argv) {
         runs.push_back(std::move(crun));
       }
     }
-  }
-
-  // Out-of-core cross-check: the mmap containers round-trip the local
-  // graphs bitwise, so storage must never change the moves. Checked at
-  // the deepest hubrep k of the ladder, concurrent (the mode that maps
-  // the containers from several lanes at once).
-  if (concurrent && max_k >= 2) {
-    const unsigned k = std::min(4u, max_k);
-    const ShardRun* plain_ref = nullptr;
-    for (const ShardRun& run : runs) {
-      if (run.concurrent && run.k == k &&
-          std::strcmp(run.partition, "hubrep") == 0) {
-        plain_ref = &run;
-      }
-    }
-    shard::Config mcfg = make_cfg(k, detect::Partition::kHubRep, true,
-                                  detect::ShardStorage::kMmap);
-    const shard::Result mr = shard::louvain(g, shard::to_config(mcfg, mcfg));
-    const bool bitwise = plain_ref != nullptr &&
-                         mr.community == plain_ref->result.community &&
-                         mr.modularity == plain_ref->result.modularity;
-    std::printf("mmap hubrep k=%u bitwise vs plain: %s\n\n", k,
-                bitwise ? "identical" : "MISMATCH");
-    if (!bitwise) ok = false;
   }
 
   util::Table table({"partition", "k", "mode", "Q", "vs seq", "work[Marc]",

@@ -47,12 +47,30 @@ PhaseResult Louvain::run_phase(const Csr& graph,
   return pr;
 }
 
+LevelPhase Louvain::cold_phase(const Csr& graph, double threshold,
+                               obs::Recorder* rec) {
+  state_.reset(graph, *device_);
+  const PhaseResult phase =
+      optimize_phase(*device_, graph, config_, state_,
+                     std::span<const graph::VertexId>{}, threshold, ws_, rec);
+  return {phase, state_.community};
+}
+
 Result Louvain::run(const Csr& graph, obs::Recorder* rec) {
-  return run_impl(&graph, nullptr, {}, {}, /*warm=*/false, rec);
+  Result result;
+  run_impl(&graph, nullptr, {}, {}, /*warm=*/false, nullptr, result, rec);
+  return result;
 }
 
 Result Louvain::run_z(const zg::ZCsr& z, obs::Recorder* rec) {
-  return run_impl(nullptr, &z, {}, {}, /*warm=*/false, rec);
+  Result result;
+  run_impl(nullptr, &z, {}, {}, /*warm=*/false, nullptr, result, rec);
+  return result;
+}
+
+void Louvain::run_levels(const Csr& graph, const LevelStep& step,
+                         Result& result, obs::Recorder* rec) {
+  run_impl(&graph, nullptr, {}, {}, /*warm=*/false, &step, result, rec);
 }
 
 Result Louvain::run_warm(const Csr& graph, std::span<const Community> seed,
@@ -71,19 +89,22 @@ Result Louvain::run_warm(const Csr& graph, std::span<const Community> seed,
       throw std::invalid_argument("run_warm: frontier vertex out of range");
     }
   }
-  return run_impl(&graph, nullptr, seed, frontier, /*warm=*/true, rec);
+  Result result;
+  run_impl(&graph, nullptr, seed, frontier, /*warm=*/true, nullptr, result,
+           rec);
+  return result;
 }
 
-Result Louvain::run_impl(const Csr* graph, const zg::ZCsr* z0,
-                         std::span<const Community> seed,
-                         std::span<const graph::VertexId> frontier, bool warm,
-                         obs::Recorder* rec) {
+void Louvain::run_impl(const Csr* graph, const zg::ZCsr* z0,
+                       std::span<const Community> seed,
+                       std::span<const graph::VertexId> frontier, bool warm,
+                       const LevelStep* step, Result& result,
+                       obs::Recorder* rec) {
   util::Timer total_timer;
   device_->clear_spills();
 
   const VertexId n0 = z0 ? z0->num_vertices() : graph->num_vertices();
 
-  Result result;
   result.community.resize(n0);
   device_->for_each(n0, [&](std::size_t v) {
     result.community[v] = static_cast<Community>(v);
@@ -131,28 +152,31 @@ Result Louvain::run_impl(const Csr* graph, const zg::ZCsr* z0,
     // only the frontier; every later level is a normal cold phase on
     // the (much smaller) contracted graph. The phase state is a member:
     // reset() only rewrites, its arrays stay at their high-water mark.
-    const bool warm_level = warm && level == 0;
+    // A caller's step (run_levels) replaces all of this on every level.
     util::Timer opt_timer;
-    PhaseState& state = state_;
-    if (z_level) {
+    LevelPhase lp;
+    if (step) {
+      lp = (*step)(level, *current, threshold);
+    } else if (z_level) {
       // The reset pass is one full sequential decode of the stream
       // (per-worker chunks), so its wall time is the decode figure.
       util::Timer decode_timer;
-      state.reset(*zrows, *device_);
+      state_.reset(*zrows, *device_);
       if (rec) rec->count("zg/decode_ns", decode_timer.seconds() * 1e9);
-    } else if (warm_level) {
-      state.reset_from(*current, *device_, seed);
+      lp = {optimize_phase(*device_, *zrows, config_, state_,
+                           std::span<const graph::VertexId>{}, threshold, ws_,
+                           rec),
+            state_.community};
+    } else if (warm && level == 0) {
+      state_.reset_from(*current, *device_, seed);
+      lp = {optimize_phase(*device_, *current, config_, state_, frontier,
+                           threshold, ws_, rec),
+            state_.community};
     } else {
-      state.reset(*current, *device_);
+      lp = cold_phase(*current, threshold, rec);
     }
-    const PhaseResult phase =
-        z_level ? optimize_phase(*device_, *zrows, config_, state,
-                                 std::span<const graph::VertexId>{}, threshold,
-                                 ws_, rec)
-                : optimize_phase(
-                      *device_, *current, config_, state,
-                      warm_level ? frontier : std::span<const graph::VertexId>{},
-                      threshold, ws_, rec);
+    const PhaseResult& phase = lp.phase;
+    const std::span<const Community> labels = lp.labels;
     report.optimize_seconds = opt_timer.seconds();
     report.iterations = phase.sweeps;
     report.modularity_after = phase.modularity;
@@ -170,9 +194,8 @@ Result Louvain::run_impl(const Csr* graph, const zg::ZCsr* z0,
 
     util::Timer agg_timer;
     AggregationResult agg =
-        z_level ? aggregate(*device_, *zrows, config_, state.community, ws_, rec)
-                : aggregate(*device_, *current, config_, state.community, ws_,
-                            rec);
+        z_level ? aggregate(*device_, *zrows, config_, labels, ws_, rec)
+                : aggregate(*device_, *current, config_, labels, ws_, rec);
 
     // Fold this level into the original-vertex mapping:
     // community(orig) = new_id[ phase community of current vertex ].
@@ -181,7 +204,7 @@ Result Louvain::run_impl(const Csr* graph, const zg::ZCsr* z0,
       const VertexId cn = static_cast<VertexId>(report.vertices);
       auto dense = ws_.buffer<Community>(Workspace::Slot::kFoldDense, cn);
       device_->for_each(cn, [&](std::size_t v) {
-        dense[v] = agg.new_id[state.community[v]];
+        dense[v] = agg.new_id[labels[v]];
       });
       // In-place composition (flatten allocated a fresh vector per
       // level): community[orig] indexes dense, never itself.
@@ -225,7 +248,6 @@ Result Louvain::run_impl(const Csr* graph, const zg::ZCsr* z0,
   result.total_seconds = total_timer.seconds();
   result.device.shared_spills = device_->total_spills();
   result.device.workers = device_->workers();
-  return result;
 }
 
 Result louvain(const Csr& graph, const Config& config, obs::Recorder* rec) {

@@ -12,6 +12,7 @@
 // obs::Recorder to run() for the per-level phase/kernel span tree.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <span>
 
@@ -33,6 +34,19 @@ namespace glouvain::core {
 /// benches, the svc result cache) source-compatible.
 using DeviceStats = detect::DeviceStats;
 using Result = detect::Result;
+
+/// One level's optimize step as the level loop consumes it: the phase
+/// outcome and the labels aggregate() contracts the level graph by.
+struct LevelPhase {
+  PhaseResult phase;
+  std::span<const graph::Community> labels;
+};
+
+/// Optimizes the level graph `graph` of hierarchy level `level` under
+/// the loop's `threshold`. The returned labels must stay valid until
+/// the step is called again or the loop returns.
+using LevelStep = std::function<LevelPhase(int level, const graph::Csr& graph,
+                                           double threshold)>;
 
 class Louvain {
  public:
@@ -62,6 +76,21 @@ class Louvain {
                   std::span<const graph::VertexId> frontier,
                   obs::Recorder* recorder = nullptr);
 
+  /// run()'s level loop with the optimize step supplied by the caller
+  /// (the shard engine's sharded rounds). The loop keeps everything
+  /// else: aggregation, the fold into `result.community`, the
+  /// dendrogram, the t_final / no-contraction stop, level recycling,
+  /// the level counters and the result's run-wide fields. Fields of a
+  /// type derived from Result are the step's to fill.
+  void run_levels(const graph::Csr& graph, const LevelStep& step,
+                  Result& result, obs::Recorder* recorder = nullptr);
+
+  /// run()'s optimize step on one level graph: reset the phase state
+  /// to singletons and sweep every vertex. The labels live in this
+  /// instance's phase state.
+  LevelPhase cold_phase(const graph::Csr& graph, double threshold,
+                        obs::Recorder* recorder = nullptr);
+
   /// Run a single modularity-optimization phase starting from the
   /// all-singletons partition (exposed for tests and benches).
   PhaseResult run_phase(const graph::Csr& graph,
@@ -84,11 +113,13 @@ class Louvain {
  private:
   /// Exactly one of `graph` / `z0` is non-null: z0 selects the
   /// compressed level-0 path, after which the loop continues on the
-  /// contracted plain Csr either way.
-  Result run_impl(const graph::Csr* graph, const zg::ZCsr* z0,
-                  std::span<const graph::Community> seed,
-                  std::span<const graph::VertexId> frontier, bool warm,
-                  obs::Recorder* recorder);
+  /// contracted plain Csr either way. A non-null `step` replaces the
+  /// optimize step of every level (plain input, cold only).
+  void run_impl(const graph::Csr* graph, const zg::ZCsr* z0,
+                std::span<const graph::Community> seed,
+                std::span<const graph::VertexId> frontier, bool warm,
+                const LevelStep* step, Result& result,
+                obs::Recorder* recorder);
 
   Config config_;
   std::unique_ptr<simt::Device> device_;

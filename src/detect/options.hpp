@@ -64,28 +64,6 @@ inline bool parse_partition(std::string_view name, Partition& out) noexcept {
   return false;
 }
 
-/// Materialization of each shard's local sub-CSR ("shard" backend
-/// only). kPlain keeps the partitioned local graphs resident; kMmap
-/// encodes each one into a zg container on disk (zg::save) and maps it
-/// back for the rounds that sweep it (zg::MappedGraph), so resident
-/// memory stays roughly the global graph plus the shards currently
-/// being swept — graphs larger than RAM partition cleanly. The decode
-/// is bitwise (DESIGN.md §12), so results are identical across both.
-enum class ShardStorage { kPlain, kMmap };
-
-constexpr const char* shard_storage_name(ShardStorage s) noexcept {
-  return s == ShardStorage::kMmap ? "mmap" : "plain";
-}
-
-/// Parse a shard-storage name; returns false (and leaves `out` alone)
-/// on an unknown name.
-inline bool parse_shard_storage(std::string_view name,
-                                ShardStorage& out) noexcept {
-  if (name == "plain") { out = ShardStorage::kPlain; return true; }
-  if (name == "mmap") { out = ShardStorage::kMmap; return true; }
-  return false;
-}
-
 /// Algorithm options shared by every backend. The adjacency storage is
 /// picked by the entry point instead: Detector::run reads a plain Csr,
 /// Detector::run_z compressed rows (DESIGN.md §12).
@@ -123,9 +101,6 @@ struct Options {
   /// they differ from the sequential schedule, so the flag is folded
   /// into svc job keys.
   bool concurrent_shards = false;
-  /// Sharded backend only: shard sub-CSR materialization (see
-  /// ShardStorage). Bitwise-invariant.
-  ShardStorage shard_storage = ShardStorage::kPlain;
 };
 
 }  // namespace glouvain::detect

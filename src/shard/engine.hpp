@@ -1,7 +1,9 @@
 // The sharded multi-device Louvain driver (DESIGN.md §14): k edge-cut
 // shards, per-shard move phases on the simt device, inter-round halo
 // exchange of ghost community/tot, and a global aggregation that
-// rebuilds the shards per level.
+// rebuilds the shards per level. The level hierarchy itself is
+// core::Louvain's loop (run_levels); the engine supplies only each
+// level's optimize step.
 //
 // Execution model: in the default sequential mode the k "devices" are
 // simulated sequentially on a single warm simt::Device that uses the
@@ -36,13 +38,12 @@
 // and community totals — so local move gains equal global gains and
 // per-shard quality tracks the sequential algorithm (the ≥98% gate).
 // With shards <= 1 (or once a contracted level drops below
-// min_shard_vertices) a level runs the core::Louvain level protocol
-// verbatim on the unpartitioned graph: a k=1 run is bitwise-identical
-// to the "core" backend.
+// min_shard_vertices) a level runs core::Louvain's cold step verbatim
+// on the unpartitioned graph: a k=1 run is bitwise-identical to the
+// "core" backend.
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/config.hpp"
@@ -77,9 +78,6 @@ struct Config : detect::Options {
   /// build a private one (shards-wide, splitting Options::threads) on
   /// the first concurrent level. Ignored in sequential mode.
   std::shared_ptr<simt::DevicePool> device_pool;
-  /// Directory for mmap shard containers (Options::shard_storage);
-  /// "" = the system temp directory.
-  std::string spill_dir;
   /// Capacity of the process-wide partition-plan cache, applied by the
   /// next Engine construction/set_config; 0 disables plan caching.
   std::size_t plan_cache_capacity = 8;
@@ -130,9 +128,10 @@ struct Result : detect::Result {
   std::uint64_t plan_misses = 0;
 };
 
-/// A warm sharded runner: owns one simt device + workspace reused by
-/// every shard of every run (the svc device pool keeps Engines warm
-/// exactly like core::Louvain instances). Not thread-safe.
+/// A warm sharded runner: owns one core::Louvain whose level loop,
+/// simt device and workspace serve every shard of every run (the svc
+/// device pool keeps Engines warm exactly like core::Louvain
+/// instances). Not thread-safe.
 class Engine {
  public:
   explicit Engine(const Config& config = {});
@@ -148,16 +147,26 @@ class Engine {
   void set_config(const Config& config);
 
   const Config& config() const noexcept { return config_; }
-  simt::Device& device() noexcept { return *device_; }
 
  private:
+  /// Per-run scratch of the sharded levels (engine.cpp).
+  struct LevelScratch;
+
   /// Effective shard count for a level of n vertices.
   unsigned shards_for(graph::VertexId n) const noexcept;
 
-  /// Fetch (or build, spill and insert) the partition plan of
-  /// `graph` through the process-wide plan cache.
+  /// Fetch (or build and insert) the partition plan of `graph` through
+  /// the process-wide plan cache.
   std::shared_ptr<const Plan> plan_for(const graph::Csr& graph, unsigned k,
                                        obs::Recorder* rec, Result& result);
+
+  /// The optimize step of a level cut into k > 1 shards: move/exchange
+  /// rounds until migration dries up, then one global modularity
+  /// evaluation. Returns the exchanged labels for core's aggregation.
+  core::LevelPhase sharded_level(int level, const graph::Csr& current,
+                                 unsigned k, double threshold,
+                                 LevelScratch& scratch, Result& result,
+                                 obs::Recorder* rec);
 
   /// Lazily built pool for concurrent rounds (Config::device_pool when
   /// injected, else engine-owned).
@@ -170,9 +179,9 @@ class Engine {
   struct ConcurrentState;
 
   Config config_;
-  std::unique_ptr<simt::Device> device_;
-  core::Workspace ws_;
-  core::PhaseState state_;
+  /// The level loop, with the device, workspace and phase state of the
+  /// unsharded levels and the sequential shard sweeps.
+  core::Louvain core_;
   /// One resident state per shard (as one device per shard would
   /// keep): round 0 of a level uploads the local graph (reset_from,
   /// O(arcs)); later rounds only reseed the label-derived state

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 
 #include "util/prng.hpp"
 
@@ -131,7 +130,6 @@ Plan make_plan(const Csr& graph, const PartitionConfig& config) {
   const std::vector<unsigned>& owner = plan.owner;
   plan.shards.resize(k);
   plan.exchange.recv.assign(k, std::vector<std::vector<VertexId>>(k));
-  plan.exchange.send.assign(k, std::vector<std::vector<VertexId>>(k));
 
   // --- global cut/ownership accounting (min-endpoint edge rule).
   for (VertexId v = 0; v < n; ++v) {
@@ -269,13 +267,9 @@ Plan make_plan(const Csr& graph, const PartitionConfig& config) {
     const EdgeIdx arcs = offsets[shard.num_owned + shard.num_replica];
     max_arcs = std::max(max_arcs, arcs);
     sum_arcs += arcs;
-    // shard.local is not assembled yet, so count the frozen slots
-    // directly rather than through num_frozen().
-    frozen_total += shard.num_replica + shard.num_ghost +
-                    (shard.has_phantom ? 1 : 0);
+    frozen_total += shard.num_frozen();
 
     shard.local = Csr(std::move(offsets), std::move(adj), std::move(weights));
-    shard.local_arcs = shard.local.num_arcs();
 
     // Exchange plan: every frozen non-phantom slot is one label read
     // from its owner per round.
@@ -295,12 +289,6 @@ Plan make_plan(const Csr& graph, const PartitionConfig& config) {
     }
   }
 
-  for (unsigned s = 0; s < k; ++s) {
-    for (unsigned p = 0; p < k; ++p) {
-      plan.exchange.send[p][s] = plan.exchange.recv[s][p];
-    }
-  }
-
   plan.stats.ghost_ratio =
       n > 0 ? static_cast<double>(frozen_total) / static_cast<double>(n) : 0;
   plan.stats.imbalance =
@@ -308,10 +296,6 @@ Plan make_plan(const Csr& graph, const PartitionConfig& config) {
                          static_cast<double>(sum_arcs)
                    : 1.0;
   return plan;
-}
-
-SpillSet::~SpillSet() {
-  for (const std::string& path : paths_) std::remove(path.c_str());
 }
 
 }  // namespace glouvain::shard

@@ -32,8 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "detect/options.hpp"
@@ -65,15 +63,8 @@ struct Shard {
   /// to owner(min(u, v)). Every global edge is owned by exactly one
   /// shard (the partitioner invariant tests recompute this).
   graph::EdgeIdx owned_edges = 0;
-  /// Out-of-core shards (ShardStorage::kMmap): the zg container this
-  /// shard's `local` graph was spilled to; `local` is then empty and
-  /// the engine maps/decodes the container per sweep. "" = resident.
-  std::string spill_path;
-  /// Arc count of `local`, kept valid after a spill empties it.
-  graph::EdgeIdx local_arcs = 0;
 
-  /// Derived from global_of (one entry per local slot, phantom
-  /// included), NOT from `local` — which a spill empties.
+  /// One entry per local slot of global_of, phantom included.
   graph::VertexId num_local() const noexcept {
     return static_cast<graph::VertexId>(global_of.size());
   }
@@ -84,13 +75,12 @@ struct Shard {
 };
 
 /// Per-round halo traffic: recv[s][p] lists the global vertex ids
-/// (owned by shard p) whose labels shard s reads; send is the exact
-/// mirror (send[p][s] == recv[s][p]). On this substrate the exchange
-/// is a gather from the shared label array; on real devices each list
-/// is one NCCL/NVLink message per (peer, round).
+/// (owned by shard p) whose labels shard s reads, which is also what
+/// p sends to s. On this substrate the exchange is a gather from the
+/// shared label array; on real devices each list is one NCCL/NVLink
+/// message per (peer, round).
 struct ExchangePlan {
   std::vector<std::vector<std::vector<graph::VertexId>>> recv;
-  std::vector<std::vector<std::vector<graph::VertexId>>> send;
 
   /// Labels transferred per exchange round (sum of recv list sizes).
   std::uint64_t values_per_round() const noexcept {
@@ -110,34 +100,12 @@ struct PlanStats {
   graph::VertexId replicated_hubs = 0; ///< distinct hubs with >=1 mirror
 };
 
-/// RAII owner of a plan's on-disk shard containers (mmap shard
-/// storage): removes the files when the last reference to the Plan
-/// drops — i.e. when the plan cache evicts it and no engine still
-/// holds it. Mapped regions survive the unlink (POSIX), so an
-/// in-flight sweep is never yanked.
-class SpillSet {
- public:
-  explicit SpillSet(std::vector<std::string> paths)
-      : paths_(std::move(paths)) {}
-  ~SpillSet();
-  SpillSet(const SpillSet&) = delete;
-  SpillSet& operator=(const SpillSet&) = delete;
-
-  const std::vector<std::string>& paths() const noexcept { return paths_; }
-
- private:
-  std::vector<std::string> paths_;
-};
-
 struct Plan {
   unsigned num_shards = 1;
   std::vector<unsigned> owner;  ///< global vertex -> owning shard
   std::vector<Shard> shards;
   ExchangePlan exchange;
   PlanStats stats;
-  /// Non-null iff the shards were spilled to zg containers (mmap shard
-  /// storage); shared so cached plans keep their files alive.
-  std::shared_ptr<SpillSet> spill;
 };
 
 /// Partition `graph` into config.num_shards shards. Deterministic for

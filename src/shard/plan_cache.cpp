@@ -1,7 +1,5 @@
 #include "shard/plan_cache.hpp"
 
-#include <utility>
-
 #include "graph/fingerprint.hpp"
 
 namespace glouvain::shard {
@@ -23,12 +21,10 @@ std::size_t PlanKeyHash::operator()(const PlanKey& k) const noexcept {
   h = mix64(h ^ (static_cast<std::uint64_t>(k.strategy) + 17));
   h = mix64(h ^ k.seed);
   h = mix64(h ^ (static_cast<std::uint64_t>(k.hub_degree) + 0x5bf0a8b1ULL));
-  h = mix64(h ^ (static_cast<std::uint64_t>(k.storage) + 37));
   return static_cast<std::size_t>(h);
 }
 
-PlanKey plan_key(const graph::Csr& graph, const PartitionConfig& config,
-                 detect::ShardStorage storage) {
+PlanKey plan_key(const graph::Csr& graph, const PartitionConfig& config) {
   const graph::Fingerprint128 fp = graph::fingerprint128(graph);
   PlanKey key;
   key.fp_hi = fp.hi;
@@ -37,69 +33,11 @@ PlanKey plan_key(const graph::Csr& graph, const PartitionConfig& config,
   key.strategy = config.strategy;
   key.seed = config.seed;
   key.hub_degree = config.hub_degree;
-  key.storage = storage;
   return key;
 }
 
-std::shared_ptr<const Plan> PlanCache::get(const PlanKey& key) {
-  const std::lock_guard lock(m_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->plan;
-}
-
-void PlanCache::put(const PlanKey& key, std::shared_ptr<const Plan> plan) {
-  const std::lock_guard lock(m_);
-  if (capacity_ == 0) return;
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->plan = std::move(plan);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.push_front(Entry{key, std::move(plan)});
-  index_.emplace(key, lru_.begin());
-  ++insertions_;
-  while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-    ++evictions_;
-  }
-}
-
-void PlanCache::set_capacity(std::size_t capacity) {
-  const std::lock_guard lock(m_);
-  capacity_ = capacity;
-  while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-    ++evictions_;
-  }
-}
-
-void PlanCache::clear() {
-  const std::lock_guard lock(m_);
-  lru_.clear();
-  index_.clear();
-  hits_ = 0;
-  misses_ = 0;
-  insertions_ = 0;
-  evictions_ = 0;
-}
-
-PlanCache::Stats PlanCache::stats() const {
-  const std::lock_guard lock(m_);
-  return Stats{hits_, misses_, insertions_, evictions_, lru_.size(),
-               capacity_};
-}
-
 PlanCache& plan_cache() {
-  static PlanCache cache;
+  static PlanCache cache(8);
   return cache;
 }
 

@@ -1,15 +1,13 @@
 // LRU cache of partition plans, the shard-side sibling of the service
-// result cache (svc/cache.hpp): repeated jobs on the same graph skip
-// make_plan() — and, under mmap shard storage, the per-shard zg
-// encode/spill — entirely. Keyed by CONTENT, not identity: the graph
-// enters through graph::fingerprint128, so a stream delta that changes
-// the graph changes the key and the stale plan simply stops being
-// referenced (LRU eviction reclaims it; nothing ever has to be
-// invalidated in place).
+// result cache (svc/cache.hpp, the same util::LruCache): repeated jobs
+// on the same graph skip make_plan() entirely. Keyed by CONTENT, not
+// identity: the graph enters through graph::fingerprint128, so a stream
+// delta that changes the graph changes the key and the stale plan
+// simply stops being referenced (LRU eviction reclaims it; nothing ever
+// has to be invalidated in place).
 //
 // Thread-safe: many svc submitters may race on one plan. Entries are
-// shared_ptr<const Plan>, so an evicted plan stays alive (and its
-// spill files stay on disk — Plan::spill is RAII) until the last
+// shared_ptr<const Plan>, so an evicted plan stays alive until the last
 // engine using it lets go.
 //
 // The cache is process-global (plan_cache()), shared by every Engine
@@ -20,22 +18,16 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "detect/options.hpp"
 #include "graph/csr.hpp"
 #include "shard/partition.hpp"
+#include "util/lru_cache.hpp"
 
 namespace glouvain::shard {
 
-/// Everything that determines a plan (and, for mmap storage, its
-/// on-disk shape): graph content, shard count, strategy, seed, the hub
-/// threshold, and the storage mode itself — a resident plan must not
-/// satisfy an mmap request, whose shards carry spill paths instead of
-/// local graphs.
+/// Everything that determines a plan: graph content, shard count,
+/// strategy, seed and the hub threshold.
 struct PlanKey {
   std::uint64_t fp_hi = 0;
   std::uint64_t fp_lo = 0;
@@ -43,7 +35,6 @@ struct PlanKey {
   detect::Partition strategy = detect::Partition::kHubRep;
   std::uint64_t seed = 1;
   graph::EdgeIdx hub_degree = 319;
-  detect::ShardStorage storage = detect::ShardStorage::kPlain;
 
   friend bool operator==(const PlanKey&, const PlanKey&) = default;
 };
@@ -54,48 +45,9 @@ struct PlanKeyHash {
 
 /// Build the cache key for partitioning `graph` under `config`.
 /// O(n + m) — the fingerprint pass; cheap next to make_plan.
-PlanKey plan_key(const graph::Csr& graph, const PartitionConfig& config,
-                 detect::ShardStorage storage);
+PlanKey plan_key(const graph::Csr& graph, const PartitionConfig& config);
 
-class PlanCache {
- public:
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t insertions = 0;
-    std::uint64_t evictions = 0;
-    std::size_t entries = 0;
-    std::size_t capacity = 0;
-  };
-
-  explicit PlanCache(std::size_t capacity = 8) : capacity_(capacity) {}
-
-  /// Look up a plan; null on miss. Refreshes LRU position on hit.
-  std::shared_ptr<const Plan> get(const PlanKey& key);
-
-  /// Insert (or refresh) a plan, evicting the least recently used
-  /// entry beyond capacity. A capacity of 0 disables caching.
-  void put(const PlanKey& key, std::shared_ptr<const Plan> plan);
-
-  void set_capacity(std::size_t capacity);
-  void clear();
-  Stats stats() const;
-
- private:
-  struct Entry {
-    PlanKey key;
-    std::shared_ptr<const Plan> plan;
-  };
-
-  std::size_t capacity_;
-  mutable std::mutex m_;
-  std::list<Entry> lru_;  ///< front = most recently used
-  std::unordered_map<PlanKey, std::list<Entry>::iterator, PlanKeyHash> index_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t insertions_ = 0;
-  std::uint64_t evictions_ = 0;
-};
+using PlanCache = util::LruCache<PlanKey, Plan, PlanKeyHash>;
 
 /// The process-wide plan cache every Engine consults.
 PlanCache& plan_cache();

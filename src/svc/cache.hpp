@@ -6,57 +6,12 @@
 // construction.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
-
 #include "core/louvain.hpp"
 #include "svc/fingerprint.hpp"
+#include "util/lru_cache.hpp"
 
 namespace glouvain::svc {
 
-class ResultCache {
- public:
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t insertions = 0;
-    std::uint64_t evictions = 0;
-    std::size_t entries = 0;
-    std::size_t capacity = 0;
-  };
-
-  /// capacity == 0 disables caching (every lookup misses, puts drop).
-  explicit ResultCache(std::size_t capacity) : capacity_(capacity) {}
-
-  /// Lookup; a hit refreshes recency. Null on miss.
-  std::shared_ptr<const core::Result> get(const Fingerprint& key);
-
-  /// Insert or refresh; evicts the least-recently-used entry beyond
-  /// capacity.
-  void put(const Fingerprint& key, std::shared_ptr<const core::Result> value);
-
-  Stats stats() const;
-  void clear();
-
- private:
-  struct Entry {
-    Fingerprint key;
-    std::shared_ptr<const core::Result> value;
-  };
-
-  std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::list<Entry> lru_;  ///< front = most recent
-  std::unordered_map<Fingerprint, std::list<Entry>::iterator, FingerprintHash>
-      index_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t insertions_ = 0;
-  std::uint64_t evictions_ = 0;
-};
+using ResultCache = util::LruCache<Fingerprint, core::Result, FingerprintHash>;
 
 }  // namespace glouvain::svc

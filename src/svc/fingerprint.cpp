@@ -81,14 +81,9 @@ Fingerprint job_key(const Fingerprint& graph_fp, std::string_view backend,
   a.absorb(options.partition_seed);
   b.absorb(options.partition_seed ^ 0x9e3779b97f4a7c15ULL);
   // Concurrent Jacobi rounds are a different move schedule than the
-  // sequential Gauss-Seidel simulation, so the flag keys the cache;
-  // shard storage is bitwise-invariant, but its memory and timing
-  // profile is not — keep the cached spans honest.
+  // sequential Gauss-Seidel simulation, so the flag keys the cache.
   a.absorb(options.concurrent_shards ? 19 : 23);
   b.absorb(options.concurrent_shards ? 29 : 31);
-  a.absorb(static_cast<std::uint64_t>(options.shard_storage) + 37);
-  b.absorb(static_cast<std::uint64_t>(options.shard_storage) *
-           0x9e3779b97f4a7c15ULL);
 
   a.absorb(session);
   b.absorb(session + 0x2545f4914f6cdd1dULL);

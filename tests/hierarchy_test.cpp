@@ -15,6 +15,7 @@
 #include "metrics/partition_io.hpp"
 #include "plm/plm.hpp"
 #include "seq/louvain.hpp"
+#include "shard/engine.hpp"
 
 namespace glouvain {
 namespace {
@@ -49,11 +50,11 @@ TEST(Dendrogram, OutOfRangeLevelThrows) {
 
 class DendrogramCapture : public ::testing::TestWithParam<int> {};
 std::string algo_name(const ::testing::TestParamInfo<int>& info) {
-  static const char* kNames[] = {"core", "seq", "plm"};
+  static const char* kNames[] = {"core", "seq", "plm", "shard"};
   return kNames[info.param];
 }
-INSTANTIATE_TEST_SUITE_P(Algos, DendrogramCapture, ::testing::Values(0, 1, 2),
-                         algo_name);
+INSTANTIATE_TEST_SUITE_P(Algos, DendrogramCapture,
+                         ::testing::Values(0, 1, 2, 3), algo_name);
 
 TEST_P(DendrogramCapture, LastLevelEqualsFinalCommunity) {
   const auto bench = gen::lfr({.num_vertices = 2048, .seed = 3});
@@ -61,7 +62,17 @@ TEST_P(DendrogramCapture, LastLevelEqualsFinalCommunity) {
   switch (GetParam()) {
     case 0: result = core::louvain(bench.graph); break;
     case 1: result = seq::louvain(bench.graph); break;
-    default: result = plm::louvain(bench.graph); break;
+    case 2: result = plm::louvain(bench.graph); break;
+    default: {
+      shard::Config cfg;
+      cfg.shards = 4;
+      cfg.min_shard_vertices = 64;  // really shard 2k vertices
+      const shard::Result sharded = shard::louvain(bench.graph, cfg);
+      ASSERT_EQ(sharded.shards_used, 4u);
+      ASSERT_GT(sharded.exchange_rounds, 0);
+      result = sharded;
+      break;
+    }
   }
   ASSERT_GT(result.dendrogram.num_levels(), 0u);
   EXPECT_EQ(result.dendrogram.num_levels(), result.levels.size());

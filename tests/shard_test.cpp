@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <map>
 #include <set>
 
@@ -146,8 +145,6 @@ void check_plan(const Csr& g, const Plan& plan, const PartitionConfig& pc) {
         EXPECT_EQ(plan.owner[v], p);
         EXPECT_TRUE(listed.insert(v).second) << "vertex in two recv lists";
       }
-      // send is the exact mirror.
-      EXPECT_EQ(plan.exchange.send[p][s], plan.exchange.recv[s][p]);
     }
     EXPECT_EQ(listed, frozen);
     frozen_listed += frozen.size();
@@ -350,32 +347,25 @@ TEST(Detector, ShardRejectsIncompatibleKnobs) {
   EXPECT_THROW((*detector)->run(g, options), std::invalid_argument);
 }
 
-shard::Config sharded_config(unsigned k, bool concurrent,
-                             detect::ShardStorage storage) {
+shard::Config sharded_config(unsigned k, bool concurrent) {
   shard::Config cfg = pinned_config();
   cfg.shards = k;
   cfg.min_shard_vertices = 64;  // force real sharding on 4k vertices
   cfg.hub_degree = 48;
   cfg.concurrent_shards = concurrent;
-  cfg.shard_storage = storage;
   return cfg;
 }
 
 TEST(Engine, ConcurrentSingleShardBitwiseIdenticalToCore) {
   // k <= 1 must stay the core-identical path whether or not concurrent
-  // rounds are on, and regardless of the shard storage mode (there is
-  // nothing to spill or lease at k = 1).
+  // rounds are on (there is nothing to lease at k = 1).
   const auto bench = gen::lfr({.num_vertices = 4096, .mu = 0.25, .seed = 3});
   const core::Result reference =
       core::louvain(bench.graph, core::to_config(pinned_config()));
-  for (const auto storage :
-       {detect::ShardStorage::kPlain, detect::ShardStorage::kMmap}) {
-    shard::Config cfg = sharded_config(1, true, storage);
-    const Result r = louvain(bench.graph, cfg);
-    EXPECT_EQ(r.shards_used, 1u);
-    EXPECT_EQ(r.community, reference.community);  // bitwise labels
-    EXPECT_EQ(r.modularity, reference.modularity);
-  }
+  const Result r = louvain(bench.graph, sharded_config(1, true));
+  EXPECT_EQ(r.shards_used, 1u);
+  EXPECT_EQ(r.community, reference.community);  // bitwise labels
+  EXPECT_EQ(r.modularity, reference.modularity);
 }
 
 TEST(Engine, ConcurrentQualityTracksSequential) {
@@ -385,8 +375,7 @@ TEST(Engine, ConcurrentQualityTracksSequential) {
   for (const auto strategy :
        {detect::Partition::kBlock, detect::Partition::kHubRep}) {
     for (const unsigned k : {2u, 4u}) {
-      shard::Config seq_cfg =
-          sharded_config(k, false, detect::ShardStorage::kPlain);
+      shard::Config seq_cfg = sharded_config(k, false);
       seq_cfg.partition = strategy;
       shard::Config conc_cfg = seq_cfg;
       conc_cfg.concurrent_shards = true;
@@ -411,8 +400,7 @@ TEST(Engine, ConcurrentDeterministicAcrossDeviceCounts) {
   double q = 0;
   bool first = true;
   for (const unsigned width : {1u, 2u, 4u}) {
-    shard::Config cfg =
-        sharded_config(4, true, detect::ShardStorage::kPlain);
+    shard::Config cfg = sharded_config(4, true);
     simt::DevicePoolConfig pc;
     pc.max_devices = width;
     pc.total_threads = 2;
@@ -432,24 +420,6 @@ TEST(Engine, ConcurrentDeterministicAcrossDeviceCounts) {
   }
 }
 
-TEST(Engine, MmapShardsBitwiseMatchPlain) {
-  // Out-of-core shards decode to bitwise-identical local graphs, so
-  // the whole run must match plain storage label for label — in both
-  // execution modes.
-  const auto bench = gen::lfr({.num_vertices = 4096, .mu = 0.25, .seed = 21});
-  for (const bool concurrent : {false, true}) {
-    const Result plain = louvain(
-        bench.graph, sharded_config(4, concurrent,
-                                    detect::ShardStorage::kPlain));
-    const Result mmap = louvain(
-        bench.graph, sharded_config(4, concurrent,
-                                    detect::ShardStorage::kMmap));
-    EXPECT_EQ(mmap.community, plain.community)
-        << (concurrent ? "concurrent" : "sequential");
-    EXPECT_EQ(mmap.modularity, plain.modularity);
-  }
-}
-
 TEST(PlanCache, LruHitMissEviction) {
   PlanCache cache(2);
   const Csr g1 = gen::ring_of_cliques(4, 4);
@@ -457,9 +427,9 @@ TEST(PlanCache, LruHitMissEviction) {
   const Csr g3 = gen::ring_of_cliques(6, 4);
   PartitionConfig pc;
   pc.num_shards = 2;
-  const PlanKey k1 = plan_key(g1, pc, detect::ShardStorage::kPlain);
-  const PlanKey k2 = plan_key(g2, pc, detect::ShardStorage::kPlain);
-  const PlanKey k3 = plan_key(g3, pc, detect::ShardStorage::kPlain);
+  const PlanKey k1 = plan_key(g1, pc);
+  const PlanKey k2 = plan_key(g2, pc);
+  const PlanKey k3 = plan_key(g3, pc);
 
   EXPECT_EQ(cache.get(k1), nullptr);
   cache.put(k1, std::make_shared<Plan>(make_plan(g1, pc)));
@@ -499,19 +469,18 @@ TEST(PlanCache, KeyTracksContentAndKnobs) {
       }());
   PartitionConfig pc;
   pc.num_shards = 2;
-  const PlanKey base = plan_key(g, pc, detect::ShardStorage::kPlain);
-  EXPECT_EQ(base, plan_key(same, pc, detect::ShardStorage::kPlain));
-  EXPECT_NE(base, plan_key(heavier, pc, detect::ShardStorage::kPlain));
+  const PlanKey base = plan_key(g, pc);
+  EXPECT_EQ(base, plan_key(same, pc));
+  EXPECT_NE(base, plan_key(heavier, pc));
   PartitionConfig reseeded = pc;
   reseeded.seed = 99;
-  EXPECT_NE(base, plan_key(g, reseeded, detect::ShardStorage::kPlain));
-  EXPECT_NE(base, plan_key(g, pc, detect::ShardStorage::kMmap));
+  EXPECT_NE(base, plan_key(g, reseeded));
 }
 
 TEST(PlanCache, EngineReusesCachedPlans) {
   plan_cache().clear();
   const auto bench = gen::lfr({.num_vertices = 4096, .mu = 0.25, .seed = 31});
-  shard::Config cfg = sharded_config(2, false, detect::ShardStorage::kPlain);
+  shard::Config cfg = sharded_config(2, false);
   Engine engine(cfg);
   const Result r1 = engine.run(bench.graph);
   EXPECT_GT(r1.plan_misses, 0u);
@@ -520,32 +489,6 @@ TEST(PlanCache, EngineReusesCachedPlans) {
   EXPECT_EQ(r2.plan_misses, 0u);
   EXPECT_EQ(r2.plan_hits, r1.plan_misses);
   EXPECT_EQ(r2.community, r1.community);  // cached plans, same answer
-}
-
-TEST(PlanCache, MissingSpillFilesForceRebuild) {
-  // A foreign cleanup of the spill directory must degrade a cached
-  // mmap plan to a rebuild, not a crash — and the rebuild must land on
-  // the same answer.
-  plan_cache().clear();
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "glouvain-shard-test-spills";
-  std::filesystem::create_directories(dir);
-  const auto bench = gen::lfr({.num_vertices = 4096, .mu = 0.25, .seed = 37});
-  shard::Config cfg = sharded_config(2, false, detect::ShardStorage::kMmap);
-  cfg.spill_dir = dir.string();
-  Engine engine(cfg);
-  const Result r1 = engine.run(bench.graph);
-  EXPECT_GT(r1.plan_misses, 0u);
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    std::filesystem::remove(entry.path(), ec);
-  }
-  const Result r2 = engine.run(bench.graph);
-  EXPECT_EQ(r2.plan_hits, 0u);
-  EXPECT_EQ(r2.plan_misses, r1.plan_misses);
-  EXPECT_EQ(r2.community, r1.community);
-  plan_cache().clear();  // release the plans so their spills delete
-  std::filesystem::remove_all(dir, ec);
 }
 
 TEST(Fingerprint, JobKeyAbsorbsShardKnobs) {

@@ -57,6 +57,9 @@ expect(2 "retired --table flag" detect --in "${graph}" --table occ)
 expect(2 "retired --storage flag" detect --in "${graph}" --storage zcsr)
 expect(2 "retired --algo flag" detect --in "${graph}" --algo seq)
 expect(2 "retired --coloring flag" detect --in "${graph}" --coloring)
+expect(2 "retired detect --shard-storage flag"
+  detect --in "${graph}" --shard-storage mmap)
+expect(2 "retired batch --shard-storage flag" batch --shard-storage plain)
 expect(2 "undeclared stats flag" stats --in "${graph}" --verbose)
 set(deltas "${WORK_DIR}/cli_codes.deltas")
 file(WRITE "${deltas}" "batch 1\n+ 0 1\n")

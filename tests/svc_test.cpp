@@ -706,8 +706,7 @@ TEST(Service, PlanCacheConcurrentStress) {
   pc.num_shards = 2;
   for (graph::VertexId i = 0; i < 8; ++i) {
     graphs.push_back(gen::ring_of_cliques(4 + i, 5));
-    keys.push_back(
-        shard::plan_key(graphs.back(), pc, detect::ShardStorage::kPlain));
+    keys.push_back(shard::plan_key(graphs.back(), pc));
     plans.push_back(
         std::make_shared<shard::Plan>(shard::make_plan(graphs.back(), pc)));
   }

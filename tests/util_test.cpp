@@ -1,10 +1,12 @@
-// Unit tests for src/util: PRNG, primes, options, table, timers.
+// Unit tests for src/util: PRNG, primes, options, table, timers, the
+// LRU cache.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <sstream>
 #include <thread>
 
+#include "util/lru_cache.hpp"
 #include "util/options.hpp"
 #include "util/primes.hpp"
 #include "util/prng.hpp"
@@ -211,6 +213,25 @@ TEST(Accumulator, SumsIntervals) {
   }
   EXPECT_EQ(acc.intervals(), 3);
   EXPECT_GE(acc.seconds(), 0.010);
+}
+
+TEST(LruCache, ShrinkingCapacityEvictsLeastRecentFirst) {
+  LruCache<int, int> cache(4);
+  for (int k = 0; k < 4; ++k) cache.put(k, std::make_shared<const int>(k));
+  EXPECT_NE(cache.get(0), nullptr);  // recency, oldest first: 1 2 3 0
+
+  cache.set_capacity(2);
+  EXPECT_EQ(cache.get(1), nullptr);
+  EXPECT_EQ(cache.get(2), nullptr);
+  ASSERT_NE(cache.get(3), nullptr);
+  ASSERT_NE(cache.get(0), nullptr);
+  EXPECT_EQ(*cache.get(0), 0);
+
+  const auto s = cache.stats();
+  EXPECT_EQ(s.evictions, 2u);
+  EXPECT_EQ(s.entries, 2u);
+  EXPECT_EQ(s.capacity, 2u);
+  EXPECT_EQ(s.insertions, 4u);
 }
 
 }  // namespace

@@ -59,7 +59,7 @@ int usage(const char* error = nullptr) {
                "            [--threads N] [--verbose]\n"
                "            [--device scalar|vector|auto] [--shards K]\n"
                "            [--partition block|random|hubrep] [--partition-seed N]\n"
-               "            [--concurrent-shards] [--shard-storage plain|mmap]\n"
+               "            [--concurrent-shards]\n"
                "  compress  varint-compress a graph into a .zg container\n"
                "            --in FILE --out FILE.zg\n"
                "  batch     run a manifest of graphs through the service\n"
@@ -67,8 +67,7 @@ int usage(const char* error = nullptr) {
                "            [--aux A] [--queue Q] [--cache C] [--repeat R]\n"
                "            [--backend auto|core|seq|plm|shard]\n"
                "            [--shards K] [--partition block|random|hubrep]\n"
-               "            [--concurrent-shards] [--shard-storage plain|mmap]\n"
-               "            [--deadline MS]\n"
+               "            [--concurrent-shards] [--deadline MS]\n"
                "  stream    apply delta batches to a dynamic-graph session\n"
                "            --in FILE --deltas FILE [--backend core|seq]\n"
                "            [--cold] [--hops H] [--no-closure] [--threads N]\n"
@@ -197,8 +196,6 @@ int cmd_detect(util::Options& opt) {
       opt.get_flag("verbose", "print per-level timings and device stats");
   const std::string device_arg = opt.get_string(
       "device", "auto", "lane substrate: scalar | vector | auto");
-  const std::string shard_storage_arg = opt.get_string(
-      "shard-storage", "plain", "plain | mmap (out-of-core shard graphs)");
   const std::string partition_arg = opt.get_string(
       "partition", "", "block | random | hubrep (shard backend only)");
 
@@ -217,10 +214,6 @@ int cmd_detect(util::Options& opt) {
       "concurrent-shards", "run shards concurrently on pooled devices");
 
   if (const int rc = reject_unknown(opt)) return rc;
-  if (!detect::parse_shard_storage(shard_storage_arg, options.shard_storage)) {
-    return fail_status(util::Status::invalid_argument(
-        "unknown --shard-storage: " + shard_storage_arg));
-  }
   if (!simt::parse_backend(device_arg, options.device)) {
     return fail_status(
         util::Status::invalid_argument("unknown --device: " + device_arg));
@@ -323,8 +316,6 @@ int cmd_batch(util::Options& opt) {
       opt.get_int("shards", 1, "shard count (shard backend only)"));
   cfg.options.concurrent_shards = opt.get_flag(
       "concurrent-shards", "run shards concurrently on pooled devices");
-  const std::string serve_storage_arg = opt.get_string(
-      "shard-storage", "plain", "plain | mmap (out-of-core shard graphs)");
   const std::string partition_arg = opt.get_string(
       "partition", "", "block | random | hubrep (shard backend only)");
   const std::string backend_arg =
@@ -334,11 +325,6 @@ int cmd_batch(util::Options& opt) {
   const auto deadline_ms = opt.get_int(
       "deadline", 0, "per-job deadline in milliseconds (0 = none)");
   if (const int rc = reject_unknown(opt)) return rc;
-  if (!detect::parse_shard_storage(serve_storage_arg,
-                                   cfg.options.shard_storage)) {
-    return fail_status(util::Status::invalid_argument(
-        "unknown --shard-storage: " + serve_storage_arg));
-  }
   if (!partition_arg.empty() &&
       !detect::parse_partition(partition_arg, cfg.options.partition)) {
     return fail_status(
