@@ -2,10 +2,10 @@
 // re-detection after edge churn versus a full recompute per batch.
 // Two stream::Sessions replay the same generated delta sequence over
 // the same planted-partition graph; one warm-starts from the previous
-// partition and sweeps only the affected frontier, the other runs the
-// detector cold every epoch. Methodology and the acceptance bar
-// (>= 3x at <= 1% modularity gap on the default 100k-vertex SBM) are
-// described in EXPERIMENTS.md "Streaming updates".
+// partition and at level 0 sweeps only the delta's touched endpoints,
+// the other runs the detector cold every epoch. Methodology and the
+// acceptance bar (>= 3x at <= 1% modularity gap on the default
+// 100k-vertex SBM) are described in EXPERIMENTS.md "Streaming updates".
 #include <cmath>
 #include <cstdio>
 #include <iostream>

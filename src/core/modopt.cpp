@@ -335,15 +335,6 @@ double device_modularity_impl(simt::Device& device, Rows& rows,
 
 double device_modularity(simt::Device& device, const Csr& graph,
                          const std::vector<Community>& community,
-                         const std::vector<Weight>& tot) {
-  if (graph.total_weight() <= 0) return 0;
-  PlainRows rows(graph);
-  prim::Scratch scratch;
-  return device_modularity_impl(device, rows, community, tot, scratch);
-}
-
-double device_modularity(simt::Device& device, const Csr& graph,
-                         const std::vector<Community>& community,
                          const std::vector<Weight>& tot, Workspace& ws) {
   if (graph.total_weight() <= 0) return 0;
   PlainRows rows(graph);
@@ -690,23 +681,6 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
 }
 
 }  // namespace
-
-PhaseResult optimize_phase(simt::Device& device, const Csr& graph,
-                           const Config& config, PhaseState& state,
-                           double threshold, obs::Recorder* rec) {
-  Workspace ws;
-  return optimize_phase(device, graph, config, state,
-                        std::span<const VertexId>{}, threshold, ws, rec);
-}
-
-PhaseResult optimize_phase(simt::Device& device, const Csr& graph,
-                           const Config& config, PhaseState& state,
-                           std::span<const VertexId> active,
-                           double threshold, obs::Recorder* rec) {
-  Workspace ws;
-  return optimize_phase(device, graph, config, state, active, threshold, ws,
-                        rec);
-}
 
 PhaseResult optimize_phase(simt::Device& device, const Csr& graph,
                            const Config& config, PhaseState& state,

@@ -60,34 +60,23 @@ struct PhaseResult {
   double first_sweep_seconds = 0;  ///< for the TEPS figure
 };
 
-/// Run one full modularity-optimization phase: sweeps over the degree
+/// Run one modularity-optimization phase: sweeps over the degree
 /// buckets until the per-sweep modularity gain drops below `threshold`
-/// (Algorithm 1). `state` must be reset() for `graph` first; on return
-/// state.community holds the computed assignment (labels are vertex ids,
-/// not renumbered). `recorder` (optional) receives the "modopt" span
+/// (Algorithm 1). `state` must be reset() for `graph` first (or
+/// reset_from() for a warm start); on return state.community holds the
+/// computed assignment (labels are vertex ids, not renumbered).
+///
+/// Only the vertices in `active` are binned into the degree buckets and
+/// may move (empty = every vertex); everything else keeps its
+/// community. The stopping rule and the modularity evaluation still see
+/// the whole graph, so the returned modularity is exact.
+///
+/// Every temporary (active list, binning order, sub-round boundaries,
+/// per-worker partials, prim scratch) comes from `ws`, so once the
+/// workspace has warmed up to the graph's size a phase performs zero
+/// heap allocations. `recorder` (optional) receives the "modopt" span
 /// tree — binning, per-bucket kernel launches, commits, modularity
 /// evaluations — plus bucket-occupancy / moved-fraction counters.
-PhaseResult optimize_phase(simt::Device& device, const graph::Csr& graph,
-                           const Config& config, PhaseState& state,
-                           double threshold,
-                           obs::Recorder* recorder = nullptr);
-
-/// Restricted phase for warm starts: only the vertices in `active` are
-/// binned into the degree buckets and may move; everything else keeps
-/// its seeded community (use PhaseState::reset_from first). The
-/// stopping rule and the modularity evaluation still see the whole
-/// graph, so the returned modularity is exact.
-PhaseResult optimize_phase(simt::Device& device, const graph::Csr& graph,
-                           const Config& config, PhaseState& state,
-                           std::span<const graph::VertexId> active,
-                           double threshold,
-                           obs::Recorder* recorder = nullptr);
-
-/// The allocation-free entry point: every temporary (active list,
-/// binning order, sub-round boundaries, per-worker partials, prim
-/// scratch) comes from `ws`, so once the workspace has warmed up to
-/// the graph's size a phase performs zero heap allocations. The plain
-/// overloads above are thin wrappers over a throwaway Workspace.
 PhaseResult optimize_phase(simt::Device& device, const graph::Csr& graph,
                            const Config& config, PhaseState& state,
                            std::span<const graph::VertexId> active,
@@ -97,7 +86,7 @@ PhaseResult optimize_phase(simt::Device& device, const graph::Csr& graph,
 /// The compressed-storage phase: same kernels templated over a ZRows
 /// source (neighbour lists decoded per worker instead of read from
 /// raw arrays). Partitions are bitwise-identical to the plain
-/// overloads' on the same graph.
+/// overload's on the same graph.
 PhaseResult optimize_phase(simt::Device& device, ZRows& rows,
                            const Config& config, PhaseState& state,
                            std::span<const graph::VertexId> active,
@@ -105,12 +94,8 @@ PhaseResult optimize_phase(simt::Device& device, ZRows& rows,
                            obs::Recorder* recorder = nullptr);
 
 /// Modularity of the current assignment from the device arrays
-/// (parallel; used for the sweep-termination test).
-double device_modularity(simt::Device& device, const graph::Csr& graph,
-                         const std::vector<graph::Community>& community,
-                         const std::vector<graph::Weight>& tot);
-
-/// Same, with the chunk partials drawn from `ws`'s scratch.
+/// (parallel; used for the sweep-termination test). The chunk
+/// partials are drawn from `ws`'s scratch.
 double device_modularity(simt::Device& device, const graph::Csr& graph,
                          const std::vector<graph::Community>& community,
                          const std::vector<graph::Weight>& tot, Workspace& ws);

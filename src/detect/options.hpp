@@ -20,9 +20,10 @@ namespace glouvain::detect {
 /// Warm-start request: seed the level-0 partition from a previous run
 /// instead of all-singletons and re-optimize only `frontier` before
 /// falling through to the normal aggregation hierarchy. Produced by the
-/// stream subsystem (stream::Session computes the frontier from a
-/// delta); honored by the "core" and "seq" backends, ignored — a full
-/// cold run, never a stale result — by backends without a warm path.
+/// stream subsystem (stream::Session passes a delta's touched
+/// endpoints as the frontier); honored by the "core" and "seq"
+/// backends, ignored — a full cold run, never a stale result — by
+/// backends without a warm path.
 struct WarmStart {
   /// Previous partition: one dense label (< num_vertices) per vertex.
   std::vector<graph::Community> seed;

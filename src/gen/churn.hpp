@@ -11,8 +11,9 @@
 //     warm-start benchmark's steady-state workload.
 //   CommunityMerging — deletions as above, but each epoch's insertions
 //     all run between one randomly chosen PAIR of communities, stitching
-//     them together epoch by epoch; stresses frontier closure and the
-//     fall-through aggregation hierarchy.
+//     them together epoch by epoch; stresses a warm start's
+//     fall-through aggregation hierarchy, since its level 0 moves only
+//     the touched endpoints.
 //
 // Batch `stamp`s are the epoch index (1-based). Insertion weights are
 // exactly 1.0, keeping the rebuilt-CSR-equals-fresh-build invariant

@@ -2,7 +2,8 @@
 // community/tot view that shards read through ACCESSORS ONLY.
 //
 // On this substrate the "exchange" is a gather from these arrays; on a
-// real multi-GPU deployment each ExchangePlan list would be one
+// real multi-GPU deployment the labels a shard reads from one owner
+// (its replica and ghost slots, counted by ExchangePlan) would be one
 // NCCL/NVLink message per (peer, round) and the arrays below would be
 // per-device mirrors (DESIGN.md §14 substitution table). To keep that
 // replacement honest, every cross-shard read in src/shard goes through

@@ -129,7 +129,6 @@ Plan make_plan(const Csr& graph, const PartitionConfig& config) {
   plan.owner = assign_owners(graph, config, k, is_hub);
   const std::vector<unsigned>& owner = plan.owner;
   plan.shards.resize(k);
-  plan.exchange.recv.assign(k, std::vector<std::vector<VertexId>>(k));
 
   // --- global cut/ownership accounting (min-endpoint edge rule).
   for (VertexId v = 0; v < n; ++v) {
@@ -273,15 +272,7 @@ Plan make_plan(const Csr& graph, const PartitionConfig& config) {
 
     // Exchange plan: every frozen non-phantom slot is one label read
     // from its owner per round.
-    for (VertexId i = shard.num_owned;
-         i < shard.num_owned + shard.num_replica + shard.num_ghost; ++i) {
-      const VertexId v = shard.global_of[i];
-      plan.exchange.recv[s][owner[v]].push_back(v);
-    }
-    for (unsigned p = 0; p < k; ++p) {
-      std::sort(plan.exchange.recv[s][p].begin(),
-                plan.exchange.recv[s][p].end());
-    }
+    plan.exchange.values += shard.num_replica + shard.num_ghost;
 
     // Reset the map for the next shard (only entries this shard set).
     for (const VertexId v : shard.global_of) {

@@ -74,22 +74,17 @@ struct Shard {
   }
 };
 
-/// Per-round halo traffic: recv[s][p] lists the global vertex ids
-/// (owned by shard p) whose labels shard s reads, which is also what
-/// p sends to s. On this substrate the exchange is a gather from the
-/// shared label array; on real devices each list is one NCCL/NVLink
-/// message per (peer, round).
+/// Per-round halo traffic: every frozen non-phantom slot (replica or
+/// ghost) is one label its shard reads from the vertex's owner each
+/// round. On this substrate the exchange is a gather from the shared
+/// label array; on real devices the reads from one owner would be one
+/// NCCL/NVLink message per (peer, round).
 struct ExchangePlan {
-  std::vector<std::vector<std::vector<graph::VertexId>>> recv;
+  /// Sum over shards of num_replica + num_ghost.
+  std::uint64_t values = 0;
 
-  /// Labels transferred per exchange round (sum of recv list sizes).
-  std::uint64_t values_per_round() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& per_peer : recv) {
-      for (const auto& ids : per_peer) total += ids.size();
-    }
-    return total;
-  }
+  /// Labels transferred per exchange round.
+  std::uint64_t values_per_round() const noexcept { return values; }
 };
 
 struct PlanStats {

@@ -24,8 +24,8 @@ namespace glouvain::stream {
 struct ApplyResult {
   graph::Csr graph;
   /// Sorted, duplicate-free endpoints of every arc the delta touched
-  /// (including no-op deletions' endpoints when in range) — the seeds
-  /// of the affected-vertex frontier.
+  /// (including no-op deletions' endpoints when in range) — the
+  /// vertices a warm start lets move.
   std::vector<graph::VertexId> touched;
   /// Insertion entries applied (each undirected edge counted once).
   std::size_t inserted = 0;

@@ -68,11 +68,10 @@ util::StatusOr<DeltaReport> Session::apply(const Delta& delta,
                     static_cast<double>(applied.touched.size()));
   }
 
-  // Nothing changed and nothing could have: keep the partition as-is.
-  // (A no-op deletion still touches its endpoints, so only a literally
-  // empty delta lands here.)
-  if (applied.touched.empty() &&
-      applied.graph.num_vertices() == graph_.num_vertices()) {
+  // Nothing changed: the delta touched no vertex (it was empty, or
+  // every entry was ignored). A graph only grows through an insertion,
+  // whose endpoints are touched, so the graph is the same one.
+  if (applied.touched.empty()) {
     ++epoch_;
     report.epoch = epoch_;
     report.modularity = result_.modularity;
@@ -81,30 +80,29 @@ util::StatusOr<DeltaReport> Session::apply(const Delta& delta,
 
   detect::Options opts = options_.options;
   if (options_.warm) {
+    // Only vertices whose neighbourhood changed may move at level 0;
+    // everything else keeps its community until aggregation. Every
+    // vertex an insertion creates is touched; one the delta creates
+    // without naming it has degree 0 and cannot move anyway.
     auto warm = std::make_shared<detect::WarmStart>();
     timer.reset();
     {
       obs::Span span(recorder, "stream/frontier");
-      warm->frontier = compute_frontier(applied.graph, result_.community,
-                                        applied.touched, options_.frontier);
+      // A copy, so the touched list can return to the rebuild arena.
+      warm->frontier = applied.touched;
+      // Seed = previous partition, padded with fresh singleton labels
+      // for vertices the delta created. Detector labels are dense in
+      // [0, k), k <= old n, so a new vertex's own id can never collide.
+      const std::size_t n_new = applied.graph.num_vertices();
+      warm->seed.resize(n_new);
+      std::copy(result_.community.begin(), result_.community.end(),
+                warm->seed.begin());
+      for (std::size_t v = result_.community.size(); v < n_new; ++v) {
+        warm->seed[v] = static_cast<Community>(v);
+      }
     }
     report.frontier_seconds = timer.seconds();
     report.frontier_size = warm->frontier.size();
-    if (recorder) {
-      recorder->count("stream/frontier_size",
-                      static_cast<double>(warm->frontier.size()));
-    }
-
-    // Seed = previous partition, padded with fresh singleton labels for
-    // vertices the delta created. Detector labels are dense in
-    // [0, k), k <= old n, so a new vertex's own id can never collide.
-    const std::size_t n_new = applied.graph.num_vertices();
-    warm->seed.resize(n_new);
-    std::copy(result_.community.begin(), result_.community.end(),
-              warm->seed.begin());
-    for (std::size_t v = result_.community.size(); v < n_new; ++v) {
-      warm->seed[v] = static_cast<Community>(v);
-    }
     opts.warm_start = std::move(warm);
   }
 

@@ -2,7 +2,7 @@
 // latest partition, and a warm detector instance. Each apply() runs
 // the delta pipeline
 //
-//   apply_delta  ->  compute_frontier  ->  warm-start detection
+//   apply_delta  ->  warm-start detection from the touched endpoints
 //
 // and advances the session epoch. The epoch is the delta count since
 // open(); the svc result cache folds it into its fingerprint so cached
@@ -27,7 +27,6 @@
 #include "detect/result.hpp"
 #include "graph/csr.hpp"
 #include "stream/delta.hpp"
-#include "stream/frontier.hpp"
 #include "util/status.hpp"
 
 namespace glouvain::obs {
@@ -43,7 +42,6 @@ struct SessionOptions {
   std::string backend = "core";
   detect::Options options;        ///< warm_start is managed by the session
   detect::Extensions extensions;  ///< backend-specific knobs
-  FrontierOptions frontier;
   /// false = full cold recompute on every delta (the baseline the
   /// warm-start speedup is measured against in bench/stream_updates).
   bool warm = true;
@@ -54,9 +52,10 @@ struct DeltaReport {
   std::uint64_t epoch = 0;         ///< session epoch after this delta
   std::size_t inserted = 0;        ///< edges added (undirected, once)
   std::size_t deleted = 0;         ///< edges removed
-  std::size_t frontier_size = 0;   ///< vertices the warm sweep may move
+  std::size_t frontier_size = 0;   ///< touched endpoints: the vertices
+                                   ///< the warm sweep may move
   double apply_seconds = 0;
-  double frontier_seconds = 0;
+  double frontier_seconds = 0;     ///< building the warm start
   double detect_seconds = 0;
   double modularity = 0;           ///< of the post-delta partition
 };
@@ -74,10 +73,12 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Apply one delta batch: mutate the graph, compute the affected
-  /// frontier, re-detect (warm unless options().warm is false). A
-  /// delta naming graph::kInvalidVertex fails with kInvalidArgument. On
-  /// error the session is unchanged — same graph, partition and epoch.
+  /// Apply one delta batch: mutate the graph, then re-detect. The
+  /// warm re-detection (unless options().warm is false) seeds level 0
+  /// with the previous partition and lets only the delta's touched
+  /// endpoints move there (DESIGN.md §9). A delta naming
+  /// graph::kInvalidVertex fails with kInvalidArgument. On error the
+  /// session is unchanged — same graph, partition and epoch.
   /// `recorder` (optional) receives stream/apply, stream/frontier and
   /// stream/detect spans with the detector's own tree nested inside.
   util::StatusOr<DeltaReport> apply(const Delta& delta,

@@ -28,7 +28,6 @@
 #include "gen/rmat.hpp"
 #include "gen/sbm.hpp"
 #include "stream/apply.hpp"
-#include "stream/frontier.hpp"
 #include "stream/session.hpp"
 
 // --- Global allocation counter -------------------------------------
@@ -179,7 +178,7 @@ TEST(WorkspaceReuse, SeqDetectorReuseMatchesFreshDetector) {
 // One stream warm-start epoch: the session's detector and rebuild
 // arena are both dirty from the initial cold detection, and its result
 // must still be bitwise what a fresh detector produces for the same
-// (post-delta graph, seed, frontier) warm request.
+// (post-delta graph, seed, touched endpoints) warm request.
 TEST(WorkspaceReuse, StreamWarmEpochMatchesFreshWarmRun) {
   gen::SbmParams sbm;
   sbm.num_vertices = 2000;
@@ -204,8 +203,7 @@ TEST(WorkspaceReuse, StreamWarmEpochMatchesFreshWarmRun) {
   // Replay the session's pipeline with everything fresh.
   stream::ApplyResult applied = stream::apply_delta(planted.graph, deltas[0]);
   auto warm = std::make_shared<detect::WarmStart>();
-  warm->frontier = stream::compute_frontier(applied.graph, seed_partition,
-                                            applied.touched);
+  warm->frontier = applied.touched;
   warm->seed = seed_partition;
   warm->seed.resize(applied.graph.num_vertices());
   for (std::size_t v = seed_partition.size();

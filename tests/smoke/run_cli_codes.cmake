@@ -65,6 +65,20 @@ set(deltas "${WORK_DIR}/cli_codes.deltas")
 file(WRITE "${deltas}" "batch 1\n+ 0 1\n")
 expect(2 "unknown stream backend"
   stream --in "${graph}" --deltas "${deltas}" --backend bogus)
+expect(2 "retired stream --hops flag"
+  stream --in "${graph}" --deltas "${deltas}" --hops 1)
+expect(2 "retired stream --no-closure flag"
+  stream --in "${graph}" --deltas "${deltas}" --no-closure)
+# Count flags reject a negative value, which would wrap to 2^32 - 1 or
+# 2^64 - 1. The inputs named here are absent, so a check that ran
+# after reading them would exit 3 instead.
+expect(2 "negative detect --threads"
+  detect --in "${WORK_DIR}/absent.bin" --threads -1)
+expect(2 "negative batch --devices"
+  batch --manifest "${WORK_DIR}/absent.manifest" --devices -1)
+expect(2 "negative churn --epochs"
+  churn --in "${WORK_DIR}/absent.bin" --out "${WORK_DIR}/absent.deltas"
+  --epochs -1)
 # Vertex id and label 2^32 - 1 (graph::kInvalidVertex): `id + 1` wraps
 # to 0, so both inputs must be rejected before anything is sized by it.
 file(WRITE "${WORK_DIR}/cli_codes_overflow.deltas" "batch 1\n+ 0 4294967295\n")

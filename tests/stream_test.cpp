@@ -3,7 +3,7 @@
 //     BITWISE (weight-1 edges make every float sum order-independent);
 //   * warm-start detection stays within tolerance of a cold recompute
 //     after any delta sequence, for both warm backends;
-//   * the affected-vertex frontier obeys its documented closure rule.
+//   * a warm start's frontier is the delta's touched endpoints.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +21,6 @@
 #include "graph/builder.hpp"
 #include "stream/apply.hpp"
 #include "stream/delta_io.hpp"
-#include "stream/frontier.hpp"
 #include "stream/session.hpp"
 
 namespace {
@@ -159,37 +158,6 @@ TEST(StreamApply, DeleteThenReinsertReplacesWeight) {
   EXPECT_EQ(applied.inserted, 1u);
 }
 
-TEST(StreamFrontier, ClosureAndHops) {
-  // Path 0-1-2-3-4-5 with communities {0,1,2} and {3,4,5}.
-  Csr g = graph::build_csr(
-      6, {{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {3, 4, 1}, {4, 5, 1}});
-  const std::vector<Community> comm = {0, 0, 0, 1, 1, 1};
-
-  // Touched = {0}: closure pulls in all of community 0, not community 1.
-  std::vector<VertexId> touched = {0};
-  auto f = stream::compute_frontier(g, comm, touched, {});
-  EXPECT_EQ(f, (std::vector<VertexId>{0, 1, 2}));
-
-  // No closure: just the touched endpoints.
-  stream::FrontierOptions bare;
-  bare.community_closure = false;
-  f = stream::compute_frontier(g, comm, touched, bare);
-  EXPECT_EQ(f, (std::vector<VertexId>{0}));
-
-  // One hop from the closure crosses into community 1 via edge 2-3.
-  stream::FrontierOptions hop;
-  hop.hops = 1;
-  f = stream::compute_frontier(g, comm, touched, hop);
-  EXPECT_EQ(f, (std::vector<VertexId>{0, 1, 2, 3}));
-}
-
-TEST(StreamFrontier, NewVerticesAlwaysIncluded) {
-  Csr g = graph::build_csr(5, {{0, 1, 1}, {1, 2, 1}, {3, 4, 1}});
-  const std::vector<Community> comm = {0, 0, 0};  // vertices 3,4 are new
-  auto f = stream::compute_frontier(g, comm, {}, {});
-  EXPECT_EQ(f, (std::vector<VertexId>{3, 4}));
-}
-
 TEST(StreamDeltaIo, Roundtrip) {
   std::vector<stream::Delta> deltas(2);
   deltas[0].stamp = 1;
@@ -223,22 +191,23 @@ TEST(StreamDeltaIo, VertexIdBeyondTheIdSpaceIsInvalid) {
       << loaded.status().to_string();
 }
 
-class WarmVsColdTest : public testing::TestWithParam<const char*> {};
-
-TEST_P(WarmVsColdTest, ModularityWithinToleranceOverChurn) {
+/// Warm sessions on `backend` track a cold recompute over five epochs
+/// of `mode` churn.
+void expect_warm_tracks_cold(const char* backend, gen::ChurnMode mode) {
   auto sbm = small_sbm(17);
   gen::ChurnParams cp;
   cp.epochs = 5;
   cp.churn_fraction = 0.02;
+  cp.mode = mode;
   cp.seed = 23;
   const auto deltas = gen::churn(sbm.graph, sbm.ground_truth, cp);
 
   stream::SessionOptions so;
-  so.backend = GetParam();
+  so.backend = backend;
   auto session = stream::Session::open(sbm.graph, so);
   ASSERT_TRUE(session.ok()) << session.status().to_string();
 
-  auto detector = detect::make(GetParam());
+  auto detector = detect::make(backend);
   ASSERT_TRUE(detector.ok());
 
   Csr current = sbm.graph;
@@ -258,6 +227,18 @@ TEST_P(WarmVsColdTest, ModularityWithinToleranceOverChurn) {
   expect_bitwise_equal(session->graph(), current);
 }
 
+class WarmVsColdTest : public testing::TestWithParam<const char*> {};
+
+TEST_P(WarmVsColdTest, ModularityWithinToleranceOverChurn) {
+  expect_warm_tracks_cold(GetParam(), gen::ChurnMode::CommunityPreserving);
+}
+
+// Each epoch stitches two planted communities together, so a warm run
+// must merge what its seed keeps apart.
+TEST_P(WarmVsColdTest, ModularityWithinToleranceOverMergingChurn) {
+  expect_warm_tracks_cold(GetParam(), gen::ChurnMode::CommunityMerging);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, WarmVsColdTest,
                          testing::Values("core", "seq"));
 
@@ -271,6 +252,32 @@ TEST(StreamSession, EmptyDeltaIsNoop) {
   EXPECT_EQ(rep->frontier_size, 0u);
   EXPECT_EQ(rep->modularity, q0);
   EXPECT_EQ(session->epoch(), 1u);
+}
+
+TEST(StreamSession, FrontierIsTheTouchedEndpoints) {
+  auto sbm = small_sbm(43);
+  auto session = stream::Session::open(sbm.graph, {});
+  ASSERT_TRUE(session.ok());
+
+  // Delete one edge, and attach a new vertex n to three members of
+  // vertex 0's planted community.
+  const VertexId n = sbm.graph.num_vertices();
+  std::vector<VertexId> members;
+  for (VertexId v = 1; v < n && members.size() < 3; ++v) {
+    if (sbm.ground_truth[v] == sbm.ground_truth[0]) members.push_back(v);
+  }
+  ASSERT_EQ(members.size(), 3u);
+  stream::Delta delta;
+  delta.deletions.push_back({0, sbm.graph.neighbors(0)[0], 1.0});
+  for (const VertexId v : members) delta.insertions.push_back({n, v, 1.0});
+
+  auto rep = session->apply(delta);
+  ASSERT_TRUE(rep.ok()) << rep.status().to_string();
+  EXPECT_EQ(rep->frontier_size,
+            stream::apply_delta(sbm.graph, delta).touched.size());
+  const std::vector<Community>& community = session->community();
+  ASSERT_EQ(community.size(), n + 1);
+  for (const VertexId v : members) EXPECT_EQ(community[n], community[v]);
 }
 
 TEST(StreamSession, InvalidVertexIdIsRejectedAndLeavesSessionUnchanged) {

@@ -19,7 +19,9 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -70,8 +72,9 @@ int usage(const char* error = nullptr) {
                "            [--concurrent-shards] [--deadline MS]\n"
                "  stream    apply delta batches to a dynamic-graph session\n"
                "            --in FILE --deltas FILE [--backend core|seq]\n"
-               "            [--cold] [--hops H] [--no-closure] [--threads N]\n"
-               "            [--out FILE]\n"
+               "            [--cold] [--threads N] [--out FILE]\n"
+               "            warm runs move only the delta's touched endpoints\n"
+               "            at level 0; --cold recomputes from scratch\n"
                "  churn     generate timestamped delta batches\n"
                "            --in FILE --out FILE [--labels FILE] [--epochs E]\n"
                "            [--fraction F] [--mode preserve|merge] [--seed N]\n"
@@ -99,6 +102,7 @@ int usage(const char* error = nullptr) {
                "  auto    vector iff the CPU supports AVX2 (default)\n"
                "\n"
                "flag/exit-code matrix: flags a command does not declare,\n"
+               "  negative counts (--threads, --shards, --devices, ...),\n"
                "  unknown names for --backend or --device, and malformed\n"
                "  inputs (graph, deltas, labels) all exit 2 (invalid\n"
                "  argument).\n"
@@ -128,6 +132,23 @@ int reject_unknown(const util::Options& opt) {
     names += (names.empty() ? "--" : ", --") + key;
   }
   return fail_status(util::Status::invalid_argument("unknown flag: " + names));
+}
+
+/// Declare and read a count flag (threads, shards, devices, ...). A
+/// negative value would wrap to 2^32 - 1 or 2^64 - 1 in the cast, so
+/// it fails as an invalid argument (exit 2) here, before any input is
+/// read; so does a value the count type cannot hold.
+template <typename T>
+T get_count(util::Options& opt, const std::string& key, std::int64_t def,
+            const std::string& help) {
+  const std::int64_t value = opt.get_int(key, def, help);
+  if (value < 0 ||
+      static_cast<std::uint64_t>(value) > std::numeric_limits<T>::max()) {
+    throw std::invalid_argument("--" + key + " must be a count in [0, " +
+                                std::to_string(std::numeric_limits<T>::max()) +
+                                "], got " + std::to_string(value));
+  }
+  return static_cast<T>(value);
 }
 
 util::StatusOr<graph::Csr> load_required(const std::string& in) {
@@ -190,8 +211,8 @@ int cmd_detect(util::Options& opt) {
       opt.get_string("trace", "", "write chrome://tracing JSON here");
   const double t_bin = opt.get_double("tbin", 1e-2, "coarse threshold");
   const double t_final = opt.get_double("tfinal", 1e-6, "fine threshold");
-  const auto threads = static_cast<unsigned>(opt.get_int(
-      "threads", 0, "simt device worker threads (0 = hardware)"));
+  const auto threads = get_count<unsigned>(
+      opt, "threads", 0, "simt device worker threads (0 = hardware)");
   const bool verbose =
       opt.get_flag("verbose", "print per-level timings and device stats");
   const std::string device_arg = opt.get_string(
@@ -206,8 +227,8 @@ int cmd_detect(util::Options& opt) {
                                          .adaptive_limit = 100'000,
                                          .adaptive = true};
   options.threads = threads;
-  options.shards = static_cast<unsigned>(
-      opt.get_int("shards", 1, "shard count (shard backend only)"));
+  options.shards = get_count<unsigned>(opt, "shards", 1,
+                                       "shard count (shard backend only)");
   options.partition_seed = static_cast<std::uint64_t>(
       opt.get_int("partition-seed", 1, "random-partition seed"));
   options.concurrent_shards = opt.get_flag(
@@ -300,20 +321,19 @@ int cmd_batch(util::Options& opt) {
   const std::string manifest_path =
       opt.get_string("manifest", "", "manifest file: one `path [priority]` per line");
   svc::ServiceConfig cfg;
-  cfg.devices = static_cast<unsigned>(
-      opt.get_int("devices", 2, "pooled simt devices"));
-  cfg.device_threads = static_cast<unsigned>(opt.get_int(
-      "threads", 0, "simt worker threads per device (0 = hardware)"));
-  cfg.aux_workers = static_cast<unsigned>(
-      opt.get_int("aux", 1, "device-less workers for sequential jobs"));
-  cfg.queue_capacity = static_cast<std::size_t>(
-      opt.get_int("queue", 256, "pending-job bound (backpressure beyond)"));
-  cfg.cache_capacity = static_cast<std::size_t>(
-      opt.get_int("cache", 32, "result-cache entries (0 = off)"));
-  cfg.seq_cost_limit = static_cast<std::uint64_t>(opt.get_int(
-      "seq-limit", 1 << 13, "n+m at or below this runs on the seq backend"));
-  cfg.options.shards = static_cast<unsigned>(
-      opt.get_int("shards", 1, "shard count (shard backend only)"));
+  cfg.devices = get_count<unsigned>(opt, "devices", 2, "pooled simt devices");
+  cfg.device_threads = get_count<unsigned>(
+      opt, "threads", 0, "simt worker threads per device (0 = hardware)");
+  cfg.aux_workers = get_count<unsigned>(
+      opt, "aux", 1, "device-less workers for sequential jobs");
+  cfg.queue_capacity = get_count<std::size_t>(
+      opt, "queue", 256, "pending-job bound (backpressure beyond)");
+  cfg.cache_capacity = get_count<std::size_t>(
+      opt, "cache", 32, "result-cache entries (0 = off)");
+  cfg.seq_cost_limit = get_count<std::uint64_t>(
+      opt, "seq-limit", 1 << 13, "n+m at or below this runs on the seq backend");
+  cfg.options.shards = get_count<unsigned>(opt, "shards", 1,
+                                           "shard count (shard backend only)");
   cfg.options.concurrent_shards = opt.get_flag(
       "concurrent-shards", "run shards concurrently on pooled devices");
   const std::string partition_arg = opt.get_string(
@@ -450,13 +470,9 @@ int cmd_stream(util::Options& opt) {
   stream::SessionOptions so;
   so.backend = opt.get_string(
       "backend", "core", "warm backends: core | seq (others run cold)");
-  so.options.threads = static_cast<unsigned>(opt.get_int(
-      "threads", 0, "simt device worker threads (0 = hardware)"));
+  so.options.threads = get_count<unsigned>(
+      opt, "threads", 0, "simt device worker threads (0 = hardware)");
   so.warm = !opt.get_flag("cold", "full recompute per delta (the baseline)");
-  so.frontier.hops = static_cast<unsigned>(
-      opt.get_int("hops", 0, "extra frontier adjacency expansions"));
-  so.frontier.community_closure =
-      !opt.get_flag("no-closure", "frontier = touched endpoints only");
   if (const int rc = reject_unknown(opt)) return rc;
   auto loaded = load_required(in);
   if (!loaded.ok()) return fail_status(loaded.status());
@@ -509,8 +525,8 @@ int cmd_churn(util::Options& opt) {
   const std::string labels_path = opt.get_string(
       "labels", "", "community file (`v c` lines); default: seq detection");
   gen::ChurnParams params;
-  params.epochs = static_cast<std::uint64_t>(
-      opt.get_int("epochs", 8, "delta batches to generate"));
+  params.epochs =
+      get_count<std::uint64_t>(opt, "epochs", 8, "delta batches to generate");
   params.churn_fraction =
       opt.get_double("fraction", 0.01, "edges churned per epoch");
   params.seed = static_cast<std::uint64_t>(opt.get_int("seed", 1, "RNG seed"));
