@@ -4,12 +4,10 @@
 // published number/shape it reproduces, then its measured rows).
 #pragma once
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #if __has_include(<sys/resource.h>)
@@ -55,34 +53,16 @@ inline std::vector<std::string> graphs_from_options(util::Options& opt,
   return {which};
 }
 
-/// Per-level phase breakdown preserved for machine-readable output.
-struct PhaseLevel {
-  std::size_t vertices = 0;
-  int sweeps = 0;
-  double optimize_ms = 0;
-  double aggregate_ms = 0;
-  double modularity_after = 0;
-};
-
 struct AlgoRun {
   double seconds = 0;
   double modularity = 0;
   int levels = 0;
   double teps = 0;
-  std::vector<PhaseLevel> phase_levels;
 };
 
 inline AlgoRun make_algo_run(const LouvainResult& r) {
-  AlgoRun run{r.total_seconds, r.modularity, static_cast<int>(r.levels.size()),
-              r.first_phase_teps, {}};
-  run.phase_levels.reserve(r.levels.size());
-  for (const auto& level : r.levels) {
-    run.phase_levels.push_back({level.vertices, level.iterations,
-                                level.optimize_seconds * 1e3,
-                                level.aggregate_seconds * 1e3,
-                                level.modularity_after});
-  }
-  return run;
+  return {r.total_seconds, r.modularity, static_cast<int>(r.levels.size()),
+          r.first_phase_teps};
 }
 
 inline AlgoRun run_seq(const graph::Csr& g, bool adaptive,
@@ -115,124 +95,6 @@ inline std::uint64_t peak_rss_bytes() {
 #endif
   return 0;
 }
-
-/// Machine-readable benchmark output (schemas/bench.schema.json):
-/// one JSON document per harness invocation, one entry per (graph,
-/// backend) run, with the per-level phase breakdown attached. The CI
-/// bench-smoke job diffs these against bench/baselines/.
-class JsonReport {
- public:
-  explicit JsonReport(std::string bench) : bench_(std::move(bench)) {}
-
-  void set_param(const std::string& key, double value) {
-    params_.emplace_back(key, value);
-  }
-
-  void add_run(const std::string& graph, const std::string& backend,
-               std::size_t vertices, std::size_t edges, const AlgoRun& run) {
-    Row row;
-    row.graph = graph;
-    row.backend = backend;
-    row.metrics = {{"vertices", static_cast<double>(vertices)},
-                   {"edges", static_cast<double>(edges)},
-                   {"seconds", run.seconds},
-                   {"modularity", run.modularity},
-                   {"levels", static_cast<double>(run.levels)},
-                   {"teps", run.teps}};
-    row.levels = run.phase_levels;
-    rows_.push_back(std::move(row));
-  }
-
-  /// Free-form entry (streaming bench epochs and other non-AlgoRun
-  /// shapes): any set of numeric metrics under a graph/backend pair.
-  void add_metrics(const std::string& graph, const std::string& backend,
-                   std::vector<std::pair<std::string, double>> metrics) {
-    rows_.push_back({graph, backend, std::move(metrics), {}, {}});
-  }
-
-  /// Flag metric names of the LAST added run as diagnostic: recorded
-  /// for humans, never gated (tools/bench_check.py skips them). Use
-  /// for wall-clock figures that swing with machine load — e.g. the
-  /// shard critical-path seconds next to the deterministic work units.
-  void mark_diagnostic(std::vector<std::string> names) {
-    if (!rows_.empty()) rows_.back().diagnostic = std::move(names);
-  }
-
-  /// Write the document; returns false (with a note on stderr) if the
-  /// path cannot be opened. Peak RSS is sampled here, after the runs.
-  bool write(const std::string& path) const {
-    std::ofstream os(path);
-    if (!os) {
-      std::fprintf(stderr, "cannot write bench json %s\n", path.c_str());
-      return false;
-    }
-    os << "{\n  \"schema\": \"glouvain-bench-1\",\n";
-    os << "  \"bench\": \"" << bench_ << "\",\n";
-    os << "  \"params\": {";
-    for (std::size_t i = 0; i < params_.size(); ++i) {
-      os << (i ? ", " : "") << '"' << params_[i].first
-         << "\": " << number(params_[i].second);
-    }
-    os << "},\n";
-    os << "  \"peak_rss_bytes\": " << peak_rss_bytes() << ",\n";
-    os << "  \"runs\": [\n";
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      const Row& row = rows_[i];
-      os << "    {\"graph\": \"" << row.graph << "\", \"backend\": \""
-         << row.backend << "\", \"metrics\": {";
-      for (std::size_t k = 0; k < row.metrics.size(); ++k) {
-        os << (k ? ", " : "") << '"' << row.metrics[k].first
-           << "\": " << number(row.metrics[k].second);
-      }
-      os << "}";
-      if (!row.diagnostic.empty()) {
-        os << ", \"diagnostic\": [";
-        for (std::size_t d = 0; d < row.diagnostic.size(); ++d) {
-          os << (d ? ", " : "") << '"' << row.diagnostic[d] << '"';
-        }
-        os << "]";
-      }
-      if (!row.levels.empty()) {
-        os << ", \"levels\": [";
-        for (std::size_t l = 0; l < row.levels.size(); ++l) {
-          const PhaseLevel& level = row.levels[l];
-          os << (l ? ", " : "") << "{\"vertices\": " << level.vertices
-             << ", \"sweeps\": " << level.sweeps
-             << ", \"optimize_ms\": " << number(level.optimize_ms)
-             << ", \"aggregate_ms\": " << number(level.aggregate_ms)
-             << ", \"modularity_after\": " << number(level.modularity_after)
-             << "}";
-        }
-        os << "]";
-      }
-      os << "}" << (i + 1 < rows_.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
-    std::printf("bench json written to %s\n", path.c_str());
-    return true;
-  }
-
- private:
-  struct Row {
-    std::string graph;
-    std::string backend;
-    std::vector<std::pair<std::string, double>> metrics;
-    std::vector<PhaseLevel> levels;
-    std::vector<std::string> diagnostic;  ///< metric names never gated
-  };
-
-  /// JSON has no NaN/Inf literals; clamp them to null-safe 0.
-  static std::string number(double v) {
-    if (!std::isfinite(v)) return "0";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-  }
-
-  std::string bench_;
-  std::vector<std::pair<std::string, double>> params_;
-  std::vector<Row> rows_;
-};
 
 /// `--trace PREFIX` support: when the flag is set, returns a live
 /// Recorder for each named run and writes PREFIX-<tag>.json after it.

@@ -16,8 +16,6 @@ int main(int argc, char** argv) {
   const std::int64_t seed = opt.get_int("seed", 1, "generator seed");
   const auto limit = static_cast<graph::VertexId>(
       opt.get_int("adaptive-limit", 2000, "t_bin applies while |V| > limit"));
-  const std::string json_path = opt.get_string(
-      "json", "", "write machine-readable results to this file");
   const auto graphs = bench::graphs_from_options(opt);
   if (opt.help_requested()) {
     std::printf("%s", opt.usage("Figures 3-4: speedup vs (adaptive) sequential").c_str());
@@ -28,11 +26,6 @@ int main(int argc, char** argv) {
                 "Fig 3: GPU speedup 2.7-312x (avg 41.7) vs original sequential. "
                 "Fig 4: adaptive sequential is ~7.3x faster than original "
                 "(-0.13% modularity), leaving GPU speedups of 1-27x (avg 6.7)");
-
-  bench::JsonReport report("fig3_4_speedup");
-  report.set_param("scale", scale);
-  report.set_param("seed", static_cast<double>(seed));
-  report.set_param("adaptive_limit", static_cast<double>(limit));
 
   util::Table table({"graph", "seq[s]", "seq-adapt[s]", "gpu[s]",
                      "fig3 speedup", "fig4 speedup", "Q(seq)", "Q(adapt)",
@@ -57,13 +50,6 @@ int main(int argc, char** argv) {
     gpu_cfg.thresholds = bench::paper_thresholds();
     gpu_cfg.thresholds.adaptive_limit = limit;
     const auto gpu = core::louvain(g, gpu_cfg);
-
-    report.add_run(name, "seq", g.num_vertices(), g.num_edges(),
-                   bench::make_algo_run(orig));
-    report.add_run(name, "seq-adaptive", g.num_vertices(), g.num_edges(),
-                   bench::make_algo_run(adapt));
-    report.add_run(name, "core", g.num_vertices(), g.num_edges(),
-                   bench::make_algo_run(gpu));
 
     const double s3 = orig.total_seconds / std::max(gpu.total_seconds, 1e-9);
     const double s4 = adapt.total_seconds / std::max(gpu.total_seconds, 1e-9);
@@ -92,6 +78,5 @@ int main(int argc, char** argv) {
               "hardware threads; the paper's K40m has 2880 cores. The shape "
               "to check: fig4 << fig3, adaptive gain >> 1.\n",
               std::thread::hardware_concurrency());
-  if (!json_path.empty() && !report.write(json_path)) return 1;
   return 0;
 }

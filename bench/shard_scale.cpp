@@ -9,10 +9,10 @@
 // wait on (see DESIGN.md §14). With --concurrent each sequential run
 // is paired with a concurrent one: the same k shards as Jacobi rounds
 // on k pooled devices (simt::DevicePool), where wall-clock DOES
-// shrink — the measured sequential/concurrent ratio is reported as
-// shard/concurrent_speedup.
+// shrink — the measured sequential/concurrent ratio is the speedup
+// column.
 //
-// Gates (exit 1 on failure; the CI shard-smoke job runs these):
+// Gates (exit 1 on failure; the CI bench-gates job runs these):
 //   * k = 1 is bitwise-identical to the core backend, sequential AND
 //     (with --concurrent) concurrent;
 //   * quality stays >= 98% of sequential Louvain at every sharded k
@@ -39,7 +39,6 @@
 
 #include "gen/rmat.hpp"
 #include "shard/engine.hpp"
-#include "shard/plan_cache.hpp"
 
 using namespace glouvain;
 
@@ -83,7 +82,6 @@ int main(int argc, char** argv) {
                                  "(pooled-device Jacobi) variant");
   const auto max_k = static_cast<unsigned>(
       opt.get_int("max-k", full ? 8 : 4, "largest shard count in the ladder"));
-  const std::string json = opt.get_string("json", "", "bench JSON output file");
   if (opt.help_requested()) {
     std::printf("%s", opt.usage("sharded multi-device scaling").c_str());
     return 0;
@@ -254,62 +252,5 @@ int main(int argc, char** argv) {
               "speedups are diagnostics unless the host has the cores to "
               "make them physical.\n");
 
-  if (!json.empty()) {
-    const shard::PlanCache::Stats plan = shard::plan_cache().stats();
-    bench::JsonReport report("shard_scale");
-    report.set_param("scale", static_cast<double>(scale));
-    report.set_param("edge_factor", edge_factor);
-    report.set_param("seed", static_cast<double>(seed));
-    report.set_param("concurrent", concurrent ? 1.0 : 0.0);
-    report.set_param("max_k", static_cast<double>(max_k));
-    report.add_metrics("rmat", "seq",
-                       {{"vertices", static_cast<double>(g.num_vertices())},
-                        {"edges", static_cast<double>(g.num_edges())},
-                        {"seconds", seq.seconds},
-                        {"levels", static_cast<double>(seq.levels)},
-                        {"modularity", seq.modularity}});
-    report.add_metrics("rmat", "core",
-                       {{"seconds", core_r.total_seconds},
-                        {"levels", static_cast<double>(core_r.levels.size())},
-                        {"modularity", core_r.modularity}});
-    for (const ShardRun& run : runs) {
-      const auto& r = run.result;
-      std::string name =
-          run.k == 1 ? std::string("shard-1")
-                     : std::string("shard-") + run.partition + "-" +
-                           std::to_string(run.k);
-      if (run.concurrent) name += "-conc";
-      std::vector<std::pair<std::string, double>> metrics = {
-          {"shards", static_cast<double>(run.k)},
-          {"seconds", run.seconds},
-          {"levels", static_cast<double>(r.levels.size())},
-          {"modularity", r.modularity},
-          {"quality_vs_seq",
-           seq.modularity > 1e-9 ? r.modularity / seq.modularity : 1.0},
-          {"shard/critical_s", r.critical_seconds},
-          {"shard/critical_work", r.critical_work},
-          {"shard/cut_fraction", r.partition.cut_fraction},
-          {"shard/ghost_ratio", r.partition.ghost_ratio},
-          {"shard/imbalance", r.partition.imbalance},
-          {"shard/replicated_hubs",
-           static_cast<double>(r.partition.replicated_hubs)},
-          {"shard/exchange_rounds", static_cast<double>(r.exchange_rounds)},
-          {"cache/plan_hits", static_cast<double>(r.plan_hits)},
-          {"cache/plan_misses", static_cast<double>(r.plan_misses)},
-          {"gates_pass", ok ? 1.0 : 0.0}};
-      std::vector<std::string> diagnostic = {"shard/critical_s"};
-      if (run.concurrent) {
-        metrics.emplace_back("shard/concurrent_devices",
-                             static_cast<double>(r.devices_used));
-        metrics.emplace_back("shard/concurrent_speedup", run.speedup);
-        diagnostic.emplace_back("shard/concurrent_speedup");
-      }
-      report.add_metrics("rmat", name, std::move(metrics));
-      report.mark_diagnostic(std::move(diagnostic));
-    }
-    report.set_param("plan_cache_hits", static_cast<double>(plan.hits));
-    report.set_param("plan_cache_misses", static_cast<double>(plan.misses));
-    if (!report.write(json)) return 4;
-  }
   return ok ? 0 : 1;
 }

@@ -16,8 +16,6 @@ int main(int argc, char** argv) {
   const double scale = opt.get_double("scale", 0.1, "suite size multiplier");
   const std::int64_t seed = opt.get_int("seed", 1, "generator seed");
   const bool skip_seq = opt.get_flag("skip-seq", "only run the GPU-style algorithm");
-  const std::string json_path = opt.get_string(
-      "json", "", "write machine-readable results to this file");
   const int repeat = static_cast<int>(opt.get_int(
       "repeat", 1, "timed runs per graph; the fastest is reported"));
   const auto graphs = bench::graphs_from_options(opt);
@@ -30,11 +28,6 @@ int main(int argc, char** argv) {
                 "sequential Louvain 2.27s-934s per graph on a Xeon i5-6600; "
                 "GPU 0.15s-26.1s on a K40m; GPU faster on all 55 graphs");
 
-  bench::JsonReport report("table1_suite");
-  report.set_param("scale", scale);
-  report.set_param("seed", static_cast<double>(seed));
-  report.set_param("repeat", static_cast<double>(repeat));
-
   util::Table table({"graph", "stands in for", "|V|", "|E|", "deg(avg)",
                      "seq[s]", "gpu[s]", "vec[s]", "speedup", "Q(seq)",
                      "Q(gpu)"});
@@ -43,8 +36,8 @@ int main(int argc, char** argv) {
     const auto g = entry.build(scale, static_cast<std::uint64_t>(seed));
     const auto stats = graph::degree_stats(g);
 
-    // Best-of-N damps scheduler noise so the CI baseline check can use
-    // a tight tolerance; partitions are identical across repeats.
+    // Best-of-N damps scheduler noise; partitions are identical across
+    // repeats.
     bench::AlgoRun seq_run{};
     if (!skip_seq) {
       seq_run = bench::run_seq(g, /*adaptive=*/false);
@@ -52,12 +45,10 @@ int main(int argc, char** argv) {
         const auto again = bench::run_seq(g, /*adaptive=*/false);
         if (again.seconds < seq_run.seconds) seq_run = again;
       }
-      report.add_run(name, "seq", g.num_vertices(), g.num_edges(), seq_run);
     }
     // "core" is pinned to the scalar lane substrate — the bitwise
-    // reference whose timings stay comparable across baseline
-    // refreshes regardless of the host's vector ISA. The vector
-    // substrate gets its own gated (graph, "core-vector") rows.
+    // reference, whatever the host's vector ISA. The vector substrate
+    // gets its own column.
     core::Config scalar_cfg;
     scalar_cfg.device.backend = simt::Backend::kScalar;
     auto core_run = bench::run_core(g, scalar_cfg);
@@ -65,7 +56,6 @@ int main(int argc, char** argv) {
       auto again = bench::run_core(g, scalar_cfg);
       if (again.seconds < core_run.seconds) core_run = std::move(again);
     }
-    report.add_run(name, "core", g.num_vertices(), g.num_edges(), core_run);
 
     core::Config vector_cfg;
     vector_cfg.device.backend = simt::Backend::kVector;
@@ -74,8 +64,6 @@ int main(int argc, char** argv) {
       auto again = bench::run_core(g, vector_cfg);
       if (again.seconds < vec_run.seconds) vec_run = std::move(again);
     }
-    report.add_run(name, "core-vector", g.num_vertices(), g.num_edges(),
-                   vec_run);
 
     table.add_row({name, entry.paper_graph, util::Table::count(g.num_vertices()),
                    util::Table::count(g.num_edges()),
@@ -93,6 +81,5 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::printf("\nnote: sizes are scaled to this container (--scale %.2f); the "
               "paper's originals are 10-100x larger.\n", scale);
-  if (!json_path.empty() && !report.write(json_path)) return 1;
   return 0;
 }

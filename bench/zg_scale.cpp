@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
   const std::int64_t seed = opt.get_int("seed", 1, "generator seed");
   const auto repeat =
       static_cast<int>(opt.get_int("repeat", 1, "timed runs per mode (min)"));
-  const std::string json = opt.get_string("json", "", "bench JSON output file");
   const std::string zg_path = opt.get_string(
       "zg", "zg_scale.zg", "container written for (and mapped by) mmap mode");
   if (opt.help_requested()) {
@@ -95,7 +94,6 @@ int main(int argc, char** argv) {
     detect::Result result;
     double decode_ns = 0;
     double reseeks = 0;
-    double bytes_ht = 0;
   };
   std::vector<ModeResult> modes;
 
@@ -117,7 +115,6 @@ int main(int argc, char** argv) {
     }
     mr.decode_ns = counter_total(rec, "zg/decode_ns") / repeat;
     mr.reseeks = counter_total(rec, "zg/reseeks") / repeat;
-    mr.bytes_ht = counter_total(rec, "zg/bytes_ht") / repeat;
     modes.push_back(std::move(mr));
   };
 
@@ -154,37 +151,5 @@ int main(int argc, char** argv) {
   std::printf("peak RSS: %.1f MiB (whole process; plain arrays dominate)\n",
               static_cast<double>(bench::peak_rss_bytes()) / (1024.0 * 1024.0));
 
-  if (!json.empty()) {
-    bench::JsonReport report("zg_scale");
-    report.set_param("scale", scale);
-    report.set_param("edge_factor", edge_factor);
-    report.set_param("seed", static_cast<double>(seed));
-    report.set_param("repeat", repeat);
-    for (const ModeResult& mr : modes) {
-      std::vector<std::pair<std::string, double>> metrics = {
-          {"vertices", static_cast<double>(g.num_vertices())},
-          {"edges", static_cast<double>(g.num_edges())},
-          {"seconds", mr.seconds},
-          {"modularity", mr.result.modularity},
-          {"levels", static_cast<double>(mr.result.levels.size())},
-          {"identical", identical ? 1.0 : 0.0},
-      };
-      if (mr.name != "plain") {
-        metrics.emplace_back("zg/bytes_adj",
-                             static_cast<double>(z.bytes_stream()));
-        metrics.emplace_back("zg/bytes_index",
-                             static_cast<double>(z.bytes_index()));
-        metrics.emplace_back("zg/plain_bytes",
-                             static_cast<double>(z.plain_bytes()));
-        metrics.emplace_back("zg/ratio",
-                             static_cast<double>(z.plain_bytes()) / packed);
-        metrics.emplace_back("zg/decode_ns", mr.decode_ns);
-        metrics.emplace_back("zg/reseeks", mr.reseeks);
-      }
-      if (mr.bytes_ht > 0) metrics.emplace_back("zg/bytes_ht", mr.bytes_ht);
-      report.add_metrics("rmat", mr.name, std::move(metrics));
-    }
-    if (!report.write(json)) return 4;
-  }
   return identical ? 0 : 1;
 }

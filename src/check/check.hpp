@@ -11,9 +11,8 @@
 //
 // This header is the hook surface. Every function below compiles to an
 // empty inline when GLOUVAIN_SIMTCHECK is not defined, so release
-// builds carry zero instrumentation (verified by the bench-smoke CI
-// gate). Under `cmake --preset check` the hooks feed a process-global
-// shadow map (registry.cpp):
+// builds carry zero instrumentation. Under `cmake --preset check` the
+// hooks feed a process-global shadow map (registry.cpp):
 //
 //   * each instrumented address carries {launch epoch, task id, access
 //     kind, arena generation};
@@ -25,9 +24,8 @@
 //     overruns, workspace aliasing across threads) report directly.
 //
 // Violations accumulate in a registry; report() snapshots them as a
-// check::Report with a util::Status surface, mirroring trace_check and
-// bench_check. The instrumented tests gate on it under `ctest -L
-// simtcheck`.
+// check::Report with a util::Status surface, mirroring trace_check.
+// The instrumented tests gate on it under `ctest -L simtcheck`.
 #pragma once
 
 #include <cstddef>
