@@ -70,8 +70,16 @@ AggregationResult aggregate_impl(simt::Device& device, Rows& rows,
   const VertexId num_communities = prim::exclusive_scan(
       std::span<const VertexId>(flags.data(), n), std::span<VertexId>(new_id),
       ws.scratch(), pool);
+  // old_id inverts new_id, so the compaction below launches one task per
+  // surviving community: a warm level's dense low labels would otherwise
+  // put every live row into the first scheduling chunk of n tasks.
+  auto old_id = ws.buffer<VertexId>(Slot::kAggOldId, num_communities);
   device.for_each(n, [&](std::size_t c) {
-    if (!com_size[c]) new_id[c] = graph::kInvalidVertex;
+    if (com_size[c]) {
+      old_id[new_id[c]] = static_cast<VertexId>(c);
+    } else {
+      new_id[c] = graph::kInvalidVertex;
+    }
   });
 
   // --- Task (iii): scratch edge storage bounded by the degree sums
@@ -215,10 +223,8 @@ AggregationResult aggregate_impl(simt::Device& device, Rows& rows,
   obs::Span compact_span(rec, "aggregate/compact");
   check::KernelScope compact_scope("aggregate/compact");
   auto new_degree = ws.buffer<EdgeIdx>(Slot::kAggNewDegree, num_communities);
-  device.for_each(n, [&](std::size_t c) {
-    if (new_id[c] != graph::kInvalidVertex) {
-      new_degree[new_id[c]] = merged_degree[c];
-    }
+  device.for_each(num_communities, [&](std::size_t i) {
+    new_degree[i] = merged_degree[old_id[i]];
   });
   std::vector<EdgeIdx> offsets =
       ws.take<EdgeIdx>(static_cast<std::size_t>(num_communities) + 1);
@@ -230,11 +236,10 @@ AggregationResult aggregate_impl(simt::Device& device, Rows& rows,
       ws.take<VertexId>(static_cast<std::size_t>(offsets[num_communities]));
   std::vector<Weight> w =
       ws.take<Weight>(static_cast<std::size_t>(offsets[num_communities]));
-  device.launch(n, 0, [&](simt::TaskContext& ctx) {
-    const std::size_t c = ctx.task();
-    if (new_id[c] == graph::kInvalidVertex) return;
+  device.launch(num_communities, 0, [&](simt::TaskContext& ctx) {
+    const VertexId c = old_id[ctx.task()];
     const EdgeIdx src = edge_pos[c];
-    const EdgeIdx dst = offsets[new_id[c]];
+    const EdgeIdx dst = offsets[ctx.task()];
     const EdgeIdx deg = merged_degree[c];
     if (deg == 0) return;
     // Library-wide Csr invariant: rows sorted by neighbor id. The hash

@@ -70,6 +70,7 @@ class Workspace {
     kAggTmpW,            ///< merged-row scratch weights
     kAggMergedDegree,    ///< compacted row widths
     kAggNewDegree,       ///< row widths under new ids
+    kAggOldId,           ///< new vertex id -> old community label
     // --- level driver (core/louvain.cpp) ---
     kFoldDense,          ///< per-level dense mapping before push_level
     // --- stream CSR rebuild (stream/apply.cpp) ---

@@ -459,17 +459,22 @@ std::shared_ptr<const Plan> Engine::plan_for(const Csr& graph, unsigned k,
                                              Result& result) {
   const PartitionConfig pcfg{k, config_.partition, config_.partition_seed,
                              config_.hub_degree};
-  const PlanKey key = plan_key(graph, pcfg);
-  std::shared_ptr<const Plan> plan = plan_cache().get(key);
-  if (plan) {
-    ++result.plan_hits;
-    if (rec) rec->count("cache/plan_hit", 1);
-    return plan;
+  // A disabled cache can never hit, so it costs no fingerprint pass.
+  const bool cached = config_.plan_cache_capacity > 0;
+  PlanKey key;
+  if (cached) {
+    key = plan_key(graph, pcfg);
+    if (std::shared_ptr<const Plan> plan = plan_cache().get(key)) {
+      ++result.plan_hits;
+      if (rec) rec->count("cache/plan_hit", 1);
+      return plan;
+    }
   }
   ++result.plan_misses;
   if (rec) rec->count("cache/plan_miss", 1);
-  auto built = std::make_shared<const Plan>(make_plan(graph, pcfg));
-  plan_cache().put(key, built);
+  auto built = std::make_shared<const Plan>(
+      make_plan(graph, pcfg, core_.device().pool()));
+  if (cached) plan_cache().put(key, built);
   return built;
 }
 

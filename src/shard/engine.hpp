@@ -156,7 +156,8 @@ class Engine {
   unsigned shards_for(graph::VertexId n) const noexcept;
 
   /// Fetch (or build and insert) the partition plan of `graph` through
-  /// the process-wide plan cache.
+  /// the process-wide plan cache; with caching disabled, build it on the
+  /// engine's device without computing its key.
   std::shared_ptr<const Plan> plan_for(const graph::Csr& graph, unsigned k,
                                        obs::Recorder* rec, Result& result);
 

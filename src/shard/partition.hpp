@@ -36,6 +36,7 @@
 
 #include "detect/options.hpp"
 #include "graph/csr.hpp"
+#include "simt/thread_pool.hpp"
 
 namespace glouvain::shard {
 
@@ -107,6 +108,9 @@ struct Plan {
 /// a given (graph, config): block boundaries come from the degree
 /// prefix sum, random assignment from hash64(v ^ seed), and hubrep
 /// from the neighbour-plurality rule with lowest-shard tie-breaks.
-Plan make_plan(const graph::Csr& graph, const PartitionConfig& config);
+/// Every pass but the hub placement runs data-parallel on `pool`; the
+/// plan is the same bits for any pool size.
+Plan make_plan(const graph::Csr& graph, const PartitionConfig& config,
+               simt::ThreadPool& pool = simt::ThreadPool::global());
 
 }  // namespace glouvain::shard

@@ -44,7 +44,8 @@ struct PlanKeyHash {
 };
 
 /// Build the cache key for partitioning `graph` under `config`.
-/// O(n + m) — the fingerprint pass; cheap next to make_plan.
+/// O(n + m) — one serial fingerprint pass, which the engine skips when
+/// plan caching is disabled.
 PlanKey plan_key(const graph::Csr& graph, const PartitionConfig& config);
 
 using PlanCache = util::LruCache<PlanKey, Plan, PlanKeyHash>;

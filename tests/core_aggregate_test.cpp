@@ -140,6 +140,36 @@ TEST(Aggregate, NewIdIsDenseAndOrdered) {
   EXPECT_EQ(expected, agg.contracted.num_vertices());
 }
 
+TEST(Aggregate, DenseLowLabelsContractLikeMinimumMemberLabels) {
+  // A warm level's seed labels are dense low ids, so every live
+  // community sits in the first few label slots; a cold level labels a
+  // community by one of its members. One partition labelled both ways,
+  // in the same community order, must contract to the same graph.
+  const Csr g = gen::erdos_renyi(20000, 120000, 37);
+  const VertexId n = g.num_vertices();
+  const auto part = random_partition(n, 300, 41);
+  std::vector<Community> min_member(n, graph::kInvalidVertex);
+  std::vector<Community> rank(n, graph::kInvalidVertex);
+  Community next = 0;
+  for (VertexId v = 0; v < n; ++v) {  // ascending: v is a first member
+    if (rank[part[v]] == graph::kInvalidVertex) {
+      rank[part[v]] = next++;
+      min_member[part[v]] = v;
+    }
+  }
+  std::vector<Community> dense(n), by_min(n);
+  for (VertexId v = 0; v < n; ++v) {
+    dense[v] = rank[part[v]];
+    by_min[v] = min_member[part[v]];
+  }
+  simt::Device device;
+  const AggregationResult low = aggregate(device, g, Config{}, dense);
+  const AggregationResult high = aggregate(device, g, Config{}, by_min);
+  EXPECT_EQ(low.num_communities, next);
+  EXPECT_EQ(high.num_communities, next);
+  EXPECT_EQ(low.contracted, high.contracted);
+}
+
 TEST(Aggregate, EmptyGraph) {
   const Csr g = graph::build_csr(0, {});
   simt::Device device;

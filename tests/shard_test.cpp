@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 
 #include "core/louvain.hpp"
 #include "detect/detector.hpp"
@@ -24,6 +25,7 @@
 #include "shard/plan_cache.hpp"
 #include "simt/device_pool.hpp"
 #include "svc/fingerprint.hpp"
+#include "util/prng.hpp"
 
 namespace glouvain::shard {
 namespace {
@@ -217,6 +219,68 @@ TEST(Partition, HubRepReplicatesHighDegreeRows) {
     } else {
       EXPECT_EQ(plan.shards[s].num_ghost, 0u);
       EXPECT_EQ(plan.shards[s].num_replica, 1u);
+    }
+  }
+}
+
+/// Field-by-field equality, floating-point fields compared exactly.
+void expect_same_plan(const Plan& a, const Plan& b) {
+  EXPECT_EQ(a.num_shards, b.num_shards);
+  EXPECT_EQ(a.owner, b.owner);
+  ASSERT_EQ(a.shards.size(), b.shards.size());
+  for (std::size_t s = 0; s < a.shards.size(); ++s) {
+    const Shard& x = a.shards[s];
+    const Shard& y = b.shards[s];
+    EXPECT_EQ(x.global_of, y.global_of) << "shard " << s;
+    EXPECT_EQ(x.local, y.local) << "shard " << s;  // the three Csr arrays
+    EXPECT_EQ(x.num_owned, y.num_owned);
+    EXPECT_EQ(x.num_replica, y.num_replica);
+    EXPECT_EQ(x.num_ghost, y.num_ghost);
+    EXPECT_EQ(x.pad_weight, y.pad_weight) << "shard " << s;
+    EXPECT_EQ(x.owned_edges, y.owned_edges);
+  }
+  EXPECT_EQ(a.stats.cut_edges, b.stats.cut_edges);
+  EXPECT_EQ(a.stats.cut_fraction, b.stats.cut_fraction);
+  EXPECT_EQ(a.stats.ghost_ratio, b.stats.ghost_ratio);
+  EXPECT_EQ(a.stats.imbalance, b.stats.imbalance);
+  EXPECT_EQ(a.stats.replicated_hubs, b.stats.replicated_hubs);
+  EXPECT_EQ(a.exchange.values, b.exchange.values);
+}
+
+TEST(Partition, PlanIdenticalAcrossWorkerCounts) {
+  // Large enough that the scans and the owner sort take their chunked
+  // parallel paths. The second graph carries non-integer weights, whose
+  // pad sums would differ if any sum followed the schedule.
+  const Csr g = gen::rmat({.scale = 16, .edge_factor = 1}, 19);
+  std::vector<graph::Edge> edges;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    for (const VertexId u : g.neighbors(v)) {
+      if (u < v) continue;
+      edges.push_back(
+          {v, u, 0.1 + static_cast<double>(util::hash64(v * 131071ull + u) %
+                                           1000) / 997.0});
+    }
+  }
+  const Csr weighted = graph::build_csr(g.num_vertices(), std::move(edges));
+  simt::ThreadPool one(1), two(2), four(4);
+  for (const Csr* graph : {&g, &weighted}) {
+    for (const auto strategy :
+         {detect::Partition::kBlock, detect::Partition::kRandom,
+          detect::Partition::kHubRep}) {
+      for (const unsigned k : {2u, 3u, 8u}) {
+        SCOPED_TRACE(std::string(partition_name(strategy)) +
+                     " k=" + std::to_string(k));
+        PartitionConfig pc;
+        pc.num_shards = k;
+        pc.strategy = strategy;
+        pc.hub_degree = 48;
+        const Plan reference = make_plan(*graph, pc, one);
+        if (strategy == detect::Partition::kHubRep) {
+          EXPECT_GT(reference.stats.replicated_hubs, 0u);
+        }
+        expect_same_plan(make_plan(*graph, pc, two), reference);
+        expect_same_plan(make_plan(*graph, pc, four), reference);
+      }
     }
   }
 }
@@ -480,6 +544,35 @@ TEST(PlanCache, EngineReusesCachedPlans) {
   EXPECT_EQ(r2.plan_misses, 0u);
   EXPECT_EQ(r2.plan_hits, r1.plan_misses);
   EXPECT_EQ(r2.community, r1.community);  // cached plans, same answer
+}
+
+TEST(PlanCache, DisabledCacheIsNeverConsulted) {
+  // With capacity 0 the engine builds every plan without a key: the
+  // cache sees no lookups and no insertions, the run still counts one
+  // miss per sharded level, and the answer is the cached engine's.
+  const auto bench = gen::lfr({.num_vertices = 4096, .mu = 0.25, .seed = 31});
+  const shard::Config cached = sharded_config(2, false);
+  plan_cache().clear();
+  const Result reference = Engine(cached).run(bench.graph);
+
+  shard::Config uncached = cached;
+  uncached.plan_cache_capacity = 0;
+  Engine engine(uncached);
+  const PlanCache::Stats before = plan_cache().stats();
+  const Result r = engine.run(bench.graph);
+  const PlanCache::Stats after = plan_cache().stats();
+  EXPECT_EQ(after.insertions, before.insertions);
+  EXPECT_EQ(after.hits + after.misses, before.hits + before.misses);
+
+  const auto sharded_levels = std::count_if(
+      r.levels.begin(), r.levels.end(), [&](const LevelReport& l) {
+        return l.vertices / uncached.min_shard_vertices >= 2;
+      });
+  EXPECT_GT(sharded_levels, 0);
+  EXPECT_EQ(r.plan_misses, static_cast<std::uint64_t>(sharded_levels));
+  EXPECT_EQ(r.plan_hits, 0u);
+  EXPECT_EQ(r.community, reference.community);
+  EXPECT_EQ(r.modularity, reference.modularity);  // the same bits
 }
 
 TEST(Fingerprint, JobKeyAbsorbsShardKnobs) {
