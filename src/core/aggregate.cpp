@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <string>
 #include <string_view>
 
@@ -27,6 +28,51 @@ using graph::Csr;
 using graph::EdgeIdx;
 using graph::VertexId;
 using graph::Weight;
+
+/// Communities whose member degrees sum to at most this many arcs
+/// merge in registers instead of a hash table.
+constexpr EdgeIdx kSmallMergeArcs = 16;
+
+/// mergeCommunity for one community of at most kSmallMergeArcs arcs:
+/// (neighbour community, weight) pairs in a fixed array, found by
+/// linear search. Members come in `com` order and each row in
+/// adjacency order, self-loops included: the order the table adds in,
+/// so every super-edge weight has the table path's bits. The pairs
+/// are emitted in first-seen order; compaction sorts each row, so the
+/// contracted graph does not depend on it.
+template <typename Rows>
+void merge_small(Rows& rows, unsigned worker,
+                 std::span<const Community> community,
+                 std::span<const VertexId> members,
+                 std::span<const VertexId> new_id, std::span<VertexId> out_adj,
+                 std::span<Weight> out_w, EdgeIdx& out_degree) {
+  std::array<Community, kSmallMergeArcs> keys;
+  std::array<Weight, kSmallMergeArcs> weights;
+  EdgeIdx n = 0;
+  for (const VertexId v : members) {
+    const RowView r = rows.row(v, worker);
+    for (std::uint32_t i = 0; i < r.deg; ++i) {
+      const Community to = community[r.adj[i]];
+      EdgeIdx at = 0;
+      while (at < n && keys[at] != to) ++at;
+      if (at == n) {
+        assert(n < kSmallMergeArcs);  // the caller bounds the arc sum
+        keys[n] = to;
+        weights[n++] = r.w[i];
+      } else {
+        weights[at] += r.w[i];
+      }
+    }
+  }
+  for (EdgeIdx i = 0; i < n; ++i) {
+    check::note_plain_write(&out_adj[i]);
+    out_adj[i] = new_id[keys[i]];
+    check::note_plain_write(&out_w[i]);
+    out_w[i] = weights[i];
+  }
+  check::note_plain_write(&out_degree);
+  out_degree = n;
+}
 
 template <typename Rows>
 AggregationResult aggregate_impl(simt::Device& device, Rows& rows,
@@ -160,6 +206,14 @@ AggregationResult aggregate_impl(simt::Device& device, Rows& rows,
       if (b < scheme.bounds.size()) {
         check::contract(com_degree[c] <= scheme.bounds[b],
                         "aggregate: community degree exceeds its bucket bound");
+      }
+      if (com_degree[c] <= kSmallMergeArcs) {
+        merge_small(rows, ctx.worker(), community,
+                    com.subspan(vertex_start[c], com_size[c]), new_id,
+                    tmp_adj.subspan(edge_pos[c], com_degree[c]),
+                    tmp_w.subspan(edge_pos[c], com_degree[c]),
+                    merged_degree[c]);
+        return;
       }
       const util::HashTableParams params =
           util::hash_params_for_degree(com_degree[c]);

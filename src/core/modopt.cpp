@@ -10,6 +10,7 @@
 #include "core/rows.hpp"
 #include "core/workspace.hpp"
 #include "core/hash_map.hpp"
+#include "core/move_kernels.hpp"
 #include "obs/recorder.hpp"
 #include "prim/reduce.hpp"
 #include "simt/atomics.hpp"
@@ -30,109 +31,46 @@ using graph::EdgeIdx;
 using graph::VertexId;
 using graph::Weight;
 
-/// The warp collectives (better(), the argmax identity, the slot sort,
-/// the hashing and scan loops) live in simt/kernel_ops.hpp now, single-
-/// sourced over the scalar and vector lane substrates. The aliases keep
-/// this file reading like Algorithm 2.
-using Candidate = simt::BestComm;
-constexpr Candidate kEmptyCandidate = simt::kEmptyBest;
-using simt::better;
-
-/// The computeMove kernel body (Algorithm 2) for one vertex. Rows is
-/// the storage seam (PlainRows or ZRows); Table is the task-local
-/// hash map; Group is LaneGroup, a FixedLaneGroup specialization, or a
-/// VectorLaneGroup. `touched` is caller scratch for >= capacity slot
-/// indices.
-template <typename Rows, typename Group, typename Table>
-void compute_move(Rows& rows, unsigned worker, PhaseState& state, Weight m2,
-                  VertexId v, Group group, Table& table,
-                  std::span<std::uint32_t> touched) {
-  const RowView r = rows.row(v, worker);
-  const Community old_c = state.community[v];
-  const Weight k = state.strengths[v];
-  const double inv_m2 = 1.0 / m2;
-
-  // --- Lines 2-13: lane-parallel hashing of the neighbourhood into
-  // the task-local table (the self-loop contributes equally to every
-  // candidate, so it is skipped). Claimed slots are recorded so a
-  // sparse table can be scanned compactly below.
-  const std::uint32_t num_touched = simt::hash_row_claim(
-      group, r, v, state.community.data(), table, touched.data());
-
-  // --- Line 14: scan the table slots and reduce to the best
-  // destination. The gain term per candidate community c (v removed
-  // from its own community first) is
-  //   e_{v->c} - k_v * a_c / 2m,
-  // the variable part of Eq. (2).
-  Weight d_old = 0;  // e_{v->C(v)\{v}}, collected during the slot scan
-  const Candidate best =
-      simt::scan_best(group, table, touched.first(num_touched), old_c,
-                      state.tot.data(), k, inv_m2, d_old);
-
-  // --- Lines 15-18: move only on strictly positive modularity gain
-  // relative to staying (e_{v->C(v)\{v}} enters both sides of Eq. (2),
-  // here it appears only in the stay gain).
-  const double stay_gain =
-      d_old - k * (simt::atomic_load(state.tot[old_c]) - k) * inv_m2;
-  bool move = best.comm != graph::kInvalidCommunity && best.gain > stay_gain + 1e-15;
-  // Singleton-to-singleton guard from [16] (paper §4): a vertex that is
-  // a community by itself may only join another singleton community if
-  // that community's id is smaller. The guard vetoes the chosen move
-  // (the vertex waits a sweep) rather than redirecting it to a
-  // second-best target, which would cascade into over-merging.
-  if (move && simt::atomic_load(state.com_size[old_c]) == 1 &&
-      best.comm > old_c &&
-      simt::atomic_load(state.com_size[best.comm]) == 1) {
-    move = false;
-  }
-  check::note_plain_write(&state.new_comm[v]);
-  state.new_comm[v] = move ? best.comm : old_c;
-  // Predicted dQ of this move against the snapshot (exact if no other
-  // vertex moves concurrently); drives the sweep stopping rule.
-  check::note_plain_write(&state.move_gain[v]);
-  state.move_gain[v] = move ? 2.0 * (best.gain - stay_gain) / m2 : 0.0;
-}
-
-/// compute_move specialized for degree-1 vertices: the table would hold
-/// at most one candidate, so the decision closes form and the arena
-/// allocation, table clear and slot scan all drop out. Every
-/// floating-point expression matches the general kernel operand for
-/// operand (including the better() fold, for NaN behaviour), so the
-/// chosen move is bitwise identical.
-template <typename Rows>
-void compute_move_deg1(Rows& rows, unsigned worker, PhaseState& state,
-                       Weight m2, VertexId v) {
-  const RowView r = rows.row(v, worker);
-  const Community old_c = state.community[v];
-  const Weight k = state.strengths[v];
-  const double inv_m2 = 1.0 / m2;
-  const VertexId j = r.adj[0];
-
-  Weight d_old = 0;
-  Candidate best = kEmptyCandidate;
-  if (j != v) {  // a pure self-loop vertex has no candidate
-    const Community c = simt::atomic_load(state.community[j]);
-    const Weight w = r.w[0];
-    if (c == old_c) {
-      d_old = w;
-    } else {
-      const double gain = w - k * simt::atomic_load(state.tot[c]) * inv_m2;
-      best = better(kEmptyCandidate, {gain, c});
+/// Runs kernel(group) on the lane group of a `lanes`-wide bucket. The
+/// standard widths get compile-time lane counts (constant strided loops
+/// and reduction trees); anything else falls back to the runtime group.
+/// Same arithmetic either way. On the vector backend the same widths
+/// dispatch to VectorLaneGroup, whose collectives lower to AVX2 gathers
+/// and masked scans; non-standard ablation widths stay on the scalar
+/// substrate. `st` receives the vector groups' lane counts (or null).
+template <typename Kernel>
+void with_group(unsigned lanes, bool vector_backend, simt::VecLaneStats* st,
+                Kernel&& kernel) {
+  if (vector_backend) {
+    switch (lanes) {
+      case 4:
+        return kernel(simt::VectorLaneGroup<4>{st});
+      case 8:
+        return kernel(simt::VectorLaneGroup<8>{st});
+      case 16:
+        return kernel(simt::VectorLaneGroup<16>{st});
+      case 32:
+        return kernel(simt::VectorLaneGroup<32>{st});
+      case 128:
+        return kernel(simt::VectorLaneGroup<128>{st});
+      default:
+        break;  // ablation widths: scalar substrate below
     }
   }
-
-  const double stay_gain =
-      d_old - k * (simt::atomic_load(state.tot[old_c]) - k) * inv_m2;
-  bool move = best.comm != graph::kInvalidCommunity && best.gain > stay_gain + 1e-15;
-  if (move && simt::atomic_load(state.com_size[old_c]) == 1 &&
-      best.comm > old_c &&
-      simt::atomic_load(state.com_size[best.comm]) == 1) {
-    move = false;
+  switch (lanes) {
+    case 4:
+      return kernel(simt::FixedLaneGroup<4>{});
+    case 8:
+      return kernel(simt::FixedLaneGroup<8>{});
+    case 16:
+      return kernel(simt::FixedLaneGroup<16>{});
+    case 32:
+      return kernel(simt::FixedLaneGroup<32>{});
+    case 128:
+      return kernel(simt::FixedLaneGroup<128>{});
+    default:
+      return kernel(simt::LaneGroup(lanes));
   }
-  check::note_plain_write(&state.new_comm[v]);
-  state.new_comm[v] = move ? best.comm : old_c;
-  check::note_plain_write(&state.move_gain[v]);
-  state.move_gain[v] = move ? 2.0 * (best.gain - stay_gain) / m2 : 0.0;
 }
 
 struct CommitResult {
@@ -406,10 +344,11 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
     }
     // Bytes the per-vertex community tables will claim from the
     // shared/global arenas this phase: keys + weights + touched list.
+    // Register-path vertices claim none.
     double ht_bytes = 0;
     for (std::size_t i = 0; i < num_active; ++i) {
       const std::uint32_t deg = rows.degree(binned.order[i]);
-      if (deg < 2) continue;
+      if (deg <= detail::kSmallMoveDegree) continue;
       const std::size_t cap = util::hash_params_for_degree(deg).capacity;
       ht_bytes += static_cast<double>(cap) *
                   (sizeof(Community) + sizeof(Weight) + sizeof(std::uint32_t));
@@ -527,8 +466,16 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
               state.move_gain[v] = 0;
               return;
             }
-            if (deg == 1) {
-              compute_move_deg1(rows, ctx.worker(), state, m2, v);
+            simt::VecLaneStats* st =
+                vstats.empty() ? nullptr : &vstats[ctx.worker()];
+            // Degrees up to kSmallMoveDegree decide in registers. They
+            // get the group the bucket assigns, whose fold order the
+            // register path replays.
+            if (deg <= detail::kSmallMoveDegree) {
+              with_group(lanes, vector_backend, st, [&](const auto& group) {
+                detail::compute_move_small(rows, ctx.worker(), state, m2, v,
+                                           group);
+              });
               return;
             }
             const util::HashTableParams params =
@@ -546,67 +493,10 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
             // needed).
             LocalCommunityHashMap table(keys, weights, params);
             table.clear();
-            // The standard widths get compile-time lane counts (constant
-            // strided loops and reduction trees); anything else falls
-            // back to the runtime group. Same arithmetic either way.
-            // On the vector backend the same widths dispatch to
-            // VectorLaneGroup, whose collectives lower to AVX2 gathers
-            // and masked scans; non-standard ablation widths stay on
-            // the scalar substrate.
-            if (vector_backend) {
-              simt::VecLaneStats* st =
-                  vstats.empty() ? nullptr : &vstats[ctx.worker()];
-              switch (lanes) {
-                case 4:
-                  compute_move(rows, ctx.worker(), state, m2, v,
-                               simt::VectorLaneGroup<4>{st}, table, touched);
-                  return;
-                case 8:
-                  compute_move(rows, ctx.worker(), state, m2, v,
-                               simt::VectorLaneGroup<8>{st}, table, touched);
-                  return;
-                case 16:
-                  compute_move(rows, ctx.worker(), state, m2, v,
-                               simt::VectorLaneGroup<16>{st}, table, touched);
-                  return;
-                case 32:
-                  compute_move(rows, ctx.worker(), state, m2, v,
-                               simt::VectorLaneGroup<32>{st}, table, touched);
-                  return;
-                case 128:
-                  compute_move(rows, ctx.worker(), state, m2, v,
-                               simt::VectorLaneGroup<128>{st}, table, touched);
-                  return;
-                default:
-                  break;  // ablation widths: scalar substrate below
-              }
-            }
-            switch (lanes) {
-              case 4:
-                compute_move(rows, ctx.worker(), state, m2, v,
-                             simt::FixedLaneGroup<4>{}, table, touched);
-                break;
-              case 8:
-                compute_move(rows, ctx.worker(), state, m2, v,
-                             simt::FixedLaneGroup<8>{}, table, touched);
-                break;
-              case 16:
-                compute_move(rows, ctx.worker(), state, m2, v,
-                             simt::FixedLaneGroup<16>{}, table, touched);
-                break;
-              case 32:
-                compute_move(rows, ctx.worker(), state, m2, v,
-                             simt::FixedLaneGroup<32>{}, table, touched);
-                break;
-              case 128:
-                compute_move(rows, ctx.worker(), state, m2, v,
-                             simt::FixedLaneGroup<128>{}, table, touched);
-                break;
-              default:
-                compute_move(rows, ctx.worker(), state, m2, v,
-                             simt::LaneGroup(lanes), table, touched);
-                break;
-            }
+            with_group(lanes, vector_backend, st, [&](const auto& group) {
+              detail::compute_move(rows, ctx.worker(), state, m2, v, group,
+                                   table, touched);
+            });
           });
         }
 

@@ -137,7 +137,9 @@ BestSlot scan_best_sentinel_avx2(const std::uint32_t* keys,
         _mm256_or_si256(isnull, isskip), _mm256_set1_epi32(-1));
     scan_step(ks, cand, weights, i, tot, vk, vinv, lo, hi);
   }
-  BestComm best = better(lo.collapse(), hi.collapse());
+  // Accumulators no step touched collapse to kEmptyBest: a table below
+  // one 8-slot step (the register move kernel's keys) skips the collapse.
+  BestComm best = i == 0 ? kEmptyBest : better(lo.collapse(), hi.collapse());
   for (; i < cap; ++i) {
     const std::uint32_t c = keys[i];
     if (c == 0xffffffffu) continue;

@@ -3,21 +3,29 @@
 // contraction, for arbitrary partitions.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/aggregate.hpp"
+#include "core/workspace.hpp"
 #include "gen/er.hpp"
+#include "gen/lfr.hpp"
 #include "gen/rmat.hpp"
+#include "gen/road.hpp"
 #include "gen/sbm.hpp"
 #include "graph/builder.hpp"
 #include "graph/ops.hpp"
 #include "metrics/modularity.hpp"
 #include "util/prng.hpp"
+#include "zg/zcsr.hpp"
 
 namespace glouvain::core {
 namespace {
 
 using graph::Community;
 using graph::Csr;
+using graph::EdgeIdx;
 using graph::VertexId;
+using graph::Weight;
 
 std::vector<Community> random_partition(VertexId n, Community blocks,
                                         std::uint64_t seed) {
@@ -189,6 +197,126 @@ TEST(Aggregate, GraphWithSelfLoopsContractsCorrectly) {
   // New community {0,1}: loop = 2*1 (internal edge) + 2 (old loop) = 4.
   EXPECT_DOUBLE_EQ(agg.contracted.loop_weight(0), 4.0);
   EXPECT_DOUBLE_EQ(agg.contracted.loop_weight(1), 2.0 + 1.5);
+}
+
+
+// --- Communities on both sides of the register-merge bound (a degree
+// sum of 16 arcs) against a std::map contraction.
+
+/// Contraction through one std::map per new vertex: shares no code with
+/// either merge path or with graph::contract_reference.
+Csr map_contraction(const Csr& g, const std::vector<Community>& part) {
+  std::map<Community, VertexId> new_id;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) new_id.emplace(part[v], 0);
+  VertexId next = 0;
+  for (auto& entry : new_id) entry.second = next++;
+  std::vector<std::map<VertexId, Weight>> rows(next);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    auto& row = rows[new_id[part[v]]];
+    for (EdgeIdx e = g.offset(v); e < g.offset(v) + g.degree(v); ++e) {
+      row[new_id[part[g.adjacency()[e]]]] += g.edge_weights()[e];
+    }
+  }
+  std::vector<EdgeIdx> offsets{0};
+  std::vector<VertexId> adj;
+  std::vector<Weight> w;
+  for (const auto& row : rows) {
+    for (const auto& [u, x] : row) {
+      adj.push_back(u);
+      w.push_back(x);
+    }
+    offsets.push_back(adj.size());
+  }
+  return Csr(std::move(offsets), std::move(adj), std::move(w));
+}
+
+/// Groups vertices in id order, cycling through group shapes: a
+/// singleton, a pair, and degree sums of 16, 17 and 40 arcs. A group
+/// closes at its member count or arc sum, or before a vertex that would
+/// overshoot the sum. Each group is labelled by its first member.
+std::vector<Community> bound_partition(const Csr& g) {
+  struct Shape {
+    VertexId members;
+    EdgeIdx arcs;
+  };
+  constexpr Shape kShapes[] = {{1, 1000}, {2, 1000}, {1000, 16}, {1000, 17},
+                               {1000, 40}};
+  std::vector<Community> part(g.num_vertices());
+  std::size_t shape = 0;
+  VertexId members = 0;
+  EdgeIdx arcs = 0;
+  Community label = 0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const Shape& sh = kShapes[shape];
+    if (members > 0 && (members == sh.members || arcs >= sh.arcs ||
+                        arcs + g.degree(v) > sh.arcs)) {
+      shape = (shape + 1) % std::size(kShapes);
+      members = 0;
+      arcs = 0;
+    }
+    if (members == 0) label = v;
+    part[v] = label;
+    ++members;
+    arcs += g.degree(v);
+  }
+  return part;
+}
+
+void expect_contracts_like_map(const Csr& g,
+                               const std::vector<Community>& part) {
+  // The partition straddles the bound: singletons, pairs, and
+  // communities of exactly 16 and 17 arcs, plus larger ones.
+  std::map<Community, std::pair<VertexId, EdgeIdx>> shape;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    ++shape[part[v]].first;
+    shape[part[v]].second += g.degree(v);
+  }
+  std::map<std::string, int> seen;
+  for (const auto& [c, sz] : shape) {
+    if (sz.first == 1) ++seen["singleton"];
+    if (sz.first == 2) ++seen["pair"];
+    if (sz.second == 16) ++seen["16 arcs"];
+    if (sz.second == 17) ++seen["17 arcs"];
+    if (sz.second > 17) ++seen["over 17 arcs"];
+  }
+  for (const char* kind :
+       {"singleton", "pair", "16 arcs", "17 arcs", "over 17 arcs"}) {
+    EXPECT_GT(seen[kind], 0) << kind;
+  }
+
+  const Csr want = map_contraction(g, part);
+  ASSERT_TRUE(graph::validate(want).empty());  // rows sorted
+  for (const simt::Backend backend :
+       {simt::Backend::kScalar, simt::Backend::kVector}) {
+    SCOPED_TRACE(simt::backend_name(backend));
+    simt::Device device({.backend = backend});
+    // Integer weights: every sum is exact in any order, so the
+    // comparison is bitwise.
+    EXPECT_EQ(aggregate(device, g, Config{}, part).contracted, want);
+    const zg::ZCsr z = zg::ZCsr::encode(g);
+    ZRows rows(z, device.workers());
+    Workspace ws;
+    EXPECT_EQ(aggregate(device, rows, Config{}, part, ws).contracted, want);
+  }
+}
+
+TEST(Aggregate, SmallCommunityMergeMatchesMapContractionOnRoad) {
+  const Csr g = gen::road_network({.grid_nx = 48, .grid_ny = 48, .seed = 3});
+  const auto part = bound_partition(g);
+  expect_contracts_like_map(g, part);
+  // One level up the rows carry self-loops (the merged internal weight).
+  simt::Device device;
+  const Csr up = aggregate(device, g, Config{}, part).contracted;
+  ASSERT_GT(up.num_loops(), 0u);
+  expect_contracts_like_map(up, bound_partition(up));
+}
+
+TEST(Aggregate, SmallCommunityMergeMatchesMapContractionOnLfr) {
+  const Csr g = gen::lfr({.num_vertices = 3000, .min_degree = 4,
+                          .max_degree = 40, .min_community = 16,
+                          .max_community = 200, .seed = 7})
+                    .graph;
+  expect_contracts_like_map(g, bound_partition(g));
 }
 
 }  // namespace

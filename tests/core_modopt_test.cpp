@@ -8,12 +8,15 @@
 
 #include "core/louvain.hpp"
 #include "core/modopt.hpp"
+#include "core/move_kernels.hpp"
 #include "gen/cliques.hpp"
 #include "gen/er.hpp"
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
 #include "metrics/modularity.hpp"
 #include "metrics/partition.hpp"
+#include "simt/lane_vec.hpp"
+#include "util/primes.hpp"
 #include "util/prng.hpp"
 
 namespace glouvain::core {
@@ -199,6 +202,217 @@ TEST(OptimizePhase, FirstSweepTimeRecorded) {
   std::vector<Community> community;
   const PhaseResult pr = runner.run_phase(g, community, 1e-6);
   EXPECT_GT(pr.first_sweep_seconds, 0.0);
+}
+
+// --- The register path (degree <= 4) against the table path. Both
+// decide one vertex v = 0 of a 64-vertex state through a one-row
+// source, so the row's order, its self-loop and every community label
+// are set by the case.
+
+struct OneRow {
+  std::vector<VertexId> adj;
+  std::vector<Weight> w;
+  RowView row(VertexId, unsigned) const {
+    return {adj.data(), w.data(), static_cast<std::uint32_t>(adj.size())};
+  }
+};
+
+struct MoveCase {
+  OneRow row;
+  PhaseState state;
+  Weight m2 = 64;
+};
+
+constexpr VertexId kCaseVertices = 64;
+
+MoveCase empty_case() {
+  MoveCase mc;
+  PhaseState& s = mc.state;
+  s.strengths.assign(kCaseVertices, 1.0);
+  s.loops.assign(kCaseVertices, 0.0);
+  s.community.resize(kCaseVertices);
+  for (VertexId u = 0; u < kCaseVertices; ++u) s.community[u] = u;
+  s.new_comm = s.community;
+  s.tot.assign(kCaseVertices, 1.0);
+  s.com_size.assign(kCaseVertices, 1);
+  s.move_gain.assign(kCaseVertices, 0.0);
+  return mc;
+}
+
+/// new_comm[v] and the bits of move_gain[v].
+using Decision = std::pair<Community, std::uint64_t>;
+
+template <typename Group>
+Decision table_decision(MoveCase mc, const Group& group) {
+  const util::HashTableParams params =
+      util::hash_params_for_degree(mc.row.adj.size());
+  std::vector<Community> keys(params.capacity);
+  std::vector<Weight> weights(params.capacity);
+  std::vector<std::uint32_t> touched(params.capacity);
+  LocalCommunityHashMap table(keys, weights, params);
+  table.clear();
+  detail::compute_move(mc.row, 0, mc.state, mc.m2, 0, group, table, touched);
+  return {mc.state.new_comm[0],
+          std::bit_cast<std::uint64_t>(mc.state.move_gain[0])};
+}
+
+template <typename Group>
+Decision small_decision(MoveCase mc, const Group& group) {
+  detail::compute_move_small(mc.row, 0, mc.state, mc.m2, 0, group);
+  return {mc.state.new_comm[0],
+          std::bit_cast<std::uint64_t>(mc.state.move_gain[0])};
+}
+
+/// Register path == table path for every group shape the phase runs:
+/// the scalar widths (per-lane fold + halving tree, lanes 1 and 2 of
+/// the ablation schemes included) and the vector widths (ascending
+/// fold through the vector scan). Degree 1 never hashed into a table:
+/// its one key is compared against the scalar table path, whose inline
+/// gain is the arithmetic the degree-1 closed form always used.
+void expect_same_decision(const MoveCase& mc, const std::string& what) {
+  SCOPED_TRACE(what);
+  const bool deg1 = mc.row.adj.size() == 1;
+  EXPECT_EQ(small_decision(mc, simt::LaneGroup(1)),
+            table_decision(mc, simt::LaneGroup(1)));
+  EXPECT_EQ(small_decision(mc, simt::LaneGroup(2)),
+            table_decision(mc, simt::LaneGroup(2)));
+  EXPECT_EQ(small_decision(mc, simt::FixedLaneGroup<4>{}),
+            table_decision(mc, simt::FixedLaneGroup<4>{}));
+  EXPECT_EQ(small_decision(mc, simt::FixedLaneGroup<8>{}),
+            table_decision(mc, simt::FixedLaneGroup<8>{}));
+  EXPECT_EQ(small_decision(mc, simt::FixedLaneGroup<32>{}),
+            table_decision(mc, simt::FixedLaneGroup<32>{}));
+  EXPECT_EQ(small_decision(mc, simt::VectorLaneGroup<4>{}),
+            deg1 ? table_decision(mc, simt::FixedLaneGroup<4>{})
+                 : table_decision(mc, simt::VectorLaneGroup<4>{}));
+  EXPECT_EQ(small_decision(mc, simt::VectorLaneGroup<128>{}),
+            deg1 ? table_decision(mc, simt::FixedLaneGroup<128>{})
+                 : table_decision(mc, simt::VectorLaneGroup<128>{}));
+}
+
+TEST(SmallMove, CapacityStaysBelowOneVectorStep) {
+  for (std::uint32_t deg = 1; deg <= detail::kSmallMoveDegree; ++deg) {
+    EXPECT_LT(util::hash_params_for_degree(deg).capacity, 8u) << deg;
+  }
+}
+
+TEST(SmallMove, SeededNeighbourhoodsMatchTablePath) {
+  // Few distinct labels per row (probes collide), each row's order
+  // shuffled, a self-loop in some rows, the current community present
+  // in some and absent in others, and a mix of singleton and larger
+  // communities for the guard. Half the cases draw weights within a
+  // few ulps of each other over equal tot, so gains tie exactly or sit
+  // within 1e-15 and the fold order decides.
+  util::Xoshiro256 rng(20);
+  int fold_sensitive = 0, self_loops = 0, current_present = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    MoveCase mc = empty_case();
+    PhaseState& s = mc.state;
+    const bool near_tie = trial % 2 == 1;
+    const auto deg = static_cast<std::uint32_t>(rng.next_in(1, 4));
+    std::vector<Community> labels(rng.next_in(1, 4));
+    for (auto& c : labels) {
+      c = static_cast<Community>(rng.next_below(kCaseVertices));
+    }
+    VertexId next = 1 + static_cast<VertexId>(rng.next_below(8));
+    for (std::uint32_t i = 0; i < deg; ++i) {
+      const bool loop = i == 0 && deg > 1 && rng.next_bool(0.25);
+      const VertexId u = loop ? 0 : next;
+      next += 1 + static_cast<VertexId>(rng.next_below(8));
+      if (!loop) s.community[u] = labels[rng.next_below(labels.size())];
+      mc.row.adj.push_back(u);
+      const auto j = static_cast<double>(rng.next_below(10));
+      mc.row.w.push_back(near_tie ? 1.0 + j * 0x1p-52 : 0.5 + 0.5 * j);
+      self_loops += loop;
+    }
+    for (std::uint32_t i = deg - 1; i > 0; --i) {
+      const auto j = static_cast<std::uint32_t>(rng.next_below(i + 1));
+      std::swap(mc.row.adj[i], mc.row.adj[j]);
+      std::swap(mc.row.w[i], mc.row.w[j]);
+    }
+    const auto other = static_cast<Community>(rng.next_below(kCaseVertices));
+    s.community[0] = rng.next_bool(0.5) ? labels[0] : other;
+    for (VertexId c = 0; c < kCaseVertices; ++c) {
+      s.tot[c] = near_tie ? 2.0 : 0.5 + rng.next_double() * 3.0;
+      s.com_size[c] = static_cast<VertexId>(rng.next_in(1, 2));
+    }
+    s.strengths[0] = near_tie ? 2.0 : 0.5 + rng.next_double() * 3.0;
+    s.tot[s.community[0]] = s.strengths[0] + (rng.next_bool(0.5) ? 0.0 : 1.0);
+    mc.m2 = 16.0 + static_cast<double>(rng.next_below(64));
+    for (const VertexId u : mc.row.adj) {
+      current_present += u != 0 && s.community[u] == s.community[0];
+    }
+
+    expect_same_decision(mc, "trial " + std::to_string(trial));
+    if (::testing::Test::HasFailure()) break;
+    fold_sensitive += small_decision(mc, simt::FixedLaneGroup<4>{}) !=
+                      small_decision(mc, simt::LaneGroup(1));
+  }
+  // The seeds reach each situation the contract is about.
+  EXPECT_GT(self_loops, 100);
+  EXPECT_GT(current_present, 100);
+  EXPECT_GT(fold_sensitive, 0) << "no case where the fold order decides";
+}
+
+TEST(SmallMove, ExactTieAcrossScalarLanesGoesToTheTablePathsWinner) {
+  // Communities 5 and 12 with equal weight and tot tie exactly. In the
+  // 7-slot table of degree 4, 5 claims slot 5; 12 probes slot 5, then
+  // steps 1 + 12 mod 6 = 1 to slot 6: lanes 1 and 2 of a 4-lane group.
+  MoveCase mc = empty_case();
+  mc.row.adj = {9, 10, 11, 12};
+  mc.row.w = {1.0, 1.0, 1.0, 1.0};
+  mc.state.community[9] = 5;
+  mc.state.community[10] = 12;
+  mc.state.community[11] = 30;
+  mc.state.community[12] = 30;
+  mc.state.community[0] = 40;
+  mc.state.tot[5] = mc.state.tot[12] = 3.0;
+  mc.state.tot[30] = 100.0;
+  mc.state.tot[40] = 1.0;
+  expect_same_decision(mc, "exact tie");
+  EXPECT_EQ(small_decision(mc, simt::FixedLaneGroup<4>{}).first, 5u);
+}
+
+TEST(SmallMove, SelfLoopAndCurrentCommunity) {
+  // A self-loop, one arc into the vertex's own community and two into
+  // another: the self-loop is skipped and the own-community weight is
+  // the stay term.
+  MoveCase mc = empty_case();
+  mc.row.adj = {0, 3, 7, 8};
+  mc.row.w = {2.0, 1.0, 1.5, 1.5};
+  mc.state.community[0] = 3;
+  mc.state.community[3] = 3;
+  mc.state.community[7] = 7;
+  mc.state.community[8] = 7;
+  mc.state.strengths[0] = 6.0;
+  mc.state.tot[3] = 8.0;
+  mc.state.tot[7] = 4.0;
+  mc.state.com_size[3] = 2;
+  expect_same_decision(mc, "self-loop, current present");
+  EXPECT_EQ(small_decision(mc, simt::FixedLaneGroup<4>{}).first, 7u);
+  mc.state.community[3] = 20;  // current community absent
+  expect_same_decision(mc, "self-loop, current absent");
+  mc.row.adj = {0};  // a pure self-loop vertex has no candidate
+  mc.row.w = {2.0};
+  expect_same_decision(mc, "pure self-loop");
+  EXPECT_EQ(small_decision(mc, simt::FixedLaneGroup<4>{}),
+            (Decision{3u, std::bit_cast<std::uint64_t>(0.0)}));
+}
+
+TEST(SmallMove, SingletonGuardVetoes) {
+  // Singleton 2 prefers singleton 9 (larger id): the guard keeps it
+  // home on both paths; with 9 relabelled to 1 the move goes through.
+  MoveCase mc = empty_case();
+  mc.row.adj = {9, 14};
+  mc.row.w = {3.0, 1.0};
+  mc.state.community[0] = 2;
+  mc.state.community[9] = 9;
+  mc.state.community[14] = 14;
+  expect_same_decision(mc, "veto");
+  EXPECT_EQ(small_decision(mc, simt::VectorLaneGroup<4>{}).first, 2u);
+  mc.state.community[9] = 1;
+  expect_same_decision(mc, "no veto");
+  EXPECT_EQ(small_decision(mc, simt::VectorLaneGroup<4>{}).first, 1u);
 }
 
 }  // namespace
