@@ -126,8 +126,7 @@ int main(int argc, char** argv) {
   {
     shard::Config cfg = make_cfg(1, detect::Partition::kHubRep, false);
     util::Timer t;
-    ShardRun run{1, "-", false, shard::louvain(g, shard::to_config(cfg, cfg)),
-                 0, 0};
+    ShardRun run{1, "-", false, shard::louvain(g, cfg), 0, 0};
     run.seconds = t.seconds();
     const bool bitwise =
         run.result.community == core_r.community &&
@@ -140,7 +139,7 @@ int main(int argc, char** argv) {
     // The unsharded path ignores the concurrency knob at the moves
     // level, but must still reproduce core exactly end to end.
     shard::Config cfg = make_cfg(1, detect::Partition::kHubRep, true);
-    const shard::Result r = shard::louvain(g, shard::to_config(cfg, cfg));
+    const shard::Result r = shard::louvain(g, cfg);
     const bool bitwise = r.community == core_r.community &&
                          r.modularity == core_r.modularity;
     std::printf("k=1 concurrent bitwise vs core: %s\n",
@@ -155,7 +154,7 @@ int main(int argc, char** argv) {
       shard::Config cfg = make_cfg(k, strategy, false);
       util::Timer t;
       ShardRun run{k, partition_label(strategy), false,
-                   shard::louvain(g, shard::to_config(cfg, cfg)), 0, 0};
+                   shard::louvain(g, cfg), 0, 0};
       run.seconds = t.seconds();
       const double seq_wall = run.seconds;
       runs.push_back(std::move(run));
@@ -164,7 +163,7 @@ int main(int argc, char** argv) {
         shard::Config ccfg = make_cfg(k, strategy, true);
         util::Timer ct;
         ShardRun crun{k, partition_label(strategy), true,
-                      shard::louvain(g, shard::to_config(ccfg, ccfg)), 0, 0};
+                      shard::louvain(g, ccfg), 0, 0};
         crun.seconds = ct.seconds();
         crun.speedup = crun.seconds > 1e-9 ? seq_wall / crun.seconds : 0;
         runs.push_back(std::move(crun));

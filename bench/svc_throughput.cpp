@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
 
   svc::ServiceConfig cfg;
   cfg.devices = devices;
-  cfg.device_threads = threads;
+  cfg.options.threads = threads;
   cfg.queue_capacity = static_cast<std::size_t>(jobs) * 2 + 8;
   cfg.cache_capacity = static_cast<std::size_t>(jobs) + 8;
   svc::Service service(cfg);

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
     // reference, whatever the host's vector ISA. The vector substrate
     // gets its own column.
     core::Config scalar_cfg;
-    scalar_cfg.device.backend = simt::Backend::kScalar;
+    scalar_cfg.device = simt::Backend::kScalar;
     auto core_run = bench::run_core(g, scalar_cfg);
     for (int r = 1; r < repeat; ++r) {
       auto again = bench::run_core(g, scalar_cfg);
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
     }
 
     core::Config vector_cfg;
-    vector_cfg.device.backend = simt::Backend::kVector;
+    vector_cfg.device = simt::Backend::kVector;
     auto vec_run = bench::run_core(g, vector_cfg);
     for (int r = 1; r < repeat; ++r) {
       auto again = bench::run_core(g, vector_cfg);

@@ -8,7 +8,6 @@
 #include "core/common.hpp"
 #include "detect/options.hpp"
 #include "graph/types.hpp"
-#include "simt/device.hpp"
 
 namespace glouvain::core {
 
@@ -92,25 +91,16 @@ struct Config : detect::Options {
   /// alone (bounded by max_sweeps_per_level) and
   /// PhaseResult::modularity is 0.
   bool eval_phase_modularity = true;
-  /// NOTE: this member hides the inherited Options::device backend
-  /// knob (a simt::Backend) by design: within core the full
-  /// DeviceConfig is the source of truth, and to_config() copies the
-  /// Options knob into device.backend during lowering.
-  simt::DeviceConfig device;
 };
 
 /// THE single lowering from the canonical front-end surface
 /// (detect::Options) to the GPU-style backend's Config. Every front
 /// end — detect registry, svc, CLI, benches — goes through here
-/// instead of assembling a core::Config field by field, so an Options
-/// knob can never silently diverge from the core knob it shadows.
-/// `base` carries backend-internal extension fields (bucket schemes,
-/// update strategy, device shape); its Options slice is overwritten.
+/// instead of assembling a core::Config field by field. `base`
+/// carries the backend's own fields (bucket schemes, update strategy,
+/// sub-rounds); its Options slice is overwritten.
 inline Config to_config(const detect::Options& options, Config base = {}) {
   static_cast<detect::Options&>(base) = options;
-  base.device.backend = options.device;
-  // worker_threads stays as the extension set it; core::Louvain's
-  // resolve_device falls back to Options::threads when it is 0.
   return base;
 }
 

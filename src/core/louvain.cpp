@@ -13,27 +13,16 @@ namespace {
 using graph::Community;
 using graph::Csr;
 using graph::VertexId;
-
-/// The device honours Options::threads unless the device section names
-/// an explicit worker count of its own.
-simt::DeviceConfig resolve_device(const Config& config) {
-  simt::DeviceConfig dev = config.device;
-  if (dev.worker_threads == 0) dev.worker_threads = config.threads;
-  return dev;
-}
 }  // namespace
 
 Louvain::Louvain(const Config& config)
     : config_(config),
-      device_(std::make_unique<simt::Device>(resolve_device(config))) {}
+      device_(std::make_unique<simt::Device>(simt::DeviceConfig{
+          .worker_threads = config.threads, .backend = config.device})) {}
 
 Louvain::~Louvain() = default;
 
-void Louvain::set_config(const Config& config) {
-  const simt::DeviceConfig keep = config_.device;
-  config_ = config;
-  config_.device = keep;  // the live device's shape is immutable
-}
+void Louvain::set_config(const Config& config) { config_ = config; }
 
 PhaseResult Louvain::run_phase(const Csr& graph,
                                std::vector<Community>& community,

@@ -98,8 +98,8 @@ class Louvain {
                         double threshold);
 
   /// Replace the algorithm configuration, keeping the device (thread
-  /// pool + arenas) warm. The new config's device section is ignored —
-  /// construct a fresh Louvain to change device shape.
+  /// pool + arenas) warm. The device keeps the `threads` and `device`
+  /// it was built with — construct a fresh Louvain to change them.
   void set_config(const Config& config);
 
   const Config& config() const noexcept { return config_; }

@@ -19,7 +19,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/config.hpp"
 #include "detect/options.hpp"
 #include "detect/result.hpp"
 #include "graph/csr.hpp"
@@ -33,11 +32,10 @@ class Recorder;
 
 namespace glouvain::detect {
 
-/// Backend-specific knobs that survived the Config consolidation.
-/// The Options slice inside each member is overwritten by the Options
-/// passed to run(), so only the extension fields matter here.
+/// Backend-specific knobs that survived the Config consolidation: the
+/// shard engine's own fields. The Options slice inside `shard` is
+/// overwritten by the Options passed to run().
 struct Extensions {
-  core::Config core;
   shard::Config shard;
 };
 

@@ -73,9 +73,10 @@ struct Options {
   ThresholdSchedule thresholds;
   int max_levels = 64;
   int max_sweeps_per_level = 1000;
-  /// Worker threads: the simt device's lane workers for `core` (0 =
-  /// hardware concurrency), the shared pool for `plm` (0 = global pool
-  /// as-is); ignored by the strictly sequential backend.
+  /// Worker threads of the simt device for `core` and `shard` (0 =
+  /// hardware concurrency). `seq` and `plm` ignore it: plm always runs
+  /// on simt::ThreadPool::global(). svc::Service pins it service-wide
+  /// (ServiceConfig::options.threads), per-job overrides included.
   unsigned threads = 0;
   /// Null = cold start. Shared so copying Options never copies the
   /// O(n) seed/frontier arrays.

@@ -31,21 +31,19 @@ Result from_louvain(LouvainResult&& base) {
 }
 
 /// A backend runner (core::Louvain or shard::Engine) kept warm across
-/// runs. Worker-thread and lane-backend changes rebuild it (the live
-/// device's shape — pool AND resolved backend — is immutable, see
-/// Louvain::set_config); anything else is a config swap on the warm
-/// instance.
+/// runs. A change of Options::threads or of the resolved
+/// Options::device rebuilds it (the live device's shape is immutable,
+/// see Louvain::set_config); anything else is a config swap on the
+/// warm instance.
 template <typename Runner>
 class WarmRunner {
  public:
   template <typename Config>
-  Runner& get(const Config& cfg, const simt::DeviceConfig& device) {
-    const unsigned want =
-        device.worker_threads ? device.worker_threads : cfg.threads;
-    const simt::Backend backend = simt::resolve_backend(device.backend);
-    if (!runner_ || want != threads_ || backend != backend_) {
+  Runner& get(const Config& cfg) {
+    const simt::Backend backend = simt::resolve_backend(cfg.device);
+    if (!runner_ || cfg.threads != threads_ || backend != backend_) {
       runner_ = std::make_unique<Runner>(cfg);
-      threads_ = want;
+      threads_ = cfg.threads;
       backend_ = backend;
     } else {
       runner_->set_config(cfg);
@@ -55,7 +53,7 @@ class WarmRunner {
 
  private:
   std::unique_ptr<Runner> runner_;
-  unsigned threads_ = ~0u;
+  unsigned threads_ = 0;
   simt::Backend backend_ = simt::Backend::kAuto;
 };
 
@@ -64,8 +62,6 @@ class WarmRunner {
 /// pool holds one of these per pooled slot.
 class CoreDetector final : public Detector {
  public:
-  explicit CoreDetector(const Extensions& ext) : base_(ext.core) {}
-
   std::string_view name() const noexcept override { return "core"; }
 
   Result run(const graph::Csr& graph, const Options& options,
@@ -85,13 +81,12 @@ class CoreDetector final : public Detector {
 
  private:
   core::Louvain& runner_for(const Options& options) {
-    core::Config cfg = core::to_config(options, base_);
+    core::Config cfg = core::to_config(options);
     cfg.warm_start.reset();  // passed explicitly in run(); keep the
                              // kept config from pinning the seed arrays
-    return runner_.get(cfg, cfg.device);
+    return runner_.get(cfg);
   }
 
-  core::Config base_;
   WarmRunner<core::Louvain> runner_;
 };
 
@@ -155,7 +150,7 @@ class ShardDetector final : public Detector {
   shard::Engine& engine_for(const Options& options) {
     shard::Config cfg = shard::to_config(options, base_);
     cfg.warm_start.reset();
-    return engine_.get(cfg, cfg.core.device);
+    return engine_.get(cfg);
   }
 
   shard::Config base_;
@@ -167,8 +162,8 @@ struct Registry {
   std::map<std::string, Factory, std::less<>> factories;
 
   Registry() {
-    factories.emplace("core", [](const Extensions& ext) {
-      return std::make_unique<CoreDetector>(ext);
+    factories.emplace("core", [](const Extensions&) {
+      return std::make_unique<CoreDetector>();
     });
     factories.emplace("seq", [](const Extensions&) {
       return std::make_unique<SeqDetector>();

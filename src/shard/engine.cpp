@@ -386,14 +386,6 @@ using graph::Csr;
 using graph::VertexId;
 using graph::Weight;
 using graph::kInvalidVertex;
-
-/// Canonicalize: the inner core config always re-derives from the
-/// outer Options slice, so a hand-assembled Config can never run the
-/// per-shard phases with knobs that diverge from the front-end surface.
-Config lowered(Config config) {
-  config.core = core::to_config(config, config.core);
-  return config;
-}
 }  // namespace
 
 struct Engine::ConcurrentState {
@@ -418,17 +410,15 @@ struct Engine::LevelScratch {
 };
 
 Engine::Engine(const Config& config)
-    : config_(lowered(config)), core_(config_.core) {
+    : config_(config), core_(core::to_config(config_)) {
   plan_cache().set_capacity(config_.plan_cache_capacity);
 }
 
 Engine::~Engine() = default;
 
 void Engine::set_config(const Config& config) {
-  const simt::DeviceConfig keep = config_.core.device;
-  config_ = lowered(config);
-  config_.core.device = keep;  // the live device's shape is immutable
-  core_.set_config(config_.core);
+  config_ = config;
+  core_.set_config(core::to_config(config_));
   pool_.reset();  // an engine-owned pool re-derives from the new shape
   plan_cache().set_capacity(config_.plan_cache_capacity);
 }
@@ -439,8 +429,7 @@ simt::DevicePool& Engine::pool() {
     simt::DevicePoolConfig pc;
     pc.max_devices = std::max(1u, config_.shards);
     pc.total_threads = config_.threads;
-    pc.device = config_.core.device;
-    pc.device.worker_threads = 0;
+    pc.device.backend = config_.device;
     pool_ = std::make_shared<simt::DevicePool>(pc);
   }
   return *pool_;
@@ -599,7 +588,7 @@ core::LevelPhase Engine::sharded_level(int level, const Csr& current,
   // would make happen in the next round instead, against an
   // exchanged (fresher) boundary. Sweeps stop on the accumulated
   // predicted gain, bounded hard.
-  core::Config frontier_cfg = config_.core;
+  core::Config frontier_cfg = core_.config();
   frontier_cfg.eval_phase_modularity = false;
   // ONE sweep per round: an in-phase second sweep would re-scan
   // the whole active set against the same stale boundary, while

@@ -63,11 +63,9 @@ namespace glouvain::shard {
 
 /// The shared knobs live in the detect::Options base (shards,
 /// partition, partition_seed, thresholds, threads, device, ...); only
-/// the shard machinery remains here.
+/// the shard machinery remains here. The per-shard phases run
+/// core::to_config() of this Options slice.
 struct Config : detect::Options {
-  /// Per-shard phase machinery (bucket schemes, device shape). Its
-  /// Options slice is overwritten by to_config().
-  core::Config core;
   /// Degree above which a vertex is a replicated hub (hubrep only).
   graph::EdgeIdx hub_degree = 319;
   /// Contracted levels smaller than this collapse to a single shard
@@ -84,11 +82,10 @@ struct Config : detect::Options {
 };
 
 /// THE lowering from the canonical front-end surface, mirroring
-/// core::to_config(): the Options slice of `base` (and of its inner
-/// core extension) is overwritten, extension fields survive.
+/// core::to_config(): the Options slice of `base` is overwritten,
+/// extension fields survive.
 inline Config to_config(const detect::Options& options, Config base = {}) {
   static_cast<detect::Options&>(base) = options;
-  base.core = core::to_config(options, base.core);
   return base;
 }
 
@@ -143,7 +140,7 @@ class Engine {
   Result run(const graph::Csr& graph, obs::Recorder* recorder = nullptr);
 
   /// Replace the configuration, keeping the device warm. The device
-  /// shape of the new config is ignored (as core::Louvain::set_config).
+  /// keeps its shape (as core::Louvain::set_config).
   void set_config(const Config& config);
 
   const Config& config() const noexcept { return config_; }

@@ -43,7 +43,8 @@ Fingerprint fingerprint(const graph::Csr& graph);
 /// NOT `threads`, which only changes speed), and for dynamic-graph
 /// sessions the (session, delta-epoch) pair, so a cached result never
 /// outlives a mutation and two sessions at the same epoch never alias.
-/// O(1); cheap enough to call per submit.
+/// A warm start is not absorbed, so the service never caches a job
+/// that carries one. O(1); cheap enough to call per submit.
 Fingerprint job_key(const Fingerprint& graph_fp, std::string_view backend,
                     const detect::Options& options, std::uint64_t session = 0,
                     std::uint64_t epoch = 0);

@@ -1,6 +1,7 @@
 // Job vocabulary of the service layer: what a client submits (a graph
-// plus JobOptions), how a job is routed (Backend), the lifecycle it
-// moves through (JobStatus), and what the client gets back (JobResult).
+// plus JobOptions), the lifecycle it moves through (JobStatus), and
+// what the client gets back (JobResult). Backends are named as the
+// detect::make() registry names them.
 #pragma once
 
 #include <chrono>
@@ -21,18 +22,6 @@ inline constexpr JobId kInvalidJob = 0;
 using SessionId = std::uint64_t;
 inline constexpr SessionId kInvalidSession = 0;
 
-/// Which detection engine runs the job. Auto applies the scheduler's
-/// degradation policy: jobs whose estimated cost (n + m from the CSR
-/// header) is below ServiceConfig::seq_cost_limit are routed to the
-/// sequential backend instead of occupying a simt device.
-enum class Backend {
-  Auto,
-  Core,   ///< GPU-style Louvain on a pooled simt device
-  Seq,    ///< sequential Blondel-style Louvain (no device)
-  Plm,    ///< shared-memory parallel Louvain (global pool)
-  Shard,  ///< sharded multi-device Louvain with halo exchange
-};
-
 /// Lifecycle: Rejected / Cancelled / Expired / Failed / Completed are
 /// terminal; Queued -> Running -> Completed is the happy path.
 enum class JobStatus {
@@ -50,7 +39,6 @@ inline bool is_terminal(JobStatus s) noexcept {
 }
 
 const char* to_string(JobStatus s) noexcept;
-const char* to_string(Backend b) noexcept;
 
 struct JobOptions {
   /// Higher runs first; ties run in submission order.
@@ -59,13 +47,21 @@ struct JobOptions {
   /// expires instead of running. Zero = no deadline. Jobs already
   /// running are never interrupted (admission deadline, not a kill).
   std::chrono::milliseconds deadline{0};
-  Backend backend = Backend::Auto;
+  /// A detect registry name ("core", "seq", "plm", "shard", or one
+  /// added with detect::register_backend), or "auto": the cost router
+  /// sends jobs whose n + m (from the CSR header) is at most
+  /// ServiceConfig::seq_cost_limit to "seq" and the rest to "core".
+  /// An unregistered name fails the job with the registry's message.
+  std::string backend = "auto";
   /// Consult/populate the result cache for this job.
   bool use_cache = true;
   /// Per-job detection options; null = the service-wide defaults
   /// (ServiceConfig::options). The override participates in the result
   /// cache key exactly like the shared options do, so two jobs that
   /// differ only in, say, the partition seed never alias a cache entry.
+  /// Its `threads` is ignored: every job runs at the service's
+  /// options.threads. A job whose options carry a warm start neither
+  /// reads nor fills the cache (the key does not see the seed).
   std::shared_ptr<const detect::Options> options;
 };
 
@@ -75,7 +71,9 @@ struct JobResult {
   /// submissions of the same graph receive the same object. For
   /// non-core backends, `device` holds zeroes.
   std::shared_ptr<const core::Result> result;
-  Backend backend = Backend::Auto;  ///< backend that (would have) run it
+  /// Registry name of the backend that ran (or would have run) it;
+  /// a session job reports its session's backend.
+  std::string backend;
   bool cache_hit = false;
   double queue_seconds = 0;  ///< submit -> start (or terminal event)
   double run_seconds = 0;    ///< start -> finish, 0 for cache hits

@@ -1,5 +1,6 @@
 #include "svc/service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <map>
@@ -21,14 +22,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
-}
-
-Backend backend_from_name(std::string_view name) noexcept {
-  if (name == "core") return Backend::Core;
-  if (name == "seq") return Backend::Seq;
-  if (name == "plm") return Backend::Plm;
-  if (name == "shard") return Backend::Shard;
-  return Backend::Auto;  // custom registry backends count as "other"
 }
 }  // namespace
 
@@ -68,24 +61,13 @@ const char* to_string(JobStatus s) noexcept {
   return "?";
 }
 
-const char* to_string(Backend b) noexcept {
-  switch (b) {
-    case Backend::Auto: return "auto";
-    case Backend::Core: return "core";
-    case Backend::Seq: return "seq";
-    case Backend::Plm: return "plm";
-    case Backend::Shard: return "shard";
-  }
-  return "?";
-}
-
 /// One submitted job. Mutable fields are guarded by Impl::m except
 /// while the owning worker runs the backend, during which the job is
 /// in Running state and no other thread touches the run fields.
 struct Service::Job {
   JobId id = kInvalidJob;
   JobOptions options;
-  Backend routed = Backend::Auto;
+  std::string routed;  ///< registry name of the backend that runs it
   std::shared_ptr<const graph::Csr> graph;  ///< released when terminal
   Fingerprint fp;
 
@@ -133,19 +115,6 @@ struct Service::Impl {
   ResultCache cache;
   Stats counters;  ///< monotonic part; instantaneous fields unused here
 
-  /// Extensions handed to every detect::make() call: the configured
-  /// ext with the shared options folded in and the pooled-device
-  /// thread count applied.
-  detect::Extensions run_ext;
-  unsigned device_threads_resolved = 0;
-
-  /// Shared device pool for concurrent shard rounds: every
-  /// shard-routed job's engine leases from this one pool, so two
-  /// concurrent sharded jobs split the service's devices instead of
-  /// each spawning a private shards-wide pool (run_ext.shard carries
-  /// it into every detect::make()).
-  std::shared_ptr<simt::DevicePool> shard_pool;
-
   /// Pooled stateful detectors, one per device worker; each keeps its
   /// simt device warm across jobs. Only the owning worker touches its
   /// entry after construction.
@@ -157,35 +126,27 @@ Service::Service(const ServiceConfig& config)
     : config_(config), impl_(std::make_unique<Impl>(config)) {
   // A service with no device could never run a core-routed job.
   if (config_.devices == 0) config_.devices = 1;
+  // Every pooled device, every shard-pool device and every job run at
+  // this one thread count.
+  if (config_.options.threads == 0) {
+    config_.options.threads = std::max(1u, std::thread::hardware_concurrency());
+  }
   impl_->paused = config_.start_paused;
 
-  impl_->run_ext = config_.ext;
-  impl_->run_ext.core = core::to_config(config_.options, impl_->run_ext.core);
-  impl_->run_ext.core.device.worker_threads = config_.device_threads;
-  // The sharded backend's per-shard phases share the pooled-device
-  // thread budget (its Options slice is re-lowered per run).
-  impl_->run_ext.shard =
-      shard::to_config(config_.options, impl_->run_ext.shard);
-  impl_->run_ext.shard.core.device.worker_threads = config_.device_threads;
-  impl_->device_threads_resolved =
-      config_.device_threads
-          ? config_.device_threads
-          : (config_.options.threads ? config_.options.threads
-                                     : std::thread::hardware_concurrency());
-
-  {
-    simt::DevicePoolConfig pc;
-    pc.max_devices = config_.devices;
-    pc.threads_per_device = impl_->device_threads_resolved;
-    pc.device = impl_->run_ext.shard.core.device;
-    pc.device.worker_threads = 0;
-    impl_->shard_pool = std::make_shared<simt::DevicePool>(pc);
-    impl_->run_ext.shard.device_pool = impl_->shard_pool;
-  }
+  // Shared device pool for concurrent shard rounds: every shard-routed
+  // job's engine leases from this one pool (ext.shard carries it into
+  // every detect::make()), so two concurrent sharded jobs split the
+  // service's devices instead of each spawning a private shards-wide
+  // pool.
+  simt::DevicePoolConfig pc;
+  pc.max_devices = config_.devices;
+  pc.threads_per_device = config_.options.threads;
+  pc.device.backend = config_.options.device;
+  config_.ext.shard.device_pool = std::make_shared<simt::DevicePool>(pc);
 
   impl_->devices.reserve(config_.devices);
   for (unsigned d = 0; d < config_.devices; ++d) {
-    auto made = detect::make("core", impl_->run_ext);
+    auto made = detect::make("core", config_.ext);
     if (!made.ok()) {
       throw std::runtime_error("svc: cannot construct core detector: " +
                                made.status().to_string());
@@ -207,25 +168,27 @@ JobId Service::submit(graph::Csr graph, const JobOptions& options) {
                              graph.num_arcs();
   auto job = std::make_shared<Job>();
   job->options = options;
-  job->routed = options.backend != Backend::Auto
+  job->routed = options.backend != "auto"
                     ? options.backend
-                    : (cost <= config_.seq_cost_limit ? Backend::Seq
-                                                      : Backend::Core);
+                    : (cost <= config_.seq_cost_limit ? "seq" : "core");
   job->graph = std::make_shared<const graph::Csr>(std::move(graph));
+
+  // A warm-started job neither reads nor fills the cache: the key sees
+  // the graph and the options, never the seed partition.
+  const detect::Options& effective =
+      options.options ? *options.options : config_.options;
+  if (effective.warm_start) job->options.use_cache = false;
 
   // Fingerprint + cache probe outside the service lock: hashing is
   // O(n + m) and the cache has its own mutex.
-  const bool caching = options.use_cache && config_.cache_capacity > 0;
+  const bool caching = job->options.use_cache && config_.cache_capacity > 0;
   std::shared_ptr<const core::Result> cached;
   if (caching) {
-    // The key folds the resolved backend and the quality-relevant
-    // options in with the graph hash, so the same graph run by two
-    // backends (or two threshold schedules — or two partition seeds,
-    // via a per-job options override) never aliases.
-    const detect::Options& effective =
-        options.options ? *options.options : config_.options;
-    job->fp = job_key(fingerprint(*job->graph), to_string(job->routed),
-                      effective);
+    // The key folds the backend name and the quality-relevant options
+    // in with the graph hash, so the same graph run by two backends
+    // (or two threshold schedules — or two partition seeds, via a
+    // per-job options override) never aliases.
+    job->fp = job_key(fingerprint(*job->graph), job->routed, effective);
     cached = impl_->cache.get(job->fp);
   }
 
@@ -334,8 +297,10 @@ util::StatusOr<SessionId> Service::open_session(graph::Csr graph,
   }
 
   // The epoch-0 fingerprint and the cold detection run on the calling
-  // thread: both are O(graph) and need no service state.
+  // thread: both are O(graph) and need no service state. A session's
+  // device runs at the service's one thread count, like every job.
   const Fingerprint base = fingerprint(graph);
+  options.options.threads = config_.options.threads;
   auto opened = stream::Session::open(std::move(graph), std::move(options));
   if (!opened.ok()) return opened.status();
 
@@ -381,13 +346,13 @@ util::StatusOr<JobId> Service::submit_delta(SessionId session,
   job->id = impl_->next_id++;
   job->session = st;
   job->delta = std::move(delta);
-  job->routed = backend_from_name(st->session.options().backend);
+  job->routed = st->session.options().backend;
   job->options.priority = st->priority;
   job->options.use_cache = use_cache;
   job->submitted = Clock::now();
   job->target_epoch = ++st->enqueued;
   if (use_cache && config_.cache_capacity > 0) {
-    job->fp = job_key(st->base_fp, st->session.options().backend,
+    job->fp = job_key(st->base_fp, job->routed,
                       st->session.options().options, st->id,
                       job->target_epoch);
   }
@@ -472,7 +437,7 @@ Stats Service::stats() const {
   s.running = impl_->running;
   s.sessions_open = impl_->sessions.size();
   s.devices = static_cast<unsigned>(impl_->devices.size());
-  s.device_threads = impl_->device_threads_resolved;
+  s.device_threads = config_.options.threads;
   const shard::PlanCache::Stats ps = shard::plan_cache().stats();
   s.plan_hits = ps.hits;
   s.plan_misses = ps.misses;
@@ -514,22 +479,20 @@ void Service::worker_loop(unsigned index) {
   // use and cached per worker (detectors are single-threaded).
   std::map<std::string, std::unique_ptr<detect::Detector>, std::less<>> local;
   const auto detector_for =
-      [&](Backend b) -> util::StatusOr<detect::Detector*> {
-    if (b == Backend::Core && pooled) return pooled;
-    auto& slot = local[to_string(b)];
-    if (!slot) {
-      auto made = detect::make(to_string(b), s.run_ext);
-      if (!made.ok()) return made.status();
-      slot = std::move(made.value());
-    }
-    return slot.get();
+      [&](const std::string& name) -> util::StatusOr<detect::Detector*> {
+    if (name == "core" && pooled) return pooled;
+    const auto it = local.find(name);
+    if (it != local.end()) return it->second.get();
+    auto made = detect::make(name, config_.ext);
+    if (!made.ok()) return made.status();
+    return local.emplace(name, std::move(made).value()).first->second.get();
   };
   const auto eligible = [pooled, index](const std::shared_ptr<Job>& job) {
     // ApplyDelta jobs only run on their session's pinned device worker
     // (one thread per session: applies serialize in submission order).
     if (job->session) return pooled != nullptr && index == job->session->pinned;
     // Aux workers only take jobs the cost router degraded off-device.
-    return pooled != nullptr || job->routed == Backend::Seq;
+    return pooled != nullptr || job->routed == "seq";
   };
 
   std::unique_lock<std::mutex> lock(s.m);
@@ -601,9 +564,12 @@ void Service::worker_loop(unsigned index) {
           if (!detector.ok()) {
             error = detector.status().to_string();
           } else {
-            const detect::Options& opts = job->options.options
-                                              ? *job->options.options
-                                              : config_.options;
+            detect::Options opts = job->options.options
+                                       ? *job->options.options
+                                       : config_.options;
+            // One device shape service-wide: a per-job override never
+            // resizes a pooled device.
+            opts.threads = config_.options.threads;
             result = std::make_shared<core::Result>(
                 (*detector)->run(*graph, opts));
             if (caching) s.cache.put(job->fp, result);
@@ -650,17 +616,15 @@ void Service::worker_loop(unsigned index) {
         s.counters.sweeps_total += static_cast<std::uint64_t>(level.iterations);
         ++s.counters.levels_total;
       }
-      switch (job->routed) {
-        case Backend::Core:
-          ++s.counters.ran_on_device;
-          s.counters.shared_spills += result->device.shared_spills;
-          break;
-        case Backend::Seq: ++s.counters.ran_sequential; break;
-        case Backend::Shard:
-          ++s.counters.ran_sharded;
-          s.counters.shared_spills += result->device.shared_spills;
-          break;
-        default: ++s.counters.ran_other; break;
+      s.counters.shared_spills += result->device.shared_spills;
+      if (job->routed == "core") {
+        ++s.counters.ran_on_device;
+      } else if (job->routed == "seq") {
+        ++s.counters.ran_sequential;
+      } else if (job->routed == "shard") {
+        ++s.counters.ran_sharded;
+      } else {
+        ++s.counters.ran_other;
       }
     }
     finish(job, JobStatus::Completed);

@@ -38,8 +38,6 @@ struct ServiceConfig {
   /// Pooled "core" detectors; each gets a dedicated worker thread that
   /// reuses the instance (device + arenas) across jobs.
   unsigned devices = 2;
-  /// simt worker threads per pooled device (0 = hardware concurrency).
-  unsigned device_threads = 0;
   /// Extra device-less workers that only run sequential-backend jobs,
   /// so degraded tiny jobs do not wait behind device-sized ones.
   unsigned aux_workers = 1;
@@ -47,18 +45,20 @@ struct ServiceConfig {
   std::size_t queue_capacity = 64;
   /// Result-cache entries (0 disables caching).
   std::size_t cache_capacity = 32;
-  /// Backend::Auto degradation threshold: jobs with n + m at or below
-  /// this run on the sequential backend.
+  /// "auto" degradation threshold: jobs with n + m at or below this
+  /// run on the sequential backend.
   std::uint64_t seq_cost_limit = 1u << 13;
   /// Workers do not start picking up jobs until resume() — lets tests
   /// and batch clients stage a queue deterministically.
   bool start_paused = false;
 
-  /// Shared algorithm options handed to every backend. For pooled core
-  /// devices, `device_threads` above supersedes options.threads.
+  /// Shared algorithm options handed to every backend. `threads` is
+  /// the simt worker count of every pooled device (0 = hardware
+  /// concurrency) and is pinned for every job, per-job overrides
+  /// included.
   detect::Options options;
-  /// Backend-specific extension knobs forwarded to detect::make().
-  /// The Options slice inside ext.core is overwritten by `options`.
+  /// Backend-specific extension knobs forwarded to detect::make(). The
+  /// service sets ext.shard.device_pool to its own shard pool.
   detect::Extensions ext;
 };
 
@@ -116,7 +116,8 @@ class Service {
   /// Create a session; runs the initial cold detection synchronously on
   /// the calling thread. `priority` is the fixed priority of every
   /// ApplyDelta job of this session (per-delta priorities would let the
-  /// queue reorder a session's deltas).
+  /// queue reorder a session's deltas). options.options.threads is
+  /// replaced by the service's.
   [[nodiscard]] util::StatusOr<SessionId> open_session(
       graph::Csr graph, stream::SessionOptions options = {},
       int priority = 0);
@@ -151,6 +152,8 @@ class Service {
   void shutdown(bool drain = true);
 
   Stats stats() const;
+  /// The configuration as the service runs it: `devices` at least 1,
+  /// `options.threads` resolved, ext.shard.device_pool its shard pool.
   const ServiceConfig& config() const noexcept { return config_; }
 
  private:

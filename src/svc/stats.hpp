@@ -45,7 +45,7 @@ struct Stats {
   // Device pool.
   std::uint64_t shared_spills = 0;  ///< summed DeviceStats::shared_spills
   unsigned devices = 0;             ///< pooled core::Louvain instances
-  unsigned device_threads = 0;      ///< simt workers per device
+  unsigned device_threads = 0;      ///< resolved options.threads
 
   // Partition-plan cache (process-wide; see shard/plan_cache.hpp —
   // mirrors the result-cache block above for the shard backend's

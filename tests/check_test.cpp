@@ -297,7 +297,11 @@ TEST_F(CheckTest, CoreLouvainRunsClean) {
 // would surface here.
 TEST_F(CheckTest, SvcMultiJobStressRunsClean) {
   {
-    svc::Service service({.devices = 2, .device_threads = 2, .aux_workers = 1});
+    svc::ServiceConfig cfg;
+    cfg.devices = 2;
+    cfg.aux_workers = 1;
+    cfg.options.threads = 2;
+    svc::Service service(cfg);
     std::vector<svc::JobId> ids;
     for (int i = 0; i < 6; ++i) {
       ids.push_back(

@@ -84,7 +84,7 @@ TEST(CoreLouvain, TrivialGraphs) {
 
 TEST(CoreLouvain, DeterministicWithSingleWorker) {
   Config cfg;
-  cfg.device.worker_threads = 1;
+  cfg.threads = 1;
   const auto g = gen::rmat({.scale = 10, .edge_factor = 8}, 13);
   Louvain a(cfg), b(cfg);
   const Result ra = a.run(g);

@@ -311,6 +311,42 @@ TEST(DetectConformance, AutoDeviceMatchesItsResolution) {
   EXPECT_EQ(auto_run.community, resolved_run.community);
 }
 
+TEST(DetectConformance, CoreDetectorRebuildsOnThreadChange) {
+  // One detector, three thread counts: the warm runner rebuilds its
+  // device whenever Options::threads changes, in either direction.
+  const graph::Csr g = sbm_graph();
+  auto d = detect::make("core");
+  ASSERT_TRUE(d.ok());
+  detect::Options options = small_options();
+  for (const unsigned threads : {1u, 2u, 1u}) {
+    options.threads = threads;
+    EXPECT_EQ((*d)->run(g, options).device.workers, threads);
+  }
+}
+
+TEST(DetectConformance, CoreDetectorRebuildsOnLaneBackendChange) {
+  // A scalar run after a vector run on the same detector runs on a
+  // scalar device: no vector counter, and the bits of a fresh scalar
+  // detector.
+  const graph::Csr g = sbm_graph();
+  auto reused = detect::make("core");
+  auto fresh = detect::make("core");
+  ASSERT_TRUE(reused.ok() && fresh.ok());
+  detect::Options options = small_options();
+  options.device = simt::Backend::kVector;
+  (void)(*reused)->run(g, options);
+  options.device = simt::Backend::kScalar;
+  obs::Recorder rec;
+  const detect::Result again = (*reused)->run(g, options, &rec);
+  const detect::Result reference = (*fresh)->run(g, options);
+  EXPECT_EQ(again.community, reference.community);
+  EXPECT_EQ(again.modularity, reference.modularity);
+  for (const auto& c : rec.counters()) {
+    EXPECT_NE(rec.name(c.name),
+              std::string_view("modopt/vector_lane_occupancy"));
+  }
+}
+
 TEST(DetectConformance, VectorLaneOccupancyCounterIsEmitted) {
   // The obs counter only exists on vector runs; scalar runs must not
   // emit it (it would read as 0/0). Under a GLOUVAIN_SIMTCHECK build
@@ -347,14 +383,12 @@ TEST(DetectConformance, VectorLaneOccupancyCounterIsEmitted) {
 TEST(DetectConformance, ServiceRunsEveryBackend) {
   svc::ServiceConfig cfg;
   cfg.devices = 1;
-  cfg.device_threads = 2;
   cfg.aux_workers = 1;
   cfg.options.threads = 2;
   const graph::Csr g = sbm_graph();
   svc::Service service(cfg);
-  for (const svc::Backend b : {svc::Backend::Core, svc::Backend::Seq,
-                               svc::Backend::Plm, svc::Backend::Shard}) {
-    SCOPED_TRACE(svc::to_string(b));
+  for (const std::string b : {"core", "seq", "plm", "shard"}) {
+    SCOPED_TRACE(b);
     svc::JobOptions jo;
     jo.backend = b;
     jo.use_cache = false;

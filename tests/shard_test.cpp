@@ -303,7 +303,7 @@ shard::Config pinned_config() {
   shard::Config cfg;
   cfg.threads = 2;
   cfg.device = simt::Backend::kScalar;
-  return shard::to_config(cfg, cfg);
+  return cfg;
 }
 
 TEST(Engine, SingleShardBitwiseIdenticalToCore) {
@@ -459,7 +459,7 @@ TEST(Engine, ConcurrentDeterministicAcrossDeviceCounts) {
     simt::DevicePoolConfig pc;
     pc.max_devices = width;
     pc.total_threads = 2;
-    pc.device = cfg.core.device;
+    pc.device.backend = cfg.device;
     pc.device.worker_threads = 0;
     cfg.device_pool = std::make_shared<simt::DevicePool>(pc);
     const Result r = louvain(bench.graph, cfg);

@@ -76,6 +76,10 @@ expect(2 "negative detect --threads"
   detect --in "${WORK_DIR}/absent.bin" --threads -1)
 expect(2 "negative batch --devices"
   batch --manifest "${WORK_DIR}/absent.manifest" --devices -1)
+# batch checks a non-auto --backend against the detect registry before
+# it opens the manifest.
+expect(2 "unknown batch backend"
+  batch --backend bogus --manifest "${WORK_DIR}/absent.manifest")
 expect(2 "negative churn --epochs"
   churn --in "${WORK_DIR}/absent.bin" --out "${WORK_DIR}/absent.deltas"
   --epochs -1)

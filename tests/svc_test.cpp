@@ -13,6 +13,7 @@
 
 #include "gen/cliques.hpp"
 #include "gen/er.hpp"
+#include "gen/sbm.hpp"
 #include "seq/louvain.hpp"
 #include "shard/plan_cache.hpp"
 #include "stream/apply.hpp"
@@ -129,7 +130,7 @@ TEST(ResultCache, ZeroCapacityDisables) {
 svc::ServiceConfig quiet_config() {
   svc::ServiceConfig cfg;
   cfg.devices = 2;
-  cfg.device_threads = 1;  // single-worker devices: deterministic core runs
+  cfg.options.threads = 1;  // single-worker devices: deterministic core runs
   cfg.aux_workers = 1;
   cfg.queue_capacity = 256;
   cfg.cache_capacity = 16;
@@ -144,8 +145,8 @@ TEST(Service, AutoRoutingDegradesTinyGraphs) {
   const svc::JobResult rb = service.wait(big);
   ASSERT_EQ(rt.status, svc::JobStatus::Completed);
   ASSERT_EQ(rb.status, svc::JobStatus::Completed);
-  EXPECT_EQ(rt.backend, svc::Backend::Seq);
-  EXPECT_EQ(rb.backend, svc::Backend::Core);
+  EXPECT_EQ(rt.backend, "seq");
+  EXPECT_EQ(rb.backend, "core");
   const svc::Stats st = service.stats();
   EXPECT_EQ(st.ran_sequential, 1u);
   EXPECT_EQ(st.ran_on_device, 1u);
@@ -368,15 +369,15 @@ TEST(Service, ExplicitBackendSelection) {
   // Force the tiny graph onto a device and the comparator backends.
   const auto g = small_graph(0);
   const svc::JobResult on_device =
-      service.wait(service.submit(g, {.backend = svc::Backend::Core,
+      service.wait(service.submit(g, {.backend = "core",
                                       .use_cache = false}));
   const svc::JobResult on_plm =
-      service.wait(service.submit(g, {.backend = svc::Backend::Plm,
+      service.wait(service.submit(g, {.backend = "plm",
                                       .use_cache = false}));
   ASSERT_EQ(on_device.status, svc::JobStatus::Completed);
   ASSERT_EQ(on_plm.status, svc::JobStatus::Completed);
-  EXPECT_EQ(on_device.backend, svc::Backend::Core);
-  EXPECT_EQ(on_plm.backend, svc::Backend::Plm);
+  EXPECT_EQ(on_device.backend, "core");
+  EXPECT_EQ(on_plm.backend, "plm");
   // Ring of cliques has an unambiguous optimum: all engines agree.
   EXPECT_NEAR(on_device.result->modularity, on_plm.result->modularity, 1e-9);
 }
@@ -384,9 +385,8 @@ TEST(Service, ExplicitBackendSelection) {
 TEST(Service, RoutingCountersCoverEveryBackend) {
   svc::Service service(quiet_config());
   const auto g = small_graph(0);
-  for (const svc::Backend b : {svc::Backend::Core, svc::Backend::Seq,
-                               svc::Backend::Plm, svc::Backend::Shard}) {
-    SCOPED_TRACE(svc::to_string(b));
+  for (const std::string b : {"core", "seq", "plm", "shard"}) {
+    SCOPED_TRACE(b);
     const svc::JobResult r =
         service.wait(service.submit(g, {.backend = b, .use_cache = false}));
     ASSERT_EQ(r.status, svc::JobStatus::Completed) << r.error;
@@ -498,8 +498,8 @@ TEST(Service, SameGraphTwoBackendsTwoResults) {
   cfg.seq_cost_limit = 0;  // no degradation: backends run as asked
   svc::Service service(cfg);
   const auto g = small_graph(2);
-  const svc::JobId a = service.submit(g, {.backend = svc::Backend::Core});
-  const svc::JobId b = service.submit(g, {.backend = svc::Backend::Seq});
+  const svc::JobId a = service.submit(g, {.backend = "core"});
+  const svc::JobId b = service.submit(g, {.backend = "seq"});
   const svc::JobResult ra = service.wait(a);
   const svc::JobResult rb = service.wait(b);
   ASSERT_EQ(ra.status, svc::JobStatus::Completed);
@@ -507,8 +507,133 @@ TEST(Service, SameGraphTwoBackendsTwoResults) {
   // Neither may be served from the other's cache entry.
   EXPECT_FALSE(ra.cache_hit);
   EXPECT_FALSE(rb.cache_hit);
-  EXPECT_EQ(ra.backend, svc::Backend::Core);
-  EXPECT_EQ(rb.backend, svc::Backend::Seq);
+  EXPECT_EQ(ra.backend, "core");
+  EXPECT_EQ(rb.backend, "seq");
+}
+
+TEST(Service, WarmStartedJobBypassesResultCache) {
+  // The cache key never sees a warm start, so a warm-started job must
+  // neither fill the cache (a later cold submission of the graph would
+  // get the warm answer) nor read it (it would get the cold answer).
+  gen::SbmParams p;
+  p.num_vertices = 20000;
+  p.num_communities = 200;
+  p.intra_degree = 12.0;
+  p.inter_degree = 2.0;
+  p.seed = 7;
+  const graph::Csr g = gen::planted_partition(p).graph;
+  svc::ServiceConfig cfg;
+  cfg.devices = 1;
+  cfg.options.threads = 2;
+  svc::Service service(cfg);
+
+  // Two halves by vertex parity, and only vertex 0 may move: the run
+  // keeps the seed's near-zero modularity.
+  auto warm = std::make_shared<detect::WarmStart>();
+  warm->seed.resize(g.num_vertices());
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) warm->seed[v] = v % 2;
+  warm->frontier = {0};
+  auto warm_options = std::make_shared<detect::Options>();
+  warm_options->warm_start = warm;
+  svc::JobOptions warm_job;
+  warm_job.options = warm_options;
+
+  const svc::JobResult first = service.wait(service.submit(g, warm_job));
+  ASSERT_EQ(first.status, svc::JobStatus::Completed) << first.error;
+  EXPECT_FALSE(first.cache_hit);
+  EXPECT_LT(first.result->modularity, 0.1);
+
+  const svc::JobResult cold = service.wait(service.submit(g));
+  ASSERT_EQ(cold.status, svc::JobStatus::Completed) << cold.error;
+  EXPECT_FALSE(cold.cache_hit);
+  EXPECT_NE(cold.result, first.result);
+  EXPECT_GT(cold.result->modularity, 0.8);
+
+  const svc::JobResult again = service.wait(service.submit(g, warm_job));
+  ASSERT_EQ(again.status, svc::JobStatus::Completed) << again.error;
+  EXPECT_FALSE(again.cache_hit);
+  EXPECT_LT(again.result->modularity, 0.1);
+
+  const svc::Stats st = service.stats();
+  EXPECT_EQ(st.cache_hits, 0u);
+  EXPECT_EQ(st.cache_entries, 1u);  // the cold result alone
+}
+
+TEST(Service, PinsDeviceShapeAcrossJobOverrides) {
+  // options.threads is the service's one thread knob: a per-job
+  // override asking for another count (0 = hardware concurrency) still
+  // runs on the pooled 2-worker device.
+  svc::ServiceConfig cfg;
+  cfg.devices = 1;
+  cfg.options.threads = 2;
+  svc::Service service(cfg);
+  const auto g = device_sized_graph(3);
+
+  svc::JobOptions plain;
+  plain.use_cache = false;
+  svc::JobOptions overridden = plain;
+  auto options = std::make_shared<detect::Options>();
+  options->threads = 0;
+  overridden.options = options;
+
+  for (const svc::JobOptions& jo : {plain, overridden}) {
+    const svc::JobResult r = service.wait(service.submit(g, jo));
+    ASSERT_EQ(r.status, svc::JobStatus::Completed) << r.error;
+    EXPECT_EQ(r.backend, "core");
+    EXPECT_EQ(r.result->device.workers, 2u);
+  }
+  EXPECT_EQ(service.stats().device_threads, 2u);
+
+  // So does a session whose own options leave threads at 0.
+  auto sid = service.open_session(device_sized_graph(4));
+  ASSERT_TRUE(sid.ok()) << sid.status().to_string();
+  stream::Delta delta;
+  delta.insertions.push_back({0, 1, 1.0});
+  auto jid = service.submit_delta(*sid, delta);
+  ASSERT_TRUE(jid.ok()) << jid.status().to_string();
+  const svc::JobResult r = service.wait(*jid);
+  ASSERT_EQ(r.status, svc::JobStatus::Completed) << r.error;
+  EXPECT_EQ(r.result->device.workers, 2u);
+  EXPECT_TRUE(service.close_session(*sid).ok());
+}
+
+TEST(Service, UnregisteredBackendFailsWithRegistryMessage) {
+  svc::Service service(quiet_config());
+  svc::JobOptions jo;
+  jo.backend = "no-such-backend";
+  const svc::JobResult r = service.wait(service.submit(small_graph(0), jo));
+  EXPECT_EQ(r.status, svc::JobStatus::Failed);
+  EXPECT_EQ(r.backend, "no-such-backend");
+  EXPECT_EQ(r.error, detect::make("no-such-backend").status().to_string());
+  EXPECT_EQ(service.stats().failed, 1u);
+}
+
+TEST(Service, SessionOnRegisteredBackendReportsItsName) {
+  // A backend added to the registry keeps its registry name in the
+  // session's job results and counts as "other" in the routing stats.
+  detect::register_backend("svc-session-seq", [](const detect::Extensions&) {
+    return std::move(detect::make("seq")).value();
+  });
+  svc::ServiceConfig cfg;
+  cfg.devices = 1;
+  svc::Service service(cfg);
+  stream::SessionOptions so;
+  so.backend = "svc-session-seq";
+  auto sid = service.open_session(small_graph(0), so);
+  ASSERT_TRUE(sid.ok()) << sid.status().to_string();
+
+  stream::Delta delta;
+  delta.insertions.push_back({0, 7, 1.0});
+  auto jid = service.submit_delta(*sid, delta);
+  ASSERT_TRUE(jid.ok()) << jid.status().to_string();
+  const svc::JobResult r = service.wait(*jid);
+  ASSERT_EQ(r.status, svc::JobStatus::Completed) << r.error;
+  EXPECT_EQ(r.backend, "svc-session-seq");
+
+  const svc::Stats st = service.stats();
+  EXPECT_EQ(st.ran_other, 1u);
+  EXPECT_EQ(st.ran_on_device + st.ran_sequential + st.ran_sharded, 0u);
+  EXPECT_TRUE(service.close_session(*sid).ok());
 }
 
 TEST(Service, SessionDeltaLifecycle) {
@@ -633,9 +758,9 @@ TEST(Service, PartitionSeedKeyedIntoResultCache) {
   opts_b->partition_seed = 2;
 
   const svc::JobResult a = service.wait(service.submit(
-      g, {.backend = svc::Backend::Shard, .options = opts_a}));
+      g, {.backend = "shard", .options = opts_a}));
   const svc::JobResult b = service.wait(service.submit(
-      g, {.backend = svc::Backend::Shard, .options = opts_b}));
+      g, {.backend = "shard", .options = opts_b}));
   ASSERT_EQ(a.status, svc::JobStatus::Completed) << a.error;
   ASSERT_EQ(b.status, svc::JobStatus::Completed) << b.error;
   EXPECT_FALSE(a.cache_hit);
@@ -645,7 +770,7 @@ TEST(Service, PartitionSeedKeyedIntoResultCache) {
   // The same seed resubmitted IS a hit, on the same immutable object.
   auto opts_c = std::make_shared<detect::Options>(*opts_a);
   const svc::JobResult c = service.wait(service.submit(
-      g, {.backend = svc::Backend::Shard, .options = opts_c}));
+      g, {.backend = "shard", .options = opts_c}));
   ASSERT_EQ(c.status, svc::JobStatus::Completed) << c.error;
   EXPECT_TRUE(c.cache_hit);
   EXPECT_EQ(c.result, a.result);
@@ -659,7 +784,7 @@ TEST(Service, PlanCacheReusedAcrossJobsAndInvalidatedByDeltas) {
   const auto g = gen::erdos_renyi(20000, 60000, 3);
   auto opts = std::make_shared<detect::Options>();
   opts->shards = 2;
-  const svc::JobOptions job{.backend = svc::Backend::Shard,
+  const svc::JobOptions job{.backend = "shard",
                             .use_cache = false,  // force a real recompute
                             .options = opts};
 

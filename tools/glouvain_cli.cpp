@@ -308,21 +308,12 @@ int cmd_detect(util::Options& opt) {
   return 0;
 }
 
-util::StatusOr<svc::Backend> parse_backend(const std::string& name) {
-  if (name == "auto") return svc::Backend::Auto;
-  if (name == "core") return svc::Backend::Core;
-  if (name == "seq") return svc::Backend::Seq;
-  if (name == "plm") return svc::Backend::Plm;
-  if (name == "shard") return svc::Backend::Shard;
-  return util::Status::invalid_argument("unknown --backend: " + name);
-}
-
 int cmd_batch(util::Options& opt) {
   const std::string manifest_path =
       opt.get_string("manifest", "", "manifest file: one `path [priority]` per line");
   svc::ServiceConfig cfg;
   cfg.devices = get_count<unsigned>(opt, "devices", 2, "pooled simt devices");
-  cfg.device_threads = get_count<unsigned>(
+  cfg.options.threads = get_count<unsigned>(
       opt, "threads", 0, "simt worker threads per device (0 = hardware)");
   cfg.aux_workers = get_count<unsigned>(
       opt, "aux", 1, "device-less workers for sequential jobs");
@@ -350,8 +341,10 @@ int cmd_batch(util::Options& opt) {
     return fail_status(
         util::Status::invalid_argument("unknown --partition: " + partition_arg));
   }
-  const auto backend = parse_backend(backend_arg);
-  if (!backend.ok()) return fail_status(backend.status());
+  if (backend_arg != "auto") {
+    const auto known = detect::make(backend_arg);
+    if (!known.ok()) return fail_status(known.status());
+  }
   if (manifest_path.empty()) return usage("--manifest is required for batch");
 
   struct Entry {
@@ -397,7 +390,7 @@ int cmd_batch(util::Options& opt) {
     for (std::size_t i = 0; i < entries.size(); ++i) {
       svc::JobOptions jo;
       jo.priority = entries[i].priority;
-      jo.backend = *backend;
+      jo.backend = backend_arg;
       jo.deadline = std::chrono::milliseconds(deadline_ms);
       auto id = service.try_submit(graphs[i], jo);
       if (!id.ok()) {
@@ -418,7 +411,7 @@ int cmd_batch(util::Options& opt) {
     if (!status.ok() && worst.ok()) worst = status;
     table.add_row(
         {std::to_string(s.id), s.entry->path, std::to_string(s.pass),
-         svc::to_string(r.status), svc::to_string(r.backend),
+         svc::to_string(r.status), r.backend,
          r.cache_hit ? "hit" : "-",
          r.result ? util::Table::fixed(r.result->modularity, 5) : "-",
          util::Table::fixed(r.queue_seconds * 1e3, 2),
