@@ -60,7 +60,7 @@ struct AlgoRun {
   double teps = 0;
 };
 
-inline AlgoRun make_algo_run(const LouvainResult& r) {
+inline AlgoRun make_algo_run(const detect::Result& r) {
   return {r.total_seconds, r.modularity, static_cast<int>(r.levels.size()),
           r.first_phase_teps};
 }

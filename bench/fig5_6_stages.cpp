@@ -14,7 +14,7 @@ using namespace glouvain;
 namespace {
 
 void breakdown(const char* figure, const char* graph_name, const char* paper_graph,
-               const LouvainResult& r) {
+               const detect::Result& r) {
   std::printf("\n%s — %s (stands in for %s)\n", figure, graph_name, paper_graph);
   util::Table table({"stage", "|V| in", "sweeps", "opt[s]", "agg[s]",
                      "opt share", "Q after"});

@@ -168,8 +168,9 @@ AggregationResult aggregate_impl(simt::Device& device, Rows& rows,
   Binned& binned = ws.aggregate_binned();
   {
     obs::Span span(rec, "aggregate/binning");
-    bin_by_key_into(n, scheme, [&](VertexId c) { return com_degree[c]; },
-                    binned, ws.scratch(), pool);
+    bin_by_key_into(
+        n, scheme, [&](VertexId c) { return com_degree[c]; }, 1,
+        [](VertexId) { return 0u; }, binned, ws.scratch(), pool);
   }
   if (rec) {
     for (std::size_t b = 0; b < scheme.num_buckets(); ++b) {

@@ -4,11 +4,7 @@
 // a link dependency on the core library.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
 #include "graph/types.hpp"
-#include "metrics/dendrogram.hpp"
 
 namespace glouvain {
 
@@ -40,21 +36,12 @@ struct LevelReport {
   double aggregate_seconds = 0;     ///< phase 2 time
 };
 
-struct LouvainResult {
-  /// Final community of every ORIGINAL vertex (dense labels).
-  std::vector<graph::Community> community;
+/// What one modularity-optimization phase reports to the level loop.
+struct PhaseResult {
+  int sweeps = 0;
   double modularity = 0;
-  std::vector<LevelReport> levels;
-  /// Full multi-level hierarchy: dendrogram.community_at_level(l) gives
-  /// the clustering after l+1 levels; the last level equals
-  /// `community`. (The paper's GPU code drops this for memory; see
-  /// metrics/dendrogram.hpp.)
-  metrics::Dendrogram dendrogram;
-  double total_seconds = 0;
-  /// Arcs processed in the first optimization sweep of level 0 divided
-  /// by the time of that sweep — the TEPS figure the paper reports
-  /// against the Blue Gene/Q implementation.
-  double first_phase_teps = 0;
+  /// Wall time of the phase's first sweep: the TEPS denominator.
+  double first_sweep_seconds = 0;
 };
 
 }  // namespace glouvain

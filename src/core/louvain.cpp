@@ -1,10 +1,9 @@
 #include "core/louvain.hpp"
 
 #include <optional>
-#include <stdexcept>
 
+#include "core/levels.hpp"
 #include "obs/recorder.hpp"
-#include "simt/atomics.hpp"
 #include "util/timer.hpp"
 
 namespace glouvain::core {
@@ -65,19 +64,7 @@ void Louvain::run_levels(const Csr& graph, const LevelStep& step,
 Result Louvain::run_warm(const Csr& graph, std::span<const Community> seed,
                          std::span<const graph::VertexId> frontier,
                          obs::Recorder* rec) {
-  if (seed.size() != graph.num_vertices()) {
-    throw std::invalid_argument("run_warm: seed size != num_vertices");
-  }
-  for (const Community c : seed) {
-    if (c >= graph.num_vertices()) {
-      throw std::invalid_argument("run_warm: seed label out of range");
-    }
-  }
-  for (const graph::VertexId v : frontier) {
-    if (v >= graph.num_vertices()) {
-      throw std::invalid_argument("run_warm: frontier vertex out of range");
-    }
-  }
+  detect::check_warm_start(graph.num_vertices(), seed, frontier);
   Result result;
   run_impl(&graph, nullptr, seed, frontier, /*warm=*/true, nullptr, result,
            rec);
@@ -92,10 +79,11 @@ void Louvain::run_impl(const Csr* graph, const zg::ZCsr* z0,
   util::Timer total_timer;
   device_->clear_spills();
 
-  const VertexId n0 = z0 ? z0->num_vertices() : graph->num_vertices();
-
-  result.community.resize(n0);
-  device_->for_each(n0, [&](std::size_t v) {
+  const LevelSize size0 = z0 ? LevelSize{z0->num_vertices(), z0->num_arcs()}
+                             : LevelSize{graph->num_vertices(),
+                                         graph->num_arcs()};
+  result.community.resize(size0.vertices);
+  device_->for_each(size0.vertices, [&](std::size_t v) {
     result.community[v] = static_cast<Community>(v);
   });
 
@@ -105,17 +93,7 @@ void Louvain::run_impl(const Csr* graph, const zg::ZCsr* z0,
   std::optional<ZRows> zrows;
   if (z0) {
     zrows.emplace(*z0, device_->workers());
-    if (rec) {
-      rec->count("zg/bytes_adj", static_cast<double>(z0->bytes_stream()));
-      rec->count("zg/bytes_index", static_cast<double>(z0->bytes_index()));
-      rec->count("zg/plain_bytes", static_cast<double>(z0->plain_bytes()));
-      const double packed =
-          static_cast<double>(z0->bytes_stream() + z0->bytes_index());
-      if (packed > 0) {
-        rec->count("zg/ratio",
-                   static_cast<double>(z0->plain_bytes()) / packed);
-      }
-    }
+    count_storage(*z0, rec);
   }
 
   // No level-0 copy: the input graph is only ever read. Contracted
@@ -124,29 +102,19 @@ void Louvain::run_impl(const Csr* graph, const zg::ZCsr* z0,
   // cycle through the same heap blocks (cudaMalloc-once discipline).
   const Csr* current = graph;
   Csr owned;
-  double prev_q = -1.0;
+  std::span<const Community> labels;
   std::uint64_t prev_spills = 0;
 
-  for (int level = 0; level < config_.max_levels; ++level) {
-    if (rec) rec->set_level(level);
-    const bool z_level = z0 != nullptr && level == 0;
-    LevelReport report;
-    report.vertices = z_level ? z0->num_vertices() : current->num_vertices();
-    report.arcs = z_level ? z0->num_arcs() : current->num_arcs();
-    report.modularity_before = prev_q < -0.5 ? 0 : prev_q;
-
-    const double threshold = config_.thresholds.threshold_for(report.vertices);
-
-    // Level 0 of a warm run starts from the seeded partition and sweeps
-    // only the frontier; every later level is a normal cold phase on
-    // the (much smaller) contracted graph. The phase state is a member:
-    // reset() only rewrites, its arrays stay at their high-water mark.
-    // A caller's step (run_levels) replaces all of this on every level.
-    util::Timer opt_timer;
+  // Level 0 of a warm run starts from the seeded partition and sweeps
+  // only the frontier; every later level is a normal cold phase on
+  // the (much smaller) contracted graph. The phase state is a member:
+  // reset() only rewrites, its arrays stay at their high-water mark.
+  // A caller's step (run_levels) replaces all of this on every level.
+  const auto optimize = [&](int level, double threshold) {
     LevelPhase lp;
     if (step) {
       lp = (*step)(level, *current, threshold);
-    } else if (z_level) {
+    } else if (zrows && level == 0) {
       // The reset pass is one full sequential decode of the stream
       // (per-worker chunks), so its wall time is the decode figure.
       util::Timer decode_timer;
@@ -164,24 +132,12 @@ void Louvain::run_impl(const Csr* graph, const zg::ZCsr* z0,
     } else {
       lp = cold_phase(*current, threshold, rec);
     }
-    const PhaseResult& phase = lp.phase;
-    const std::span<const Community> labels = lp.labels;
-    report.optimize_seconds = opt_timer.seconds();
-    report.iterations = phase.sweeps;
-    report.modularity_after = phase.modularity;
+    labels = lp.labels;
+    return lp.phase;
+  };
 
-    if (level == 0) {
-      result.first_phase_teps = phase.first_sweep_seconds > 0
-          ? static_cast<double>(report.arcs) / phase.first_sweep_seconds
-          : 0;
-    }
-
-    // Termination always checks against the FINE threshold: t_bin only
-    // cuts phases short, it must not end the whole hierarchy early.
-    const bool converged =
-        prev_q >= -0.5 && (phase.modularity - prev_q) < config_.thresholds.t_final;
-
-    util::Timer agg_timer;
+  const auto contract = [&](int level) {
+    const bool z_level = zrows && level == 0;
     AggregationResult agg =
         z_level ? aggregate(*device_, *zrows, config_, labels, ws_, rec)
                 : aggregate(*device_, *current, config_, labels, ws_, rec);
@@ -190,7 +146,8 @@ void Louvain::run_impl(const Csr* graph, const zg::ZCsr* z0,
     // community(orig) = new_id[ phase community of current vertex ].
     {
       obs::Span fold_span(rec, "fold");
-      const VertexId cn = static_cast<VertexId>(report.vertices);
+      const VertexId cn =
+          z_level ? zrows->num_vertices() : current->num_vertices();
       auto dense = ws_.buffer<Community>(Workspace::Slot::kFoldDense, cn);
       device_->for_each(cn, [&](std::size_t v) {
         dense[v] = agg.new_id[labels[v]];
@@ -204,36 +161,28 @@ void Louvain::run_impl(const Csr* graph, const zg::ZCsr* z0,
           std::vector<Community>(dense.begin(), dense.end()));
     }
     ws_.put(std::move(agg.new_id));
-    report.aggregate_seconds = agg_timer.seconds();
-    result.levels.push_back(report);
 
     if (rec) {
-      rec->count("level/vertices", static_cast<double>(report.vertices));
-      rec->count("level/arcs", static_cast<double>(report.arcs));
       const std::uint64_t spills = device_->total_spills();
       rec->count("level/shared_spills",
                  static_cast<double>(spills - prev_spills));
       prev_spills = spills;
     }
-
-    const bool shrunk =
-        agg.contracted.num_vertices() < static_cast<VertexId>(report.vertices);
-    prev_q = phase.modularity;
     // Retire the previous owned level into the recycling pools before
     // adopting the new one (never the caller's input graph).
     Csr next = std::move(agg.contracted);
     if (owned.num_vertices() > 0) ws_.recycle(std::move(owned));
     owned = std::move(next);
     current = &owned;
-    if (converged || !shrunk) break;
-  }
-  if (rec) rec->set_level(-1);
+    return LevelSize{owned.num_vertices(), owned.num_arcs()};
+  };
+
+  climb_levels(config_, size0, result, rec, optimize, contract);
   if (rec && zrows) {
     rec->count("zg/rows_decoded", static_cast<double>(zrows->rows_decoded()));
     rec->count("zg/reseeks", static_cast<double>(zrows->reseeks()));
   }
 
-  result.modularity = prev_q;
   result.total_seconds = total_timer.seconds();
   result.device.shared_spills = device_->total_spills();
   result.device.workers = device_->workers();

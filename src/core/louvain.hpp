@@ -29,9 +29,8 @@ class Recorder;
 
 namespace glouvain::core {
 
-/// The uniform result currency lives in detect/result.hpp; these
-/// aliases keep every pre-existing core::Result call site (tests,
-/// benches, the svc result cache) source-compatible.
+/// The one result type lives in detect/result.hpp; these aliases keep
+/// the core::Result spelling of tests, benches and the svc cache.
 using DeviceStats = detect::DeviceStats;
 using Result = detect::Result;
 
@@ -76,12 +75,11 @@ class Louvain {
                   std::span<const graph::VertexId> frontier,
                   obs::Recorder* recorder = nullptr);
 
-  /// run()'s level loop with the optimize step supplied by the caller
-  /// (the shard engine's sharded rounds). The loop keeps everything
-  /// else: aggregation, the fold into `result.community`, the
-  /// dendrogram, the t_final / no-contraction stop, level recycling,
-  /// the level counters and the result's run-wide fields. Fields of a
-  /// type derived from Result are the step's to fill.
+  /// run()'s level loop (climb_levels, core/levels.hpp) with the
+  /// optimize step supplied by the caller (the shard engine's sharded
+  /// rounds). Core keeps its contract step: aggregation, the fold into
+  /// `result.community`, the dendrogram and level recycling. Fields of
+  /// a type derived from Result are the step's to fill.
   void run_levels(const graph::Csr& graph, const LevelStep& step,
                   Result& result, obs::Recorder* recorder = nullptr);
 
@@ -111,10 +109,11 @@ class Louvain {
   Workspace& workspace() noexcept { return ws_; }
 
  private:
-  /// Exactly one of `graph` / `z0` is non-null: z0 selects the
-  /// compressed level-0 path, after which the loop continues on the
-  /// contracted plain Csr either way. A non-null `step` replaces the
-  /// optimize step of every level (plain input, cold only).
+  /// Core's optimize and contract steps under climb_levels. Exactly
+  /// one of `graph` / `z0` is non-null: z0 selects the compressed
+  /// level-0 path, after which the loop continues on the contracted
+  /// plain Csr either way. A non-null `step` replaces the optimize step
+  /// of every level (plain input, cold only).
   void run_impl(const graph::Csr* graph, const zg::ZCsr* z0,
                 std::span<const graph::Community> seed,
                 std::span<const graph::VertexId> frontier, bool warm,

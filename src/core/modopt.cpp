@@ -116,53 +116,56 @@ CommitResult commit_moves(simt::Device& device, PhaseState& state,
 
 }  // namespace
 
-void PhaseState::reset(const Csr& graph, simt::Device& device) {
-  const VertexId n = graph.num_vertices();
-  strengths.resize(n);
-  loops.resize(n);
-  community.resize(n);
-  new_comm.resize(n);
-  tot.resize(n);
-  com_size.resize(n);
-  move_gain.resize(n);
-  device.for_each(n, [&](std::size_t v) {
+namespace {
+
+/// The one PhaseState load: a row-order pass that sums k_i and the
+/// loop weight exactly as Csr::strength / Csr::loop_weight do (decoded
+/// rows equal the plain arrays bit for bit), with every vertex its own
+/// community.
+template <typename Rows>
+void load_singletons(PhaseState& st, Rows& rows, simt::Device& device) {
+  const VertexId n = rows.num_vertices();
+  st.strengths.resize(n);
+  st.loops.resize(n);
+  st.community.resize(n);
+  st.new_comm.resize(n);
+  st.tot.resize(n);
+  st.com_size.resize(n);
+  st.move_gain.resize(n);
+  device.for_each_worker(n, [&](std::size_t v, unsigned worker) {
     const auto vid = static_cast<VertexId>(v);
-    strengths[v] = graph.strength(vid);
-    loops[v] = graph.loop_weight(vid);
-    community[v] = vid;
-    new_comm[v] = vid;
-    tot[v] = strengths[v];
-    com_size[v] = 1;
-    move_gain[v] = 0;
+    const RowView r = rows.row(vid, worker);
+    Weight s = 0;
+    Weight loop = 0;
+    for (std::uint32_t i = 0; i < r.deg; ++i) {
+      s += r.w[i];
+      if (r.adj[i] == vid) loop += r.w[i];
+    }
+    st.strengths[v] = s;
+    st.loops[v] = loop;
+    st.community[v] = vid;
+    st.new_comm[v] = vid;
+    st.tot[v] = s;
+    st.com_size[v] = 1;
+    st.move_gain[v] = 0;
   });
+}
+
+}  // namespace
+
+void PhaseState::reset(const Csr& graph, simt::Device& device) {
+  PlainRows rows(graph);
+  load_singletons(*this, rows, device);
+}
+
+void PhaseState::reset(ZRows& rows, simt::Device& device) {
+  load_singletons(*this, rows, device);
 }
 
 void PhaseState::reset_from(const Csr& graph, simt::Device& device,
                             std::span<const Community> seed) {
-  const VertexId n = graph.num_vertices();
-  assert(seed.size() == n);
-  strengths.resize(n);
-  loops.resize(n);
-  community.resize(n);
-  new_comm.resize(n);
-  tot.resize(n);
-  com_size.resize(n);
-  move_gain.resize(n);
-  device.for_each(n, [&](std::size_t v) {
-    const auto vid = static_cast<VertexId>(v);
-    assert(seed[v] < n);
-    strengths[v] = graph.strength(vid);
-    loops[v] = graph.loop_weight(vid);
-    community[v] = seed[v];
-    new_comm[v] = seed[v];
-    tot[v] = 0;
-    com_size[v] = 0;
-    move_gain[v] = 0;
-  });
-  device.for_each(n, [&](std::size_t v) {
-    simt::atomic_add(tot[seed[v]], strengths[v]);
-    simt::atomic_add(com_size[seed[v]], VertexId{1});
-  });
+  reset(graph, device);
+  reseed(device, seed);
 }
 
 void PhaseState::reseed(simt::Device& device,
@@ -180,37 +183,6 @@ void PhaseState::reseed(simt::Device& device,
   device.for_each(n, [&](std::size_t v) {
     simt::atomic_add(tot[seed[v]], strengths[v]);
     simt::atomic_add(com_size[seed[v]], VertexId{1});
-  });
-}
-
-void PhaseState::reset(ZRows& rows, simt::Device& device) {
-  const VertexId n = rows.num_vertices();
-  strengths.resize(n);
-  loops.resize(n);
-  community.resize(n);
-  new_comm.resize(n);
-  tot.resize(n);
-  com_size.resize(n);
-  move_gain.resize(n);
-  device.for_each_worker(n, [&](std::size_t v, unsigned worker) {
-    const auto vid = static_cast<VertexId>(v);
-    const RowView r = rows.row(vid, worker);
-    // Same row-order summation as Csr::strength/loop_weight: the
-    // decoded weights are bitwise-equal, so k_i and the loop weight
-    // match the plain path exactly.
-    Weight s = 0;
-    Weight loop = 0;
-    for (std::uint32_t i = 0; i < r.deg; ++i) {
-      s += r.w[i];
-      if (r.adj[i] == vid) loop += r.w[i];
-    }
-    strengths[v] = s;
-    loops[v] = loop;
-    community[v] = vid;
-    new_comm[v] = vid;
-    tot[v] = s;
-    com_size[v] = 1;
-    move_gain[v] = 0;
   });
 }
 
@@ -323,16 +295,27 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
   if (vector_backend && rec) vstats.resize(device.workers());
 
   const BucketScheme& scheme = config.modopt_buckets;
+  // Sub-round classes: under the bucketed update each degree bucket
+  // commits in `subrounds` groups, a vertex's group being a hash of its
+  // id (Config::commit_subrounds) — the stand-in for the graph coloring
+  // of [16] (DESIGN.md §6.1).
+  const unsigned subrounds = config.update == UpdateStrategy::Bucketed
+                                 ? std::max(1u, config.commit_subrounds)
+                                 : 1u;
   // Degrees are fixed within a phase, so one binning serves every sweep
   // (the pseudocode re-partitions per sweep; the result is identical).
-  // Binning runs over subset positions, then maps back to vertex ids.
+  // One counting sort groups subset positions by (degree bucket,
+  // sub-round class), then the positions map back to vertex ids.
   Binned& binned = ws.modopt_binned();
   {
     obs::Span span(rec, "modopt/binning");
     bin_by_key_into(
         num_active, scheme,
-        [&](VertexId i) { return rows.degree(active[i]); }, binned,
-        ws.scratch(), device.pool());
+        [&](VertexId i) { return rows.degree(active[i]); }, subrounds,
+        [&](VertexId i) {
+          return static_cast<unsigned>(util::hash64(active[i]) % subrounds);
+        },
+        binned, ws.scratch(), device.pool());
   }
   device.for_each(num_active,
                   [&](std::size_t i) { binned.order[i] = active[binned.order[i]]; });
@@ -365,45 +348,6 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
       bucket_names[b] = "modopt/bucket" + std::to_string(b);
     }
   }
-
-  // Sub-round grouping within each bucket: vertices of one bucket are
-  // reordered so sub-round classes are contiguous, preserving relative
-  // order inside each class. A vertex's class is a hash of its id
-  // (Config::commit_subrounds) — the stand-in for the graph coloring
-  // of [16] (DESIGN.md §6.1).
-  const unsigned subrounds = config.update == UpdateStrategy::Bucketed
-                                 ? std::max(1u, config.commit_subrounds)
-                                 : 1u;
-  const auto class_of = [&](VertexId v) -> unsigned {
-    return static_cast<unsigned>(util::hash64(v) % subrounds);
-  };
-  const std::size_t order_span = rec ? rec->begin_span("modopt/order") : 0;
-  // Every position of `order` is written by the class regrouping below,
-  // so the workspace buffer needs no initial copy of binned.order.
-  auto order = ws.buffer<VertexId>(Workspace::Slot::kModoptOrder, num_active);
-  // sub_begin[b * subrounds + s] .. [b * subrounds + s + 1) is the
-  // half-open range of bucket b's sub-round s within `order`.
-  auto sub_begin = ws.buffer<std::size_t>(Workspace::Slot::kModoptSubBegin,
-                                          scheme.num_buckets() * subrounds + 1);
-  {
-    // Class lists live in the workspace so their capacities survive
-    // across sweeps, levels and detect() calls (the per-call
-    // construction they replace was a measured hot-loop allocator).
-    auto& classes = ws.class_lists();
-    if (classes.size() < subrounds) classes.resize(subrounds);
-    for (std::size_t b = 0; b < scheme.num_buckets(); ++b) {
-      auto bucket = binned.bucket(b);
-      for (unsigned s = 0; s < subrounds; ++s) classes[s].clear();
-      for (VertexId v : bucket) classes[class_of(v)].push_back(v);
-      std::size_t at = binned.begin[b];
-      for (unsigned s = 0; s < subrounds; ++s) {
-        sub_begin[b * subrounds + s] = at;
-        for (VertexId v : classes[s]) order[at++] = v;
-      }
-    }
-    sub_begin.back() = num_active;
-  }
-  if (rec) rec->end_span(order_span);
 
   const auto eval_q = [&] {
     return device_modularity_impl(device, rows, state.community, state.tot,
@@ -438,12 +382,9 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
       const std::size_t grain = use_global ? 1 : 0;
 
       for (unsigned s = 0; s < subrounds; ++s) {
-        const std::size_t lo = sub_begin[b * subrounds + s];
-        const std::size_t hi = (b * subrounds + s + 1 < sub_begin.size() - 1)
-                                   ? sub_begin[b * subrounds + s + 1]
-                                   : sub_begin.back();
-        if (lo >= hi) continue;
-        std::span<const VertexId> group_vertices(order.data() + lo, hi - lo);
+        const std::span<const VertexId> group_vertices =
+            binned.group(b * subrounds + s);
+        if (group_vertices.empty()) continue;
 
         {
           obs::Span kernel_span(

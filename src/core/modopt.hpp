@@ -32,18 +32,17 @@ struct PhaseState {
   std::vector<double> move_gain;
 
   /// Initialize for a fresh phase: every vertex its own community.
+  /// Both overloads are one row-order pass that sums k_i and the loop
+  /// weight in Csr::strength's order, so plain and compressed rows
+  /// load bitwise-equal state.
   void reset(const graph::Csr& graph, simt::Device& device);
+  void reset(ZRows& rows, simt::Device& device);
 
-  /// Initialize from an existing partition (warm start): `seed` holds
-  /// one community label < graph.num_vertices() per vertex; a_c and
-  /// |c| are accumulated from the members. Labels need not be dense.
+  /// Initialize from an existing partition (warm start): reset() then
+  /// reseed(). `seed` holds one community label < graph.num_vertices()
+  /// per vertex; labels need not be dense.
   void reset_from(const graph::Csr& graph, simt::Device& device,
                   std::span<const graph::Community> seed);
-
-  /// reset() over a compressed row source: strengths/loop weights come
-  /// from sequential decode (same row-order summation as the plain
-  /// path, so every double matches bitwise).
-  void reset(ZRows& rows, simt::Device& device);
 
   /// Re-seed community/tot/|c| from `seed`, keeping the cached static
   /// strengths/loops of an earlier reset over the SAME graph. This is
@@ -52,12 +51,6 @@ struct PhaseState {
   /// rebuilt and the O(arcs) strength pass is skipped. A real resident
   /// device pays exactly this — halo updates, not a re-upload.
   void reseed(simt::Device& device, std::span<const graph::Community> seed);
-};
-
-struct PhaseResult {
-  int sweeps = 0;
-  double modularity = 0;
-  double first_sweep_seconds = 0;  ///< for the TEPS figure
 };
 
 /// Run one modularity-optimization phase: sweeps over the degree
@@ -71,8 +64,9 @@ struct PhaseResult {
 /// community. The stopping rule and the modularity evaluation still see
 /// the whole graph, so the returned modularity is exact.
 ///
-/// Every temporary (active list, binning order, sub-round boundaries,
-/// per-worker partials, prim scratch) comes from `ws`, so once the
+/// Every temporary (active list, binning order and its (bucket,
+/// sub-round) groups, per-worker partials, prim scratch) comes from
+/// `ws`, so once the
 /// workspace has warmed up to the graph's size a phase performs zero
 /// heap allocations. `recorder` (optional) receives the "modopt" span
 /// tree — binning, per-bucket kernel launches, commits, modularity

@@ -25,6 +25,7 @@
 
 #include "graph/csr.hpp"
 #include "graph/types.hpp"
+#include "obs/recorder.hpp"
 #include "zg/zcsr.hpp"
 
 namespace glouvain::core {
@@ -122,5 +123,19 @@ class ZRows {
   unsigned workers_;
   std::vector<Worker> workers_state_;
 };
+
+/// The compressed container's storage counters ("zg/bytes_adj",
+/// "zg/bytes_index", "zg/plain_bytes", "zg/ratio") for a run that
+/// reads `z`. No-op when rec is null.
+inline void count_storage(const zg::ZCsr& z, obs::Recorder* rec) {
+  if (!rec) return;
+  rec->count("zg/bytes_adj", static_cast<double>(z.bytes_stream()));
+  rec->count("zg/bytes_index", static_cast<double>(z.bytes_index()));
+  rec->count("zg/plain_bytes", static_cast<double>(z.plain_bytes()));
+  const double packed = static_cast<double>(z.bytes_stream() + z.bytes_index());
+  if (packed > 0) {
+    rec->count("zg/ratio", static_cast<double>(z.plain_bytes()) / packed);
+  }
+}
 
 }  // namespace glouvain::core

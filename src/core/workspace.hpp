@@ -55,8 +55,6 @@ class Workspace {
   enum class Slot : std::size_t {
     // --- modularity optimization (core/modopt.cpp) ---
     kModoptActive,       ///< active-vertex list
-    kModoptOrder,        ///< binned processing order (copy of Binned)
-    kModoptSubBegin,     ///< sub-round boundaries per bucket
     // --- aggregation (core/aggregate.cpp) ---
     kAggComSize,         ///< members per community (atomic histogram)
     kAggComDegree,       ///< degree sum per community (atomic histogram)
@@ -109,13 +107,7 @@ class Workspace {
   /// The bump arena threaded through prim calls.
   prim::Scratch& scratch() noexcept { return scratch_; }
 
-  /// Per-sub-round commit class lists (modopt). Kept alive so each
-  /// class's capacity survives across sweeps, levels and jobs.
-  std::vector<std::vector<graph::VertexId>>& class_lists() {
-    return class_lists_;
-  }
-
-  /// Reusable binning results (order + bucket offsets), one per phase
+  /// Reusable binning results (order + group offsets), one per phase
   /// so modopt and aggregation never fight over capacity.
   Binned& modopt_binned() noexcept { return binned_[0]; }
   Binned& aggregate_binned() noexcept { return binned_[1]; }
@@ -192,9 +184,6 @@ class Workspace {
     for (const auto& v : pool_u32_) total += v.capacity() * sizeof(std::uint32_t);
     for (const auto& v : pool_u64_) total += v.capacity() * sizeof(std::uint64_t);
     for (const auto& v : pool_f64_) total += v.capacity() * sizeof(double);
-    for (const auto& c : class_lists_) {
-      total += c.capacity() * sizeof(graph::VertexId);
-    }
     return total;
   }
 
@@ -224,7 +213,6 @@ class Workspace {
   std::vector<unsigned char> slots_[static_cast<std::size_t>(Slot::kCount)];
   prim::Scratch scratch_;
   Binned binned_[2];
-  std::vector<std::vector<graph::VertexId>> class_lists_;
   std::vector<std::vector<std::uint32_t>> pool_u32_;
   std::vector<std::vector<std::uint64_t>> pool_u64_;
   std::vector<std::vector<double>> pool_f64_;

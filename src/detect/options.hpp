@@ -9,6 +9,8 @@
 #pragma once
 
 #include <memory>
+#include <span>
+#include <stdexcept>
 #include <string_view>
 #include <vector>
 
@@ -31,6 +33,23 @@ struct WarmStart {
   /// re-optimization that still skips the singleton bootstrap).
   std::vector<graph::VertexId> frontier;
 };
+
+/// The warm-start contract every warm path checks before it runs:
+/// throws std::invalid_argument unless `seed` holds one label < n per
+/// vertex of an n-vertex graph and every frontier vertex is < n.
+inline void check_warm_start(graph::VertexId n,
+                             std::span<const graph::Community> seed,
+                             std::span<const graph::VertexId> frontier) {
+  if (seed.size() != n) {
+    throw std::invalid_argument("warm start: seed size != num_vertices");
+  }
+  for (const graph::Community c : seed) {
+    if (c >= n) throw std::invalid_argument("warm start: seed label >= n");
+  }
+  for (const graph::VertexId v : frontier) {
+    if (v >= n) throw std::invalid_argument("warm start: frontier vertex >= n");
+  }
+}
 
 /// Graph partition strategy of the sharded multi-device backend
 /// ("shard"): how vertices are assigned to the k edge-cut shards.

@@ -24,12 +24,6 @@ Result Detector::run_z(const zg::ZCsr& z, const Options& options,
 
 namespace {
 
-Result from_louvain(LouvainResult&& base) {
-  Result r;
-  static_cast<LouvainResult&>(r) = std::move(base);
-  return r;
-}
-
 /// A backend runner (core::Louvain or shard::Engine) kept warm across
 /// runs. A change of Options::threads or of the resolved
 /// Options::device rebuilds it (the live device's shape is immutable,
@@ -99,11 +93,10 @@ class SeqDetector final : public Detector {
     seq::Config cfg;
     static_cast<Options&>(cfg) = options;
     if (options.warm_start) {
-      return from_louvain(seq::louvain_warm(graph, options.warm_start->seed,
-                                            options.warm_start->frontier, cfg,
-                                            recorder));
+      return seq::louvain_warm(graph, options.warm_start->seed,
+                               options.warm_start->frontier, cfg, recorder);
     }
-    return from_louvain(seq::louvain(graph, cfg, recorder));
+    return seq::louvain(graph, cfg, recorder);
   }
 
   Result run_z(const zg::ZCsr& z, const Options& options,
@@ -111,7 +104,7 @@ class SeqDetector final : public Detector {
     seq::Config cfg;
     static_cast<Options&>(cfg) = options;
     cfg.warm_start.reset();
-    return from_louvain(seq::louvain_z(z, cfg, recorder));
+    return seq::louvain_z(z, cfg, recorder);
   }
 };
 
@@ -123,7 +116,7 @@ class PlmDetector final : public Detector {
              obs::Recorder* recorder) override {
     plm::Config cfg;
     static_cast<Options&>(cfg) = options;
-    return from_louvain(plm::louvain(graph, cfg, recorder));
+    return plm::louvain(graph, cfg, recorder);
   }
 };
 

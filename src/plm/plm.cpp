@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/levels.hpp"
 #include "metrics/modularity.hpp"
 #include "metrics/partition.hpp"
 #include "obs/recorder.hpp"
@@ -30,10 +31,10 @@ struct alignas(64) Accumulator {
 };
 
 /// One modularity-optimization phase with immediate (asynchronous)
-/// moves. Returns the number of sweeps.
-int optimize_phase(const Csr& graph, std::vector<Community>& community,
-                   double threshold, int max_sweeps, double* final_q,
-                   obs::Recorder* rec) {
+/// moves.
+PhaseResult optimize_phase(const Csr& graph, std::vector<Community>& community,
+                           double threshold, int max_sweeps,
+                           obs::Recorder* rec) {
   const VertexId n = graph.num_vertices();
   const Weight m2 = graph.total_weight();
   auto& pool = simt::ThreadPool::global();
@@ -51,11 +52,12 @@ int optimize_phase(const Csr& graph, std::vector<Community>& community,
     a.touched.reserve(256);
   }
 
+  PhaseResult result;
   double current_q = metrics::modularity(graph, community);
-  int sweeps = 0;
 
-  while (sweeps < max_sweeps) {
-    ++sweeps;
+  while (result.sweeps < max_sweeps) {
+    ++result.sweeps;
+    util::Timer sweep_timer;
     obs::Span sweep_span(rec, "modopt/sweep");
 
     pool.parallel_for(n, [&](std::size_t vi, unsigned worker) {
@@ -119,6 +121,7 @@ int optimize_phase(const Csr& graph, std::vector<Community>& community,
         simt::atomic_store(community[v], best_c);
       }
     });
+    if (result.sweeps == 1) result.first_sweep_seconds = sweep_timer.seconds();
 
     const double new_q = metrics::modularity(graph, community);
     const double gain = new_q - current_q;
@@ -126,9 +129,9 @@ int optimize_phase(const Csr& graph, std::vector<Community>& community,
     if (gain < threshold) break;
   }
 
-  if (rec) rec->count("modopt/sweeps", sweeps);
-  if (final_q) *final_q = current_q;
-  return sweeps;
+  if (rec) rec->count("modopt/sweeps", result.sweeps);
+  result.modularity = current_q;
+  return result;
 }
 
 /// Parallel contraction: counting-sort vertices by community, then one
@@ -197,69 +200,31 @@ Csr contract_parallel(const Csr& graph, const std::vector<Community>& community,
 
 }  // namespace
 
-LouvainResult louvain(const Csr& graph, const Config& config,
-                      obs::Recorder* rec) {
+detect::Result louvain(const Csr& graph, const Config& config,
+                       obs::Recorder* rec) {
   util::Timer total_timer;
-  LouvainResult result;
+  detect::Result result;
   result.community.resize(graph.num_vertices());
   for (VertexId v = 0; v < graph.num_vertices(); ++v) result.community[v] = v;
 
   Csr current = graph;
-  double prev_q = -1.0;
+  std::vector<Community> phase_community;
+  core::climb_levels(
+      config, {current.num_vertices(), current.num_arcs()}, result, rec,
+      [&](int, double threshold) {
+        obs::Span opt_span(rec, "modopt");
+        return optimize_phase(current, phase_community, threshold,
+                              config.max_sweeps_per_level, rec);
+      },
+      [&](int) {
+        obs::Span agg_span(rec, "aggregate");
+        const Community num_communities = metrics::renumber(phase_community);
+        result.community = metrics::flatten(result.community, phase_community);
+        result.dendrogram.push_level(phase_community);
+        current = contract_parallel(current, phase_community, num_communities);
+        return core::LevelSize{current.num_vertices(), current.num_arcs()};
+      });
 
-  for (int level = 0; level < config.max_levels; ++level) {
-    if (rec) rec->set_level(level);
-    LevelReport report;
-    report.vertices = current.num_vertices();
-    report.arcs = current.num_arcs();
-    report.modularity_before = prev_q < -0.5 ? 0 : prev_q;
-
-    const double threshold = config.thresholds.threshold_for(current.num_vertices());
-
-    util::Timer opt_timer;
-    std::vector<Community> phase_community;
-    double q = 0;
-    {
-      obs::Span opt_span(rec, "modopt");
-      report.iterations = optimize_phase(current, phase_community, threshold,
-                                         config.max_sweeps_per_level, &q, rec);
-    }
-    report.optimize_seconds = opt_timer.seconds();
-    report.modularity_after = q;
-
-    if (level == 0) {
-      result.first_phase_teps = report.optimize_seconds > 0
-          ? static_cast<double>(current.num_arcs()) * report.iterations /
-                report.optimize_seconds
-          : 0;
-    }
-
-    const bool converged = prev_q >= -0.5 && (q - prev_q) < config.thresholds.t_final;
-
-    util::Timer agg_timer;
-    Csr contracted;
-    {
-      obs::Span agg_span(rec, "aggregate");
-      const Community num_communities = metrics::renumber(phase_community);
-      result.community = metrics::flatten(result.community, phase_community);
-      result.dendrogram.push_level(phase_community);
-      contracted = contract_parallel(current, phase_community, num_communities);
-    }
-    report.aggregate_seconds = agg_timer.seconds();
-    result.levels.push_back(report);
-    if (rec) {
-      rec->count("level/vertices", static_cast<double>(report.vertices));
-      rec->count("level/arcs", static_cast<double>(report.arcs));
-    }
-
-    const bool shrunk = contracted.num_vertices() < current.num_vertices();
-    prev_q = q;
-    current = std::move(contracted);
-    if (converged || !shrunk) break;
-  }
-  if (rec) rec->set_level(-1);
-
-  result.modularity = prev_q;
   result.total_seconds = total_timer.seconds();
   return result;
 }

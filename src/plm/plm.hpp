@@ -9,8 +9,8 @@
 // threshold schedule.
 #pragma once
 
-#include "core/common.hpp"
 #include "detect/options.hpp"
+#include "detect/result.hpp"
 #include "graph/csr.hpp"
 
 namespace glouvain::obs {
@@ -23,9 +23,10 @@ namespace glouvain::plm {
 /// global pool as-is); PLM has no backend-specific extensions.
 struct Config : detect::Options {};
 
-/// `recorder` (optional) receives per-level "modopt"/"aggregate" spans
-/// comparable with the core backend's.
-LouvainResult louvain(const graph::Csr& graph, const Config& config = {},
-                      obs::Recorder* recorder = nullptr);
+/// Full multi-level run (core::climb_levels over PLM's phase and its
+/// parallel contraction). `recorder` (optional) receives per-level
+/// "modopt"/"aggregate" spans comparable with the core backend's.
+detect::Result louvain(const graph::Csr& graph, const Config& config = {},
+                       obs::Recorder* recorder = nullptr);
 
 }  // namespace glouvain::plm

@@ -5,13 +5,15 @@
 // with identical output (items of bucket 0 first, ascending id inside
 // each bucket — counting sort is stable over the identity order).
 //
-// Layout: the per-chunk histogram lives bucket-major
-// (counts[b * chunks + c]), so the serial exclusive scan over it
-// yields, in one sweep, both every chunk's scatter cursor and the
-// bucket boundary offsets.
+// Layout: each chunk's histogram is its own row, padded to whole cache
+// lines, so no two chunks ever write one line while they count and
+// scatter. The serial exclusive scan walks it bucket by bucket, chunk
+// by chunk, and yields in one sweep both every chunk's scatter cursor
+// and the bucket boundary offsets.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
 
 #include "prim/scratch.hpp"
@@ -51,36 +53,44 @@ void bucket_sort_index(std::size_t n, std::size_t num_buckets,
 
   const std::size_t chunks = 4 * pool.size();
   const std::size_t chunk_size = (n + chunks - 1) / chunks;
-  auto counts = scratch.alloc<std::size_t>(num_buckets * chunks);
+  // Rows of whole cache lines from a line-aligned base.
+  constexpr std::size_t kLine = 64 / sizeof(std::size_t);
+  const std::size_t stride = (num_buckets + kLine - 1) / kLine * kLine;
+  auto raw = scratch.alloc<std::size_t>(stride * chunks + kLine);
+  void* base = raw.data();
+  std::size_t space = raw.size_bytes();
+  auto* counts = static_cast<std::size_t*>(
+      std::align(64, stride * chunks * sizeof(std::size_t), base, space));
+  const auto row_of = [&](std::size_t c) { return counts + c * stride; };
 
   pool.parallel_for(chunks, 1, [&](std::size_t c, unsigned) {
-    for (std::size_t b = 0; b < num_buckets; ++b) counts[b * chunks + c] = 0;
+    std::size_t* row = row_of(c);
+    for (std::size_t b = 0; b < num_buckets; ++b) row[b] = 0;
     const std::size_t lo = c * chunk_size;
     const std::size_t hi = std::min(lo + chunk_size, n);
-    for (std::size_t i = lo; i < hi; ++i) {
-      ++counts[bucket_of(i) * chunks + c];
-    }
+    for (std::size_t i = lo; i < hi; ++i) ++row[bucket_of(i)];
   });
 
-  // Bucket-major exclusive scan: counts[b * chunks + c] becomes chunk
-  // c's scatter cursor for bucket b, and the running total at each
-  // bucket boundary is out_begin[b].
+  // Exclusive scan, bucket-major: row c's entry b becomes chunk c's
+  // scatter cursor for bucket b, and the running total at each bucket
+  // boundary is out_begin[b].
   std::size_t total = 0;
   for (std::size_t b = 0; b < num_buckets; ++b) {
     out_begin[b] = total;
     for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t v = counts[b * chunks + c];
-      counts[b * chunks + c] = total;
+      const std::size_t v = row_of(c)[b];
+      row_of(c)[b] = total;
       total += v;
     }
   }
   out_begin[num_buckets] = n;
 
   pool.parallel_for(chunks, 1, [&](std::size_t c, unsigned) {
+    std::size_t* row = row_of(c);
     const std::size_t lo = c * chunk_size;
     const std::size_t hi = std::min(lo + chunk_size, n);
     for (std::size_t i = lo; i < hi; ++i) {
-      out_order[counts[bucket_of(i) * chunks + c]++] = static_cast<Idx>(i);
+      out_order[row[bucket_of(i)]++] = static_cast<Idx>(i);
     }
   });
 }

@@ -1,8 +1,8 @@
 #include "seq/louvain.hpp"
 
 #include <optional>
-#include <stdexcept>
 
+#include "core/levels.hpp"
 #include "core/rows.hpp"
 #include "graph/ops.hpp"
 #include "metrics/partition.hpp"
@@ -61,10 +61,10 @@ void strengths_and_loops(Rows& rows, std::vector<Weight>& s,
 /// community but still participates in every gain term, so the
 /// maintained modularity stays exact.
 template <typename Rows>
-int phase_impl(Rows& rows, std::vector<Community>& community,
-               double threshold, int max_sweeps, double* final_modularity,
-               obs::Recorder* rec, std::span<const Community> seed,
-               std::span<const VertexId> active) {
+PhaseResult phase_impl(Rows& rows, std::vector<Community>& community,
+                       double threshold, int max_sweeps, obs::Recorder* rec,
+                       std::span<const Community> seed,
+                       std::span<const VertexId> active) {
   const VertexId n = rows.num_vertices();
   const Weight m2 = rows.total_weight();
 
@@ -103,12 +103,13 @@ int phase_impl(Rows& rows, std::vector<Community>& community,
   std::vector<Community> touched;
   touched.reserve(256);
 
+  PhaseResult result;
   double current_q = modularity_from(in, tot, m2);
-  int sweeps = 0;
   const std::size_t sweep_size = active.empty() ? n : active.size();
 
-  while (sweeps < max_sweeps) {
-    ++sweeps;
+  while (result.sweeps < max_sweeps) {
+    ++result.sweeps;
+    util::Timer sweep_timer;
     obs::Span sweep_span(rec, "modopt/sweep");
     bool moved = false;
     std::size_t moved_count = 0;
@@ -166,11 +167,12 @@ int phase_impl(Rows& rows, std::vector<Community>& community,
       for (const Community c : touched) neigh_weight[c] = -1;
     }
 
+    if (result.sweeps == 1) result.first_sweep_seconds = sweep_timer.seconds();
     if (rec && sweep_size > 0) {
       rec->count("modopt/moved_frac",
                  static_cast<double>(moved_count) /
                      static_cast<double>(sweep_size),
-                 sweeps - 1);
+                 result.sweeps - 1);
     }
 
     const double new_q = modularity_from(in, tot, m2);
@@ -179,162 +181,96 @@ int phase_impl(Rows& rows, std::vector<Community>& community,
     if (!moved || gain < threshold) break;
   }
 
-  if (rec) rec->count("modopt/sweeps", sweeps);
-  if (final_modularity) *final_modularity = current_q;
-  return sweeps;
+  if (rec) rec->count("modopt/sweeps", result.sweeps);
+  result.modularity = current_q;
+  return result;
 }
 
-/// Shared multi-level driver; seed/active apply to level 0 only.
-/// Exactly one of `graph` / `z0` is non-null: z0 selects the
-/// compressed level-0 path (cold start only), after which the loop
-/// continues on the contracted plain Csr either way.
-LouvainResult run_impl(const Csr* graph, const zg::ZCsr* z0,
-                       const Config& config, obs::Recorder* rec,
-                       std::span<const Community> seed,
-                       std::span<const VertexId> active) {
+/// Seq's optimize and contract steps under core::climb_levels;
+/// seed/active apply to level 0 only. Exactly one of `graph` / `z0` is
+/// non-null: z0 selects the compressed level-0 path (cold start only),
+/// after which the loop continues on the contracted plain Csr either
+/// way.
+detect::Result run_impl(const Csr* graph, const zg::ZCsr* z0,
+                        const Config& config, obs::Recorder* rec,
+                        std::span<const Community> seed,
+                        std::span<const VertexId> active) {
   util::Timer total_timer;
-  const VertexId n0 = z0 ? z0->num_vertices() : graph->num_vertices();
-  LouvainResult result;
-  result.community.resize(n0);
-  for (VertexId v = 0; v < n0; ++v) result.community[v] = v;
-
-  if (z0 && rec) {
-    rec->count("zg/bytes_adj", static_cast<double>(z0->bytes_stream()));
-    rec->count("zg/bytes_index", static_cast<double>(z0->bytes_index()));
-    rec->count("zg/plain_bytes", static_cast<double>(z0->plain_bytes()));
-    const double packed =
-        static_cast<double>(z0->bytes_stream() + z0->bytes_index());
-    if (packed > 0) {
-      rec->count("zg/ratio", static_cast<double>(z0->plain_bytes()) / packed);
-    }
-  }
+  const core::LevelSize size0 =
+      z0 ? core::LevelSize{z0->num_vertices(), z0->num_arcs()}
+         : core::LevelSize{graph->num_vertices(), graph->num_arcs()};
+  detect::Result result;
+  result.community.resize(size0.vertices);
+  for (VertexId v = 0; v < size0.vertices; ++v) result.community[v] = v;
 
   Csr current;  // empty during level 0 of a compressed run
   std::optional<core::ZRows> zrows;  // level 0 of a compressed run only
   if (z0) {
     zrows.emplace(*z0, 1);
+    core::count_storage(*z0, rec);
   } else {
     current = *graph;
   }
-  double prev_q = -1.0;
+  std::vector<Community> phase_community;
 
-  for (int level = 0; level < config.max_levels; ++level) {
-    if (rec) rec->set_level(level);
-    const bool z_level = z0 != nullptr && level == 0;
-    LevelReport report;
-    report.vertices = z_level ? z0->num_vertices() : current.num_vertices();
-    report.arcs = z_level ? z0->num_arcs() : current.num_arcs();
-    report.modularity_before = prev_q < -0.5 ? 0 : prev_q;
-
-    const double threshold = config.thresholds.threshold_for(report.vertices);
-
-    util::Timer opt_timer;
-    std::vector<Community> phase_community;
-    double q = 0;
-    {
-      obs::Span opt_span(rec, "modopt");
-      const bool warm_level = level == 0 && !seed.empty();
-      const auto level_seed = warm_level ? seed : std::span<const Community>{};
-      const auto level_active =
-          warm_level ? active : std::span<const VertexId>{};
-      if (z_level) {
-        report.iterations =
-            phase_impl(*zrows, phase_community, threshold,
-                       config.max_sweeps_per_level, &q, rec, level_seed,
-                       level_active);
-      } else {
-        core::PlainRows rows(current);
-        report.iterations =
-            phase_impl(rows, phase_community, threshold,
-                       config.max_sweeps_per_level, &q, rec, level_seed,
-                       level_active);
-      }
+  const auto optimize = [&](int level, double threshold) {
+    obs::Span opt_span(rec, "modopt");
+    const bool warm_level = level == 0 && !seed.empty();
+    const auto level_seed = warm_level ? seed : std::span<const Community>{};
+    const auto level_active = warm_level ? active : std::span<const VertexId>{};
+    if (zrows && level == 0) {
+      return phase_impl(*zrows, phase_community, threshold,
+                        config.max_sweeps_per_level, rec, level_seed,
+                        level_active);
     }
-    report.optimize_seconds = opt_timer.seconds();
-    report.modularity_after = q;
+    core::PlainRows rows(current);
+    return phase_impl(rows, phase_community, threshold,
+                      config.max_sweeps_per_level, rec, level_seed,
+                      level_active);
+  };
 
-    if (level == 0) {
-      result.first_phase_teps = report.optimize_seconds > 0
-          ? static_cast<double>(report.arcs) * report.iterations /
-                report.optimize_seconds
-          : 0;
-    }
-
-    // Always stop on the *fine* threshold, as the multi-level driver of
-    // the original code does — t_bin only shortens phases, not the run.
-    const bool converged = prev_q >= -0.5 && (q - prev_q) < config.thresholds.t_final;
-
-    util::Timer agg_timer;
-    std::vector<VertexId> new_id;
-    Csr contracted;
-    {
-      obs::Span agg_span(rec, "aggregate");
-      metrics::renumber(phase_community);
-      result.community = metrics::flatten(result.community, phase_community);
-      result.dendrogram.push_level(phase_community);
-      contracted =
-          z_level ? graph::contract_reference(
+  const auto contract = [&](int level) {
+    obs::Span agg_span(rec, "aggregate");
+    metrics::renumber(phase_community);
+    result.community = metrics::flatten(result.community, phase_community);
+    result.dendrogram.push_level(phase_community);
+    current = zrows && level == 0
+                  ? graph::contract_reference(
                         zrows->num_vertices(),
                         [&](VertexId v) { return zrows->row(v, 0); },
-                        phase_community, &new_id)
-                  : graph::contract_reference(current, phase_community,
-                                              &new_id);
-    }
-    report.aggregate_seconds = agg_timer.seconds();
-    result.levels.push_back(report);
-    if (rec) {
-      rec->count("level/vertices", static_cast<double>(report.vertices));
-      rec->count("level/arcs", static_cast<double>(report.arcs));
-    }
+                        phase_community)
+                  : graph::contract_reference(current, phase_community);
+    return core::LevelSize{current.num_vertices(), current.num_arcs()};
+  };
 
-    const bool shrunk = contracted.num_vertices() < report.vertices;
-    prev_q = q;
-    current = std::move(contracted);
-    if (converged || !shrunk) break;
-  }
-  if (rec) rec->set_level(-1);
-
-  result.modularity = prev_q;
+  core::climb_levels(config, size0, result, rec, optimize, contract);
   result.total_seconds = total_timer.seconds();
   return result;
 }
 
 }  // namespace
 
-int optimize_phase(const Csr& graph, std::vector<Community>& community,
-                   double threshold, int max_sweeps, double* final_modularity,
-                   obs::Recorder* rec) {
+PhaseResult optimize_phase(const Csr& graph, std::vector<Community>& community,
+                           double threshold, int max_sweeps,
+                           obs::Recorder* rec) {
   core::PlainRows rows(graph);
-  return phase_impl(rows, community, threshold, max_sweeps, final_modularity,
-                    rec, {}, {});
+  return phase_impl(rows, community, threshold, max_sweeps, rec, {}, {});
 }
 
-LouvainResult louvain(const Csr& graph, const Config& config,
-                      obs::Recorder* rec) {
+detect::Result louvain(const Csr& graph, const Config& config,
+                       obs::Recorder* rec) {
   return run_impl(&graph, nullptr, config, rec, {}, {});
 }
 
-LouvainResult louvain_z(const zg::ZCsr& z, const Config& config,
-                        obs::Recorder* rec) {
+detect::Result louvain_z(const zg::ZCsr& z, const Config& config,
+                         obs::Recorder* rec) {
   return run_impl(nullptr, &z, config, rec, {}, {});
 }
 
-LouvainResult louvain_warm(const Csr& graph, std::span<const Community> seed,
-                           std::span<const VertexId> active,
-                           const Config& config, obs::Recorder* rec) {
-  if (seed.size() != graph.num_vertices()) {
-    throw std::invalid_argument("louvain_warm: seed size != num_vertices");
-  }
-  for (const Community c : seed) {
-    if (c >= graph.num_vertices()) {
-      throw std::invalid_argument("louvain_warm: seed label out of range");
-    }
-  }
-  for (const VertexId v : active) {
-    if (v >= graph.num_vertices()) {
-      throw std::invalid_argument("louvain_warm: active vertex out of range");
-    }
-  }
+detect::Result louvain_warm(const Csr& graph, std::span<const Community> seed,
+                            std::span<const VertexId> active,
+                            const Config& config, obs::Recorder* rec) {
+  detect::check_warm_start(graph.num_vertices(), seed, active);
   return run_impl(&graph, nullptr, config, rec, seed, active);
 }
 

@@ -10,6 +10,7 @@
 
 #include "core/common.hpp"
 #include "detect/options.hpp"
+#include "detect/result.hpp"
 #include "graph/csr.hpp"
 #include "zg/zcsr.hpp"
 
@@ -26,38 +27,41 @@ struct Config : detect::Options {
   Config() { thresholds.adaptive = false; }
 };
 
-/// Full multi-level run. `recorder` (optional) receives per-level
+/// Full multi-level run (core::climb_levels over seq's phase and its
+/// sort-based contraction). `recorder` (optional) receives per-level
 /// "modopt"/"aggregate" spans comparable with the core backend's.
-LouvainResult louvain(const graph::Csr& graph, const Config& config = {},
-                      obs::Recorder* recorder = nullptr);
+detect::Result louvain(const graph::Csr& graph, const Config& config = {},
+                       obs::Recorder* recorder = nullptr);
 
 /// Compressed-storage run: level 0 streams neighbour rows from the
 /// varint-encoded `z` through a sequential decode cursor instead of a
 /// plain Csr; the (much smaller) contracted levels run plain as usual.
 /// Partitions are bitwise-identical to louvain() on the graph `z`
 /// encodes.
-LouvainResult louvain_z(const zg::ZCsr& z, const Config& config = {},
-                        obs::Recorder* recorder = nullptr);
+detect::Result louvain_z(const zg::ZCsr& z, const Config& config = {},
+                         obs::Recorder* recorder = nullptr);
 
 /// Warm-start run (the dynamic-graph path): level 0 starts from `seed`
 /// (one label < num_vertices per vertex, need not be dense) and sweeps
 /// only the vertices in `active` (empty = all of them); later levels
 /// run the normal contraction hierarchy. The returned modularity is
 /// exact for the final partition, comparable to louvain()'s. Throws
-/// std::invalid_argument on a malformed seed or frontier.
-LouvainResult louvain_warm(const graph::Csr& graph,
-                           std::span<const graph::Community> seed,
-                           std::span<const graph::VertexId> active,
-                           const Config& config = {},
-                           obs::Recorder* recorder = nullptr);
+/// std::invalid_argument on a malformed seed or frontier
+/// (detect::check_warm_start).
+detect::Result louvain_warm(const graph::Csr& graph,
+                            std::span<const graph::Community> seed,
+                            std::span<const graph::VertexId> active,
+                            const Config& config = {},
+                            obs::Recorder* recorder = nullptr);
 
 /// One modularity-optimization phase on `graph` starting from the
 /// all-singletons partition; `community` receives the result (dense
 /// labels NOT renumbered — labels are community representatives).
-/// Returns the number of sweeps executed. Exposed for unit tests.
-int optimize_phase(const graph::Csr& graph,
-                   std::vector<graph::Community>& community, double threshold,
-                   int max_sweeps, double* final_modularity = nullptr,
-                   obs::Recorder* recorder = nullptr);
+/// Returns the sweeps, final modularity and first-sweep time. Exposed
+/// for unit tests.
+PhaseResult optimize_phase(const graph::Csr& graph,
+                           std::vector<graph::Community>& community,
+                           double threshold, int max_sweeps,
+                           obs::Recorder* recorder = nullptr);
 
 }  // namespace glouvain::seq

@@ -179,7 +179,7 @@ SweepOutcome run_shard_sweep(
     st.tot[slot] = gs.tot_of(lane.rep_comm[slot]);
   }
 
-  const core::PhaseResult phase = core::optimize_phase(
+  const PhaseResult phase = core::optimize_phase(
       device, local, frontier_cfg, st, active, threshold, ws, rec);
   out.sweeps = phase.sweeps;
   out.first_sweep_seconds = phase.first_sweep_seconds;
@@ -737,7 +737,7 @@ core::LevelPhase Engine::sharded_level(int level, const Csr& current,
   // One global modularity evaluation per level (the figure a real
   // deployment computes alongside the final all-reduce), charged to
   // the critical path once.
-  core::PhaseResult phase;
+  PhaseResult phase;
   phase.sweeps = sweeps;
   phase.first_sweep_seconds = first_sweep_max;
   util::Timer q_timer;

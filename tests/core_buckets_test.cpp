@@ -1,7 +1,9 @@
 // Tests for degree binning and the bucket schemes of §4.1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "core/buckets.hpp"
 #include "gen/rmat.hpp"
@@ -102,6 +104,47 @@ TEST(BinByKey, StableWithinIntermediateBuckets) {
     for (std::size_t i = 0; i + 1 < bucket.size(); ++i) {
       EXPECT_LT(bucket[i], bucket[i + 1]);  // stable = increasing ids
     }
+  }
+}
+
+TEST(BinByKey, ClassGroupsAreStableAndHeavyGroupsDegreeDescending) {
+  // One counting sort by (bucket, class): ascending id inside each
+  // group, and each heavy-bucket group by descending degree, ascending
+  // id among equal degrees. 32k vertices also take the parallel
+  // counting path.
+  const auto g = gen::rmat({.scale = 15, .edge_factor = 16}, 9);
+  const auto scheme = BucketScheme::paper_modopt();
+  constexpr unsigned kClasses = 4;
+  const auto degree = [&](VertexId v) { return g.degree(v); };
+  const auto class_of = [](VertexId v) { return (v * 7u + 3u) % kClasses; };
+
+  Binned grouped;
+  prim::Scratch scratch;
+  bin_by_key_into(g.num_vertices(), scheme, degree, kClasses, class_of,
+                  grouped, scratch);
+
+  const std::size_t num_groups = scheme.num_buckets() * kClasses;
+  std::vector<std::vector<VertexId>> expected(num_groups);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    expected[scheme.bucket_of(g.degree(v)) * kClasses + class_of(v)]
+        .push_back(v);
+  }
+  for (unsigned c = 0; c < kClasses; ++c) {
+    auto& heavy = expected[(scheme.num_buckets() - 1) * kClasses + c];
+    ASSERT_FALSE(heavy.empty()) << "R-MAT should give every class hubs";
+    std::stable_sort(heavy.begin(), heavy.end(), [&](VertexId a, VertexId b) {
+      return g.degree(a) > g.degree(b);
+    });
+  }
+  ASSERT_EQ(grouped.begin.size(), num_groups + 1);
+  for (std::size_t k = 0; k < num_groups; ++k) {
+    const auto group = grouped.group(k);
+    EXPECT_TRUE(std::equal(group.begin(), group.end(), expected[k].begin(),
+                           expected[k].end()))
+        << "group " << k;
+  }
+  for (std::size_t b = 0; b < scheme.num_buckets(); ++b) {
+    EXPECT_EQ(grouped.bucket(b).data(), grouped.group(b * kClasses).data());
   }
 }
 

@@ -129,6 +129,33 @@ TEST(DetectConformance, EveryBackendHandlesSkewedDegrees) {
   }
 }
 
+// Every backend climbs the same level loop (core::climb_levels), so
+// its reports obey one contract: level l+1 enters with one vertex per
+// community level l left, and starts from the modularity level l ended
+// at.
+TEST(DetectConformance, EveryBackendReportsOneLevelContract) {
+  const auto options = small_options();
+  for (const graph::Csr& g : {sbm_graph(), rmat_graph()}) {
+    for (const std::string& backend : kBuiltInBackends) {
+      SCOPED_TRACE(backend);
+      auto d = detect::make(backend);
+      ASSERT_TRUE(d.ok());
+      const detect::Result result = (*d)->run(g, options);
+      const auto& levels = result.levels;
+      ASSERT_FALSE(levels.empty());
+      ASSERT_EQ(result.dendrogram.num_levels(), levels.size());
+      EXPECT_EQ(levels[0].vertices, g.num_vertices());
+      for (std::size_t l = 0; l + 1 < levels.size(); ++l) {
+        EXPECT_EQ(levels[l + 1].vertices,
+                  result.dendrogram.communities_at_level(l));
+        EXPECT_EQ(levels[l + 1].modularity_before, levels[l].modularity_after);
+      }
+      EXPECT_EQ(result.modularity, levels.back().modularity_after);
+      EXPECT_GT(result.first_phase_teps, 0.0);
+    }
+  }
+}
+
 TEST(DetectConformance, EveryBackendEmitsAWellFormedSpanTree) {
   const graph::Csr g = sbm_graph();
   const auto options = small_options();

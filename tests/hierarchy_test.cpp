@@ -58,7 +58,7 @@ INSTANTIATE_TEST_SUITE_P(Algos, DendrogramCapture,
 
 TEST_P(DendrogramCapture, LastLevelEqualsFinalCommunity) {
   const auto bench = gen::lfr({.num_vertices = 2048, .seed = 3});
-  LouvainResult result;
+  detect::Result result;
   switch (GetParam()) {
     case 0: result = core::louvain(bench.graph); break;
     case 1: result = seq::louvain(bench.graph); break;

@@ -104,8 +104,7 @@ TEST(OptimizePhase, AllSingletonsWhenNoGainPossible) {
   const auto star = graph::build_csr(
       5, {{0, 1, 1}, {0, 2, 1}, {0, 3, 1}, {0, 4, 1}});
   std::vector<Community> community;
-  double q = 0;
-  optimize_phase(star, community, 1e-9, 100, &q);
+  const double q = optimize_phase(star, community, 1e-9, 100).modularity;
   auto labels = community;
   EXPECT_EQ(metrics::renumber(labels), 1u);
   EXPECT_GE(q, -1e-12);
@@ -114,7 +113,7 @@ TEST(OptimizePhase, AllSingletonsWhenNoGainPossible) {
 TEST(OptimizePhase, RespectsMaxSweeps) {
   const auto g = gen::erdos_renyi(500, 3000, 13);
   std::vector<Community> community;
-  const int sweeps = optimize_phase(g, community, 0.0, 3, nullptr);
+  const int sweeps = optimize_phase(g, community, 0.0, 3).sweeps;
   EXPECT_LE(sweeps, 3);
 }
 

@@ -317,15 +317,28 @@ TEST(DetectWarmStart, RegistryRoutesAndValidates) {
   const detect::Result rewarmed = (*detector)->run(sbm.graph, options);
   EXPECT_NEAR(rewarmed.modularity, cold.modularity, 0.02);
 
-  // A malformed seed must be rejected loudly, not silently misused.
-  auto bad = std::make_shared<detect::WarmStart>();
-  bad->seed.assign(3, 0);  // wrong size
-  options.warm_start = bad;
-  EXPECT_THROW((*detector)->run(sbm.graph, options), std::invalid_argument);
+  // A malformed seed or frontier must be rejected loudly, not silently
+  // misused, by every backend with a warm path.
+  const VertexId n = sbm.graph.num_vertices();
+  auto wrong_size = std::make_shared<detect::WarmStart>();
+  wrong_size->seed.assign(3, 0);
+  auto label_out_of_range = std::make_shared<detect::WarmStart>();
+  label_out_of_range->seed = cold.community;
+  label_out_of_range->seed[n / 2] = n;
+  auto frontier_out_of_range = std::make_shared<detect::WarmStart>();
+  frontier_out_of_range->seed = cold.community;
+  frontier_out_of_range->frontier = {0, n};
 
   auto seq = detect::make("seq");
   ASSERT_TRUE(seq.ok());
-  EXPECT_THROW((*seq)->run(sbm.graph, options), std::invalid_argument);
+  for (auto* d : {&*detector, &*seq}) {
+    SCOPED_TRACE((*d)->name());
+    for (const auto& bad :
+         {wrong_size, label_out_of_range, frontier_out_of_range}) {
+      options.warm_start = bad;
+      EXPECT_THROW((*d)->run(sbm.graph, options), std::invalid_argument);
+    }
+  }
 }
 
 TEST(GenChurn, DeltasAreConsistent) {

@@ -183,7 +183,7 @@ int cmd_generate(util::Options& opt) {
   return 0;
 }
 
-void print_levels(const LouvainResult& result) {
+void print_levels(const detect::Result& result) {
   util::Table table({"level", "vertices", "arcs", "sweeps", "Q after",
                      "optimize s", "aggregate s"});
   for (std::size_t l = 0; l < result.levels.size(); ++l) {
