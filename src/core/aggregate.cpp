@@ -12,6 +12,7 @@
 #include "core/rows.hpp"
 #include "core/workspace.hpp"
 #include "obs/recorder.hpp"
+#include "prim/reduce.hpp"
 #include "prim/scan.hpp"
 #include "simt/atomics.hpp"
 #include "simt/kernel_ops.hpp"
@@ -33,13 +34,32 @@ using graph::Weight;
 /// merge in registers instead of a hash table.
 constexpr EdgeIdx kSmallMergeArcs = 16;
 
+/// Whether a community of `degree` arcs merges into a table indexed by
+/// new community id rather than a hash table: the level has at most
+/// twice as many communities as the hash table would have slots. The
+/// direct table may be the larger one because it also saves the probe
+/// chains and the compaction sort.
+bool merges_direct(EdgeIdx degree, VertexId num_communities) {
+  return degree > kSmallMergeArcs &&
+         num_communities <=
+             2 * std::uint64_t{util::hash_params_for_degree(degree).capacity};
+}
+
+/// `count` merge-table slots from the task's arena: "shared memory"
+/// below the scheme's global_from bucket, "global memory" from there on.
+template <typename T>
+std::span<T> table_slots(simt::SharedArena& arena, bool global,
+                         std::size_t count) {
+  return global ? arena.alloc_global<T>(count) : arena.alloc<T>(count);
+}
+
 /// mergeCommunity for one community of at most kSmallMergeArcs arcs:
 /// (neighbour community, weight) pairs in a fixed array, found by
 /// linear search. Members come in `com` order and each row in
 /// adjacency order, self-loops included: the order the table adds in,
 /// so every super-edge weight has the table path's bits. The pairs
-/// are emitted in first-seen order; compaction sorts each row, so the
-/// contracted graph does not depend on it.
+/// are emitted in first-seen order; compaction sorts a row that is not
+/// in id order, so the contracted graph does not depend on it.
 template <typename Rows>
 void merge_small(Rows& rows, unsigned worker,
                  std::span<const Community> community,
@@ -69,6 +89,53 @@ void merge_small(Rows& rows, unsigned worker,
     out_adj[i] = new_id[keys[i]];
     check::note_plain_write(&out_w[i]);
     out_w[i] = weights[i];
+  }
+  check::note_plain_write(&out_degree);
+  out_degree = n;
+}
+
+/// mergeCommunity for a community that merges_direct: one (key, weight)
+/// slot per new community id, so no probing. Members come in `com`
+/// order and each row in adjacency order, self-loops included; the
+/// first add to a key stores the weight, as the table's claim does, and
+/// later adds accumulate, so every super-edge weight has the table
+/// path's bits. The occupied slots are emitted in ascending id order,
+/// which compaction copies without sorting.
+template <typename Rows>
+void merge_direct(Rows& rows, unsigned worker,
+                  std::span<const Community> community,
+                  std::span<const VertexId> members,
+                  std::span<const VertexId> new_id, std::span<Community> keys,
+                  std::span<Weight> weights, std::span<VertexId> out_adj,
+                  std::span<Weight> out_w, EdgeIdx& out_degree) {
+  for (Community& key : keys) {
+    check::note_init(&key);
+    key = graph::kInvalidCommunity;
+  }
+  for (const VertexId v : members) {
+    const RowView r = rows.row(v, worker);
+    for (std::uint32_t i = 0; i < r.deg; ++i) {
+      const VertexId to = new_id[community[r.adj[i]]];
+      check::note_plain_read(&keys[to]);
+      check::note_plain_write(&weights[to]);
+      if (keys[to] == graph::kInvalidCommunity) {
+        check::note_plain_claim(&keys[to]);
+        keys[to] = to;
+        weights[to] = r.w[i];
+      } else {
+        weights[to] += r.w[i];
+      }
+    }
+  }
+  EdgeIdx n = 0;
+  for (VertexId to = 0; to < keys.size(); ++to) {
+    check::note_plain_read(&keys[to]);
+    if (keys[to] == graph::kInvalidCommunity) continue;
+    check::note_plain_read(&weights[to]);
+    check::note_plain_write(&out_adj[n]);
+    out_adj[n] = to;
+    check::note_plain_write(&out_w[n]);
+    out_w[n++] = weights[to];
   }
   check::note_plain_write(&out_degree);
   out_degree = n;
@@ -154,9 +221,10 @@ AggregationResult aggregate_impl(simt::Device& device, Rows& rows,
   if (rec) rec->end_span(order_span);
 
   // --- mergeCommunity over work buckets (lines 20-23). Communities are
-  // binned by their degree-sum bound; each task hashes the closed
-  // neighbourhood of one community and emits the merged edge list into
-  // its scratch region.
+  // binned by their degree-sum bound; each task merges the closed
+  // neighbourhood of one community (in registers, in a table indexed by
+  // new id, or in a hash table) and emits the merged edge list into its
+  // scratch region.
   auto tmp_adj = ws.buffer<VertexId>(Slot::kAggTmpAdj, scratch_arcs);
   auto tmp_w = ws.buffer<Weight>(Slot::kAggTmpW, scratch_arcs);
   auto merged_degree = ws.buffer<EdgeIdx>(Slot::kAggMergedDegree, n);
@@ -178,6 +246,17 @@ AggregationResult aggregate_impl(simt::Device& device, Rows& rows,
                  static_cast<double>(binned.bucket(b).size()),
                  static_cast<std::int64_t>(b));
     }
+    const std::uint64_t direct = prim::reduce(
+        num_communities,
+        [&](std::size_t begin, std::size_t end, unsigned) {
+          std::uint64_t k = 0;
+          for (std::size_t i = begin; i < end; ++i) {
+            k += merges_direct(com_degree[old_id[i]], num_communities);
+          }
+          return k;
+        },
+        ws.scratch(), pool);
+    rec->count("aggregate/direct_merges", static_cast<double>(direct));
   }
 
   std::vector<std::string> bucket_names;
@@ -216,13 +295,21 @@ AggregationResult aggregate_impl(simt::Device& device, Rows& rows,
                     merged_degree[c]);
         return;
       }
+      if (merges_direct(com_degree[c], num_communities)) {
+        merge_direct(
+            rows, ctx.worker(), community,
+            com.subspan(vertex_start[c], com_size[c]), new_id,
+            table_slots<Community>(ctx.shared(), use_global, num_communities),
+            table_slots<Weight>(ctx.shared(), use_global, num_communities),
+            tmp_adj.subspan(edge_pos[c], com_degree[c]),
+            tmp_w.subspan(edge_pos[c], com_degree[c]), merged_degree[c]);
+        return;
+      }
       const util::HashTableParams params =
           util::hash_params_for_degree(com_degree[c]);
       const std::size_t cap = params.capacity;
-      auto keys = use_global ? ctx.shared().alloc_global<Community>(cap)
-                             : ctx.shared().alloc<Community>(cap);
-      auto weights = use_global ? ctx.shared().alloc_global<Weight>(cap)
-                                : ctx.shared().alloc<Weight>(cap);
+      auto keys = table_slots<Community>(ctx.shared(), use_global, cap);
+      auto weights = table_slots<Weight>(ctx.shared(), use_global, cap);
       // Task-local: one community is merged entirely inside one OS
       // thread (see hash_map.hpp for the atomicity policy).
       LocalCommunityHashMap table(keys, weights, params);
@@ -297,10 +384,23 @@ AggregationResult aggregate_impl(simt::Device& device, Rows& rows,
     const EdgeIdx dst = offsets[ctx.task()];
     const EdgeIdx deg = merged_degree[c];
     if (deg == 0) return;
-    // Library-wide Csr invariant: rows sorted by neighbor id. The hash
-    // table emits in slot order, so sort the (short) row here; the row
-    // buffer comes from the task's arena (global side: this is staging,
-    // not a hash table, so it must not count as a shared-memory spill).
+    const auto put = [&](EdgeIdx i, VertexId id, Weight weight) {
+      check::note_plain_write(&adj[dst + i]);
+      adj[dst + i] = id;
+      check::note_plain_write(&w[dst + i]);
+      w[dst + i] = weight;
+    };
+    // Library-wide Csr invariant: rows sorted by neighbor id. A direct
+    // merge emits its row in id order, so it is copied as it stands.
+    const VertexId* ids = tmp_adj.data() + src;
+    if (std::is_sorted(ids, ids + deg)) {
+      for (EdgeIdx i = 0; i < deg; ++i) put(i, ids[i], tmp_w[src + i]);
+      return;
+    }
+    // The hash table emits in slot order, so sort the (short) row here;
+    // the row buffer comes from the task's arena (global side: this is
+    // staging, not a hash table, so it must not count as a shared-memory
+    // spill).
     struct RowEntry {
       VertexId id;
       Weight weight;
@@ -308,16 +408,11 @@ AggregationResult aggregate_impl(simt::Device& device, Rows& rows,
     auto row = ctx.shared().alloc_global<RowEntry>(
         static_cast<std::size_t>(deg));
     for (EdgeIdx i = 0; i < deg; ++i) {
-      row[i] = {tmp_adj[src + i], tmp_w[src + i]};
+      row[i] = {ids[i], tmp_w[src + i]};
     }
     std::sort(row.begin(), row.end(),
               [](const RowEntry& a, const RowEntry& b) { return a.id < b.id; });
-    for (EdgeIdx i = 0; i < deg; ++i) {
-      check::note_plain_write(&adj[dst + i]);
-      adj[dst + i] = row[i].id;
-      check::note_plain_write(&w[dst + i]);
-      w[dst + i] = row[i].weight;
-    }
+    for (EdgeIdx i = 0; i < deg; ++i) put(i, row[i].id, row[i].weight);
   });
 
   AggregationResult result{

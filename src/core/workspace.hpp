@@ -175,12 +175,17 @@ class Workspace {
             counters_.hits + s.hits, counters_.heap_grows + s.heap_grows};
   }
 
-  /// Current footprint: slot bytes + scratch chunks + pooled
-  /// capacities. Slots and scratch are grow-only, so outside of pool
-  /// churn this is also the high-water mark.
+  /// Current footprint: slot bytes + scratch chunks + binning results
+  /// + pooled capacities. Slots, scratch and binning results are
+  /// grow-only, so outside of pool churn this is also the high-water
+  /// mark.
   std::size_t held_bytes() const noexcept {
     std::size_t total = scratch_.held_bytes();
     for (const auto& s : slots_) total += s.size();
+    for (const Binned& b : binned_) {
+      total += b.order.capacity() * sizeof(graph::VertexId) +
+               b.begin.capacity() * sizeof(std::size_t);
+    }
     for (const auto& v : pool_u32_) total += v.capacity() * sizeof(std::uint32_t);
     for (const auto& v : pool_u64_) total += v.capacity() * sizeof(std::uint64_t);
     for (const auto& v : pool_f64_) total += v.capacity() * sizeof(double);

@@ -3,6 +3,7 @@
 // contraction, for arbitrary partitions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "core/aggregate.hpp"
@@ -15,6 +16,7 @@
 #include "graph/builder.hpp"
 #include "graph/ops.hpp"
 #include "metrics/modularity.hpp"
+#include "obs/recorder.hpp"
 #include "util/prng.hpp"
 #include "zg/zcsr.hpp"
 
@@ -262,8 +264,7 @@ std::vector<Community> bound_partition(const Csr& g) {
   return part;
 }
 
-void expect_contracts_like_map(const Csr& g,
-                               const std::vector<Community>& part) {
+void expect_straddles_bound(const Csr& g, const std::vector<Community>& part) {
   // The partition straddles the bound: singletons, pairs, and
   // communities of exactly 16 and 17 arcs, plus larger ones.
   std::map<Community, std::pair<VertexId, EdgeIdx>> shape;
@@ -283,32 +284,83 @@ void expect_contracts_like_map(const Csr& g,
        {"singleton", "pair", "16 arcs", "17 arcs", "over 17 arcs"}) {
     EXPECT_GT(seen[kind], 0) << kind;
   }
+}
 
+/// The level's aggregate/direct_merges count: how many communities
+/// merged into a table indexed by new id.
+double direct_merges(const obs::Recorder& rec) {
+  double total = 0;
+  for (const obs::CounterRecord& c : rec.counters()) {
+    if (rec.name(c.name) == "aggregate/direct_merges") total += c.value;
+  }
+  return total;
+}
+
+/// Contracts `g` from plain and from compressed rows on scalar and
+/// vector devices of `workers` workers (0 = one per hardware thread)
+/// and expects the std::map contraction bit for bit. Returns the
+/// direct-merge count, which both row sources must agree on.
+double expect_contracts_like_map(const Csr& g,
+                                 const std::vector<Community>& part,
+                                 unsigned workers) {
   const Csr want = map_contraction(g, part);
-  ASSERT_TRUE(graph::validate(want).empty());  // rows sorted
+  EXPECT_TRUE(graph::validate(want).empty());  // rows sorted
+  const zg::ZCsr z = zg::ZCsr::encode(g);
+  double direct = -1;
   for (const simt::Backend backend :
        {simt::Backend::kScalar, simt::Backend::kVector}) {
     SCOPED_TRACE(simt::backend_name(backend));
-    simt::Device device({.backend = backend});
-    // Integer weights: every sum is exact in any order, so the
-    // comparison is bitwise.
-    EXPECT_EQ(aggregate(device, g, Config{}, part).contracted, want);
-    const zg::ZCsr z = zg::ZCsr::encode(g);
+    SCOPED_TRACE(workers);
+    simt::Device device({.worker_threads = workers, .backend = backend});
+    obs::Recorder rec;
+    EXPECT_EQ(aggregate(device, g, Config{}, part, &rec).contracted, want);
+    direct = direct_merges(rec);
     ZRows rows(z, device.workers());
     Workspace ws;
-    EXPECT_EQ(aggregate(device, rows, Config{}, part, ws).contracted, want);
+    obs::Recorder zrec;
+    EXPECT_EQ(aggregate(device, rows, Config{}, part, ws, &zrec).contracted,
+              want);
+    EXPECT_EQ(direct_merges(zrec), direct);
   }
+  return direct;
+}
+
+/// Integer weights sum exactly in any order, so every device must match
+/// the reference bitwise; its return is the direct-merge count.
+double expect_integer_contraction_like_map(const Csr& g,
+                                           const std::vector<Community>& part) {
+  expect_contracts_like_map(g, part, 1);
+  return expect_contracts_like_map(g, part, 0);
+}
+
+/// The same graph with symmetric non-integer weights, whose sums depend
+/// on the order they are added in.
+Csr reweighted(const Csr& g) {
+  std::vector<Weight> w(g.num_arcs());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    for (EdgeIdx e = g.offset(v); e < g.offset(v) + g.degree(v); ++e) {
+      const VertexId u = g.adjacency()[e];
+      w[e] = 1.0 / (3 + (std::min(u, v) * 7 + std::max(u, v)) % 11);
+    }
+  }
+  return Csr({g.offsets().begin(), g.offsets().end()},
+             {g.adjacency().begin(), g.adjacency().end()}, std::move(w));
 }
 
 TEST(Aggregate, SmallCommunityMergeMatchesMapContractionOnRoad) {
   const Csr g = gen::road_network({.grid_nx = 48, .grid_ny = 48, .seed = 3});
   const auto part = bound_partition(g);
-  expect_contracts_like_map(g, part);
+  expect_straddles_bound(g, part);
+  // Hundreds of communities of at most 40 arcs: every one too small for
+  // a table of one slot per community.
+  EXPECT_EQ(expect_integer_contraction_like_map(g, part), 0);
   // One level up the rows carry self-loops (the merged internal weight).
   simt::Device device;
   const Csr up = aggregate(device, g, Config{}, part).contracted;
   ASSERT_GT(up.num_loops(), 0u);
-  expect_contracts_like_map(up, bound_partition(up));
+  const auto up_part = bound_partition(up);
+  expect_straddles_bound(up, up_part);
+  expect_integer_contraction_like_map(up, up_part);
 }
 
 TEST(Aggregate, SmallCommunityMergeMatchesMapContractionOnLfr) {
@@ -316,7 +368,31 @@ TEST(Aggregate, SmallCommunityMergeMatchesMapContractionOnLfr) {
                           .max_degree = 40, .min_community = 16,
                           .max_community = 200, .seed = 7})
                     .graph;
-  expect_contracts_like_map(g, bound_partition(g));
+  const auto part = bound_partition(g);
+  expect_straddles_bound(g, part);
+  expect_integer_contraction_like_map(g, part);
+}
+
+TEST(Aggregate, DirectMergeMatchesMapContractionOnPlantedPartition) {
+  // 40 planted communities of about 7,000 arcs each: a table of 40
+  // slots replaces each community's hash table.
+  const gen::SbmResult sbm = gen::planted_partition(
+      {.num_vertices = 20000, .num_communities = 40, .seed = 11});
+  const Csr& g = sbm.graph;
+  const std::vector<Community>& part = sbm.ground_truth;
+  EXPECT_EQ(expect_integer_contraction_like_map(g, part), 40);
+  // On one worker `com` holds each community's members in ascending id
+  // order, the reference's order, so non-integer sums match bitwise.
+  const Csr fractional = reweighted(g);
+  EXPECT_EQ(expect_contracts_like_map(fractional, part, 1), 40);
+  // One level up: 40 vertices with self-loops, merged into 8 communities.
+  simt::Device device({.worker_threads = 1});
+  const Csr up = aggregate(device, fractional, Config{}, part).contracted;
+  ASSERT_EQ(up.num_vertices(), 40u);
+  ASSERT_EQ(up.num_loops(), 40u);
+  std::vector<Community> up_part(up.num_vertices());
+  for (VertexId v = 0; v < up.num_vertices(); ++v) up_part[v] = v / 5 * 5;
+  EXPECT_EQ(expect_contracts_like_map(up, up_part, 1), 8);
 }
 
 }  // namespace

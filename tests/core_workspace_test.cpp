@@ -19,6 +19,7 @@
 
 #include "check/check.hpp"
 #include "core/aggregate.hpp"
+#include "core/buckets.hpp"
 #include "core/louvain.hpp"
 #include "core/modopt.hpp"
 #include "core/workspace.hpp"
@@ -120,6 +121,29 @@ TEST(WorkspaceAllocations, WarmModoptAggregateLoopIsAllocationFree) {
 
   EXPECT_EQ(g_alloc_count.load(), 0u)
       << "warm modopt+aggregation iterations must not touch the heap";
+}
+
+TEST(WorkspaceFootprint, HeldBytesCountsBinningResults) {
+  // 32k items take the parallel counting-sort path of the binning.
+  constexpr std::size_t kItems = 1 << 15;
+  Workspace ws;
+  const auto bin_into = [&](Binned& out) {
+    bin_by_key_into(
+        kItems, BucketScheme::paper_modopt(),
+        [](VertexId v) { return graph::EdgeIdx{v % 400}; }, 1,
+        [](VertexId) { return 0u; }, out, ws.scratch());
+  };
+  // A first binning into storage the workspace does not own grows its
+  // scratch to what the second one needs, so only the order and offset
+  // vectors can account for any growth below.
+  Binned outside;
+  bin_into(outside);
+  const std::size_t before = ws.held_bytes();
+  Binned& binned = ws.modopt_binned();
+  bin_into(binned);
+  ASSERT_EQ(binned.order.size(), kItems);
+  EXPECT_GE(ws.held_bytes(),
+            before + binned.order.capacity() * sizeof(VertexId));
 }
 
 // --- (b) dirty workspace == fresh device, bitwise -------------------
