@@ -8,9 +8,25 @@
 // one-lane-per-vertex (load imbalance from hubs) and uniform-warp
 // (wasted lanes on degree-2 vertices); on uniform low-degree graphs
 // (road) the advantage shrinks.
+//
+// The Q columns print 17 significant digits, so two builds that must
+// make the same decisions can be compared bit for bit (the CLI cannot
+// select a bucket scheme; this bench is how the ablation widths are
+// driven end to end).
 #include "bench_common.hpp"
 
 using namespace glouvain;
+
+namespace {
+
+/// Every bit of a modularity, as text.
+std::string exact(double q) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", q);
+  return buf;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   util::Options opt(argc, argv);
@@ -27,7 +43,8 @@ int main(int argc, char** argv) {
                 "load-balance win over node-centred prior work");
 
   util::Table table({"graph", "paper[s]", "1-lane[s]", "warp[s]",
-                     "vs 1-lane", "vs warp", "Q(paper)"});
+                     "vs 1-lane", "vs warp", "Q(paper)", "Q(1-lane)",
+                     "Q(warp)"});
   double sum_vs_single = 0, sum_vs_warp = 0;
   for (const auto& name : graphs) {
     const auto g = gen::suite_entry(name).build(scale, static_cast<std::uint64_t>(seed));
@@ -49,7 +66,8 @@ int main(int argc, char** argv) {
                    util::Table::fixed(rw.seconds, 3),
                    util::Table::fixed(r1.seconds / std::max(rp.seconds, 1e-9), 2),
                    util::Table::fixed(rw.seconds / std::max(rp.seconds, 1e-9), 2),
-                   util::Table::fixed(rp.modularity, 4)});
+                   exact(rp.modularity), exact(r1.modularity),
+                   exact(rw.modularity)});
   }
   table.print(std::cout);
   const double n = static_cast<double>(graphs.size());

@@ -4,6 +4,7 @@
 //   ./quickstart                  # demo graph (ring of cliques)
 //   ./quickstart --file my.txt    # your own edge list / .mtx / .bin
 #include <cstdio>
+#include <utility>
 
 #include "core/louvain.hpp"
 #include "gen/cliques.hpp"
@@ -23,8 +24,16 @@ int main(int argc, char** argv) {
   }
 
   // 1. Get a graph: from a file, or a demo graph with obvious structure.
-  graph::Csr g = file.empty() ? gen::ring_of_cliques(32, 12)
-                              : graph::load_auto(file);
+  //    Graph I/O reports failure as a util::Status, never by throwing.
+  graph::Csr g = gen::ring_of_cliques(32, 12);
+  if (!file.empty()) {
+    auto loaded = graph::try_load_auto(file);
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "error: %s\n", loaded.status().to_string().c_str());
+      return 1;
+    }
+    g = std::move(loaded).value();
+  }
   std::printf("graph: %u vertices, %llu edges\n", g.num_vertices(),
               static_cast<unsigned long long>(g.num_edges()));
 

@@ -16,7 +16,6 @@
 #include "prim/scan.hpp"
 #include "simt/atomics.hpp"
 #include "simt/kernel_ops.hpp"
-#include "simt/lane_group.hpp"
 #include "simt/lane_vec.hpp"
 #include "util/primes.hpp"
 
@@ -143,7 +142,6 @@ void merge_direct(Rows& rows, unsigned worker,
 
 template <typename Rows>
 AggregationResult aggregate_impl(simt::Device& device, Rows& rows,
-                                 const Config& config,
                                  std::span<const Community> community,
                                  Workspace& ws, obs::Recorder* rec) {
   check::WorkspaceGuard ws_guard(&ws);
@@ -232,7 +230,7 @@ AggregationResult aggregate_impl(simt::Device& device, Rows& rows,
   // kernel, so its width must already read 0 at compaction.
   device.for_each(n, [&](std::size_t c) { merged_degree[c] = 0; });
 
-  const BucketScheme& scheme = config.aggregation_buckets;
+  static const BucketScheme scheme = BucketScheme::paper_aggregation();
   Binned& binned = ws.aggregate_binned();
   {
     obs::Span span(rec, "aggregate/binning");
@@ -274,7 +272,6 @@ AggregationResult aggregate_impl(simt::Device& device, Rows& rows,
     const bool use_global = b >= scheme.global_from;
     const std::size_t grain = use_global ? 1 : 0;
 
-    check::contract(lanes <= 128, "aggregate: lane group wider than a block");
     obs::Span kernel_span(
         rec, rec ? std::string_view(bucket_names[b]) : std::string_view());
     check::KernelScope kernel_scope("aggregate/bucket", b);
@@ -315,46 +312,43 @@ AggregationResult aggregate_impl(simt::Device& device, Rows& rows,
       LocalCommunityHashMap table(keys, weights, params);
       table.clear();
 
-      simt::LaneGroup group(lanes);
       // Members processed one after another, all lanes cooperating on
       // each member's edge list (§4.1, aggregation thread assignment).
-      // The hashing collective lowers to bulk community gathers on the
-      // vector backend (the lane width only shapes the scalar rounds,
-      // so one vector group serves every bucket); emission below stays
-      // on the scalar group either way.
-      for (EdgeIdx m = vertex_start[c]; m < vertex_start[c] + com_size[c]; ++m) {
-        const VertexId v = com[m];
-        const RowView r = rows.row(v, ctx.worker());
-        if (vector_backend) {
-          simt::hash_row(simt::VectorLaneGroup<32>{}, r, community.data(),
-                         table);
-        } else {
-          simt::hash_row(group, r, community.data(), table);
+      // One group hashes and emits. On the vector backend the hashing
+      // collective lowers to bulk community gathers, which never read
+      // the group's width; emission runs the scalar rounds either way.
+      simt::with_lane_group(lanes, vector_backend, nullptr,
+                            [&](const auto& group) {
+        for (EdgeIdx m = vertex_start[c]; m < vertex_start[c] + com_size[c];
+             ++m) {
+          simt::hash_row(group, rows.row(com[m], ctx.worker()),
+                         community.data(), table);
         }
-      }
 
-      // Emission: each lane counts the slots it owns, a lane prefix sum
-      // assigns disjoint output ranges, then lanes copy their entries —
-      // the paper's "mark, prefix-sum across threads, move in parallel".
-      std::array<EdgeIdx, 128> lane_count{};
-      group.strided_for(cap, [&](unsigned lane, std::size_t pos) {
-        if (table.occupied(pos)) ++lane_count[lane];
+        // Emission: each lane counts the slots it owns, a lane prefix
+        // sum assigns disjoint output ranges, then lanes copy their
+        // entries — the paper's "mark, prefix-sum across threads, move
+        // in parallel".
+        std::array<EdgeIdx, 128> lane_count{};
+        group.strided_for(cap, [&](unsigned lane, std::size_t pos) {
+          if (table.occupied(pos)) ++lane_count[lane];
+        });
+        const EdgeIdx total = group.exclusive_scan(
+            std::span<EdgeIdx>(lane_count.data(), lanes));
+        std::array<EdgeIdx, 128> lane_cursor = lane_count;
+        group.strided_for(cap, [&](unsigned lane, std::size_t pos) {
+          if (!table.occupied(pos)) return;
+          const EdgeIdx at = edge_pos[c] + lane_cursor[lane]++;
+          // Neighbouring community id is rewritten to its new vertex id
+          // here, exactly as mergeCommunity does.
+          check::note_plain_write(&tmp_adj[at]);
+          tmp_adj[at] = new_id[table.key_at(pos)];
+          check::note_plain_write(&tmp_w[at]);
+          tmp_w[at] = table.weight_at(pos);
+        });
+        check::note_plain_write(&merged_degree[c]);
+        merged_degree[c] = total;
       });
-      const EdgeIdx total = group.exclusive_scan(
-          std::span<EdgeIdx>(lane_count.data(), lanes));
-      std::array<EdgeIdx, 128> lane_cursor = lane_count;
-      group.strided_for(cap, [&](unsigned lane, std::size_t pos) {
-        if (!table.occupied(pos)) return;
-        const EdgeIdx at = edge_pos[c] + lane_cursor[lane]++;
-        // Neighbouring community id is rewritten to its new vertex id
-        // here, exactly as mergeCommunity does.
-        check::note_plain_write(&tmp_adj[at]);
-        tmp_adj[at] = new_id[table.key_at(pos)];
-        check::note_plain_write(&tmp_w[at]);
-        tmp_w[at] = table.weight_at(pos);
-      });
-      check::note_plain_write(&merged_degree[c]);
-      merged_degree[c] = total;
     });
   }
 
@@ -425,26 +419,23 @@ AggregationResult aggregate_impl(simt::Device& device, Rows& rows,
 }  // namespace
 
 AggregationResult aggregate(simt::Device& device, const Csr& graph,
-                            const Config& config,
                             std::span<const Community> community,
                             obs::Recorder* rec) {
   Workspace ws;
-  return aggregate(device, graph, config, community, ws, rec);
+  return aggregate(device, graph, community, ws, rec);
 }
 
 AggregationResult aggregate(simt::Device& device, const Csr& graph,
-                            const Config& config,
                             std::span<const Community> community, Workspace& ws,
                             obs::Recorder* rec) {
   PlainRows rows(graph);
-  return aggregate_impl(device, rows, config, community, ws, rec);
+  return aggregate_impl(device, rows, community, ws, rec);
 }
 
 AggregationResult aggregate(simt::Device& device, ZRows& rows,
-                            const Config& config,
                             std::span<const Community> community, Workspace& ws,
                             obs::Recorder* rec) {
-  return aggregate_impl(device, rows, config, community, ws, rec);
+  return aggregate_impl(device, rows, community, ws, rec);
 }
 
 }  // namespace glouvain::core

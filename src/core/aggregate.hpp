@@ -5,7 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "core/config.hpp"
 #include "core/rows.hpp"
 #include "graph/csr.hpp"
 #include "simt/device.hpp"
@@ -28,11 +27,11 @@ struct AggregationResult {
 };
 
 /// community[v] must be a label < graph.num_vertices() for every v.
+/// Communities are binned by BucketScheme::paper_aggregation().
 /// `recorder` (optional) receives the "aggregate" span tree — community
 /// sizing, numbering, member ordering, binning, per-bucket merge
 /// kernels, compaction — plus a bucket-occupancy counter.
 AggregationResult aggregate(simt::Device& device, const graph::Csr& graph,
-                            const Config& config,
                             std::span<const graph::Community> community,
                             obs::Recorder* recorder = nullptr);
 
@@ -41,7 +40,6 @@ AggregationResult aggregate(simt::Device& device, const graph::Csr& graph,
 /// retired graphs back via Workspace::recycle). The overload above is
 /// a thin wrapper over a throwaway Workspace.
 AggregationResult aggregate(simt::Device& device, const graph::Csr& graph,
-                            const Config& config,
                             std::span<const graph::Community> community,
                             Workspace& ws, obs::Recorder* recorder = nullptr);
 
@@ -50,7 +48,6 @@ AggregationResult aggregate(simt::Device& device, const graph::Csr& graph,
 /// a plain Csr either way (later levels are small enough to run
 /// uncompressed). Results are bitwise-identical to the plain overload.
 AggregationResult aggregate(simt::Device& device, ZRows& rows,
-                            const Config& config,
                             std::span<const graph::Community> community,
                             Workspace& ws, obs::Recorder* recorder = nullptr);
 

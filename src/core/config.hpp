@@ -69,7 +69,6 @@ enum class UpdateStrategy {
 /// backend's own machinery remains here.
 struct Config : detect::Options {
   BucketScheme modopt_buckets = BucketScheme::paper_modopt();
-  BucketScheme aggregation_buckets = BucketScheme::paper_aggregation();
   UpdateStrategy update = UpdateStrategy::Bucketed;
   /// Each degree bucket is processed in this many hash-partitioned
   /// sub-rounds, committing moves after each. 1 reproduces the paper's

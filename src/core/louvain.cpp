@@ -139,8 +139,8 @@ void Louvain::run_impl(const Csr* graph, const zg::ZCsr* z0,
   const auto contract = [&](int level) {
     const bool z_level = zrows && level == 0;
     AggregationResult agg =
-        z_level ? aggregate(*device_, *zrows, config_, labels, ws_, rec)
-                : aggregate(*device_, *current, config_, labels, ws_, rec);
+        z_level ? aggregate(*device_, *zrows, labels, ws_, rec)
+                : aggregate(*device_, *current, labels, ws_, rec);
 
     // Fold this level into the original-vertex mapping:
     // community(orig) = new_id[ phase community of current vertex ].
@@ -178,6 +178,8 @@ void Louvain::run_impl(const Csr* graph, const zg::ZCsr* z0,
   };
 
   climb_levels(config_, size0, result, rec, optimize, contract);
+  // The last contracted level feeds the next run's aggregations too.
+  if (owned.num_vertices() > 0) ws_.recycle(std::move(owned));
   if (rec && zrows) {
     rec->count("zg/rows_decoded", static_cast<double>(zrows->rows_decoded()));
     rec->count("zg/reseeks", static_cast<double>(zrows->reseeks()));

@@ -15,7 +15,6 @@
 #include "prim/reduce.hpp"
 #include "simt/atomics.hpp"
 #include "simt/kernel_ops.hpp"
-#include "simt/lane_group.hpp"
 #include "simt/lane_vec.hpp"
 #include "util/primes.hpp"
 #include "util/prng.hpp"
@@ -30,48 +29,6 @@ using graph::Csr;
 using graph::EdgeIdx;
 using graph::VertexId;
 using graph::Weight;
-
-/// Runs kernel(group) on the lane group of a `lanes`-wide bucket. The
-/// standard widths get compile-time lane counts (constant strided loops
-/// and reduction trees); anything else falls back to the runtime group.
-/// Same arithmetic either way. On the vector backend the same widths
-/// dispatch to VectorLaneGroup, whose collectives lower to AVX2 gathers
-/// and masked scans; non-standard ablation widths stay on the scalar
-/// substrate. `st` receives the vector groups' lane counts (or null).
-template <typename Kernel>
-void with_group(unsigned lanes, bool vector_backend, simt::VecLaneStats* st,
-                Kernel&& kernel) {
-  if (vector_backend) {
-    switch (lanes) {
-      case 4:
-        return kernel(simt::VectorLaneGroup<4>{st});
-      case 8:
-        return kernel(simt::VectorLaneGroup<8>{st});
-      case 16:
-        return kernel(simt::VectorLaneGroup<16>{st});
-      case 32:
-        return kernel(simt::VectorLaneGroup<32>{st});
-      case 128:
-        return kernel(simt::VectorLaneGroup<128>{st});
-      default:
-        break;  // ablation widths: scalar substrate below
-    }
-  }
-  switch (lanes) {
-    case 4:
-      return kernel(simt::FixedLaneGroup<4>{});
-    case 8:
-      return kernel(simt::FixedLaneGroup<8>{});
-    case 16:
-      return kernel(simt::FixedLaneGroup<16>{});
-    case 32:
-      return kernel(simt::FixedLaneGroup<32>{});
-    case 128:
-      return kernel(simt::FixedLaneGroup<128>{});
-    default:
-      return kernel(simt::LaneGroup(lanes));
-  }
-}
 
 struct CommitResult {
   double gain = 0;          ///< accumulated predicted modularity gain
@@ -413,10 +370,11 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
             // get the group the bucket assigns, whose fold order the
             // register path replays.
             if (deg <= detail::kSmallMoveDegree) {
-              with_group(lanes, vector_backend, st, [&](const auto& group) {
-                detail::compute_move_small(rows, ctx.worker(), state, m2, v,
-                                           group);
-              });
+              simt::with_lane_group(
+                  lanes, vector_backend, st, [&](const auto& group) {
+                    detail::compute_move_small(rows, ctx.worker(), state, m2,
+                                               v, group);
+                  });
               return;
             }
             const util::HashTableParams params =
@@ -434,10 +392,11 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
             // needed).
             LocalCommunityHashMap table(keys, weights, params);
             table.clear();
-            with_group(lanes, vector_backend, st, [&](const auto& group) {
-              detail::compute_move(rows, ctx.worker(), state, m2, v, group,
-                                   table, touched);
-            });
+            simt::with_lane_group(
+                lanes, vector_backend, st, [&](const auto& group) {
+                  detail::compute_move(rows, ctx.worker(), state, m2, v, group,
+                                       table, touched);
+                });
           });
         }
 

@@ -80,9 +80,9 @@ inline constexpr std::uint32_t kSmallMoveDegree = 4;
 }
 
 /// The table path for one vertex. Rows is the storage seam (PlainRows
-/// or ZRows); Table is the task-local hash map; Group is LaneGroup, a
-/// FixedLaneGroup specialization, or a VectorLaneGroup. `touched` is
-/// caller scratch for >= capacity slot indices.
+/// or ZRows); Table is the task-local hash map; Group is a
+/// FixedLaneGroup or a VectorLaneGroup. `touched` is caller scratch for
+/// >= capacity slot indices.
 template <typename Rows, typename Group, typename Table>
 void compute_move(Rows& rows, unsigned worker, PhaseState& state,
                   graph::Weight m2, graph::VertexId v, const Group& group,
@@ -196,11 +196,12 @@ void compute_move_small(Rows& rows, unsigned worker, PhaseState& state,
       // Scalar groups fold slot `pos` into lane pos % lanes, in
       // ascending slot order, then run the halving tree. With fewer
       // than 8 slots, lanes 8 and up only ever hold the identity, and
-      // better(x, identity) == x, so an 8-lane tree gives the same
-      // result as a wider one.
+      // better(x, identity) == x, so an 8-lane tree over lanes that
+      // hold the identity past the group's width gives the same result
+      // as the group's own tree, narrower or wider.
       const unsigned lanes = std::min(group.lanes(), 8u);
       std::array<simt::BestComm, 8> lane_best;
-      std::fill_n(lane_best.begin(), lanes, simt::kEmptyBest);
+      lane_best.fill(simt::kEmptyBest);
       for (std::uint32_t m = claimed; m != 0; m &= m - 1) {
         const unsigned pos = std::countr_zero(m);
         const unsigned i = key_at[pos];
@@ -213,8 +214,8 @@ void compute_move_small(Rows& rows, unsigned worker, PhaseState& state,
         simt::BestComm& lane = lane_best[pos % lanes];
         lane = simt::better(lane, {gain, comm[i]});
       }
-      best = simt::LaneGroup(lanes).reduce(
-          std::span<simt::BestComm>(lane_best.data(), lanes),
+      best = simt::FixedLaneGroup<8>{}.reduce(
+          std::span<simt::BestComm>(lane_best),
           [](const simt::BestComm& a, const simt::BestComm& b) {
             return simt::better(a, b);
           });

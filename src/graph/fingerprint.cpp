@@ -4,43 +4,28 @@
 
 namespace glouvain::graph {
 
-namespace {
-
-struct Mixer {
-  std::uint64_t state;
-
-  void absorb(std::uint64_t x) noexcept {
-    state += x * 0x9e3779b97f4a7c15ULL;
-    state = (state ^ (state >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    state = (state ^ (state >> 27)) * 0x94d049bb133111ebULL;
-    state ^= state >> 31;
-  }
-};
-
-}  // namespace
-
 Fingerprint128 fingerprint128(const Csr& graph) {
-  Mixer a{0x8f14e45fceea167aULL};
-  Mixer b{0x243f6a8885a308d3ULL};
+  std::uint64_t a = 0x8f14e45fceea167aULL;
+  std::uint64_t b = 0x243f6a8885a308d3ULL;
 
   // Array lengths first so prefixes of longer arrays cannot alias.
-  a.absorb(graph.num_vertices());
-  b.absorb(graph.num_arcs());
+  a = mix(a, graph.num_vertices());
+  b = mix(b, graph.num_arcs());
 
   for (const EdgeIdx off : graph.offsets()) {
-    a.absorb(off);
-    b.absorb(off + 0x5bf0a8b1ULL);
+    a = mix(a, off);
+    b = mix(b, off + 0x5bf0a8b1ULL);
   }
   for (const VertexId v : graph.adjacency()) {
-    a.absorb(v);
-    b.absorb(~static_cast<std::uint64_t>(v));
+    a = mix(a, v);
+    b = mix(b, ~static_cast<std::uint64_t>(v));
   }
   for (const Weight w : graph.edge_weights()) {
     const auto bits = std::bit_cast<std::uint64_t>(w);
-    a.absorb(bits);
-    b.absorb(bits ^ 0xa5a5a5a5a5a5a5a5ULL);
+    a = mix(a, bits);
+    b = mix(b, bits ^ 0xa5a5a5a5a5a5a5a5ULL);
   }
-  return {a.state, b.state};
+  return {a, b};
 }
 
 }  // namespace glouvain::graph

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 
 #include "graph/builder.hpp"
 
@@ -47,17 +46,6 @@ bool is_comment(const std::string& line) {
   return true;  // blank
 }
 
-/// The throwing wrappers preserve the historical exception contract:
-/// the status message already carries "graph io: <path>: <what>".
-Csr value_or_throw(StatusOr<Csr> result) {
-  if (!result.ok()) throw std::runtime_error(std::string(result.status().message()));
-  return std::move(result).value();
-}
-
-void ok_or_throw(const Status& status) {
-  if (!status.ok()) throw std::runtime_error(std::string(status.message()));
-}
-
 }  // namespace
 
 StatusOr<Csr> try_load_edge_list(const std::string& path) {
@@ -78,10 +66,6 @@ StatusOr<Csr> try_load_edge_list(const std::string& path) {
   }
   if (in.bad()) return io_failure(path, "read error");
   return build_csr(std::move(edges));
-}
-
-Csr load_edge_list(const std::string& path) {
-  return value_or_throw(try_load_edge_list(path));
 }
 
 StatusOr<Csr> try_load_matrix_market(const std::string& path) {
@@ -122,10 +106,6 @@ StatusOr<Csr> try_load_matrix_market(const std::string& path) {
   if (in.bad()) return io_failure(path, "read error");
   // Upper/lower duplicates in general matrices merge in the builder.
   return build_csr(static_cast<VertexId>(rows), std::move(edges));
-}
-
-Csr load_matrix_market(const std::string& path) {
-  return value_or_throw(try_load_matrix_market(path));
 }
 
 StatusOr<Csr> try_load_metis(const std::string& path) {
@@ -171,10 +151,6 @@ StatusOr<Csr> try_load_metis(const std::string& path) {
   return build_csr(static_cast<VertexId>(n), std::move(edges));
 }
 
-Csr load_metis(const std::string& path) {
-  return value_or_throw(try_load_metis(path));
-}
-
 StatusOr<Csr> try_load_auto(const std::string& path) {
   auto ends_with = [&](const char* suffix) {
     const std::size_t len = std::strlen(suffix);
@@ -184,10 +160,6 @@ StatusOr<Csr> try_load_auto(const std::string& path) {
   if (ends_with(".graph") || ends_with(".metis")) return try_load_metis(path);
   if (ends_with(".bin")) return try_load_binary(path);
   return try_load_edge_list(path);
-}
-
-Csr load_auto(const std::string& path) {
-  return value_or_throw(try_load_auto(path));
 }
 
 namespace {
@@ -252,10 +224,6 @@ Status try_save_binary(const Csr& graph, const std::string& path) {
   return Status::ok_status();
 }
 
-void save_binary(const Csr& graph, const std::string& path) {
-  ok_or_throw(try_save_binary(graph, path));
-}
-
 StatusOr<Csr> try_load_binary(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return cannot_open(path);
@@ -291,10 +259,6 @@ StatusOr<Csr> try_load_binary(const std::string& path) {
   return Csr(std::move(offsets), std::move(adj), std::move(weights));
 }
 
-Csr load_binary(const std::string& path) {
-  return value_or_throw(try_load_binary(path));
-}
-
 Status try_save_edge_list(const Csr& graph, const std::string& path) {
   std::ofstream out(path);
   if (!out) return cannot_open(path);
@@ -309,10 +273,6 @@ Status try_save_edge_list(const Csr& graph, const std::string& path) {
   }
   if (!out) return io_failure(path, "write error");
   return Status::ok_status();
-}
-
-void save_edge_list(const Csr& graph, const std::string& path) {
-  ok_or_throw(try_save_edge_list(graph, path));
 }
 
 }  // namespace glouvain::graph

@@ -2,12 +2,10 @@
 // paper draws from (Florida: MatrixMarket; SNAP: edge lists; DIMACS/
 // METIS meshes), plus a fast binary snapshot for benchmark re-runs.
 //
-// Each operation comes in two flavours: a `try_*` variant returning
-// util::Status / util::StatusOr (missing file -> kNotFound, malformed
-// content -> kInvalidArgument, mid-stream read/write failure ->
-// kIoError; the CLI maps these to distinct exit codes), and the
-// original throwing wrapper (std::runtime_error with the same message)
-// for callers that prefer exceptions.
+// Every operation reports failure as a value: util::Status /
+// util::StatusOr (missing file -> kNotFound, malformed content ->
+// kInvalidArgument, mid-stream read/write failure -> kIoError; the CLI
+// maps these to distinct exit codes).
 #pragma once
 
 #include <string>
@@ -22,32 +20,25 @@ namespace glouvain::graph {
 /// are used verbatim, so n = max id + 1. Each undirected edge should
 /// appear once; duplicates merge.
 [[nodiscard]] util::StatusOr<Csr> try_load_edge_list(const std::string& path);
-Csr load_edge_list(const std::string& path);
 
 /// MatrixMarket `%%MatrixMarket matrix coordinate (real|pattern|integer)
 /// (general|symmetric)` files, 1-indexed. Symmetric files give the
 /// lower triangle once; general files are symmetrized by merge.
 [[nodiscard]] util::StatusOr<Csr> try_load_matrix_market(const std::string& path);
-Csr load_matrix_market(const std::string& path);
 
 /// METIS .graph: header `n m [fmt]`, then one line of neighbors per
 /// vertex (1-indexed), weights if fmt says so.
 [[nodiscard]] util::StatusOr<Csr> try_load_metis(const std::string& path);
-Csr load_metis(const std::string& path);
 
 /// Dispatch on extension: .mtx → MatrixMarket, .graph/.metis → METIS,
 /// .bin → binary, anything else → edge list.
 [[nodiscard]] util::StatusOr<Csr> try_load_auto(const std::string& path);
-Csr load_auto(const std::string& path);
 
 /// Compact binary snapshot (magic + sizes + raw arrays, little-endian).
 [[nodiscard]] util::Status try_save_binary(const Csr& graph, const std::string& path);
-void save_binary(const Csr& graph, const std::string& path);
 [[nodiscard]] util::StatusOr<Csr> try_load_binary(const std::string& path);
-Csr load_binary(const std::string& path);
 
 /// Write as a plain `u v w` edge list (each undirected edge once).
 [[nodiscard]] util::Status try_save_edge_list(const Csr& graph, const std::string& path);
-void save_edge_list(const Csr& graph, const std::string& path);
 
 }  // namespace glouvain::graph

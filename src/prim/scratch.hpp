@@ -90,7 +90,6 @@ class Scratch {
   }
 
   const Counters& counters() const noexcept { return counters_; }
-  void reset_counters() noexcept { counters_ = {}; }
 
  private:
   static constexpr std::size_t kMinChunk = 256 * 1024;

@@ -57,13 +57,14 @@ std::int64_t steady_now_ns() noexcept {
 
 /// Per-device-lane scratch of the concurrent rounds (and, as lane 0,
 /// of the sequential simulation): the seed-marshal buffers and the
-/// phase workspace one resident device would keep.
+/// phase workspace one resident device would keep. The sequential
+/// rounds sweep in the level loop's own workspace instead of `ws`.
 struct Lane {
   std::vector<Community> seed;       ///< per-shard local seed labels
   std::vector<Community> rep_comm;   ///< local slot -> global community
   std::vector<Community> comm_slot;  ///< global community -> local slot
   std::vector<VertexId> slot_list;   ///< slots claimed by this shard
-  std::vector<VertexId> frontier;    ///< round >= 1 restricted active set
+  std::vector<VertexId> frontier;    ///< the round's active set
   core::Workspace ws;
 };
 
@@ -85,11 +86,10 @@ struct Proposal {
 struct SweepOutcome {
   bool ran = false;                ///< false = empty frontier, no work
   int sweeps = 0;
-  double seconds = 0;
   double work = 0;                 ///< deterministic work units
   double first_sweep_seconds = 0;  ///< round 0 only
   std::int64_t start_raw = 0;      ///< raw steady-clock ns (trace rebase)
-  std::int64_t dur_ns = 0;
+  std::int64_t dur_ns = 0;         ///< the sweep's wall time
 };
 
 /// One shard's restricted move sweep against the round-start global
@@ -104,11 +104,10 @@ SweepOutcome run_shard_sweep(
     const core::Config& frontier_cfg, double threshold, int round,
     graph::EdgeIdx hub_degree, const GlobalState& gs,
     const std::vector<int>& last_moved, const std::vector<int>& dirty_round,
-    std::span<const VertexId> all_owned, Lane& lane, core::Workspace& ws,
-    obs::Recorder* rec, std::vector<Proposal>& proposals) {
+    Lane& lane, core::Workspace& ws, obs::Recorder* rec,
+    std::vector<Proposal>& proposals) {
   SweepOutcome out;
   out.start_raw = steady_now_ns();
-  util::Timer timer;
   const Csr& local = sh.local;
   const VertexId local_n = sh.num_local();
   const VertexId mapped_n = local_n - (sh.has_phantom ? 1 : 0);
@@ -121,34 +120,25 @@ SweepOutcome run_shard_sweep(
   // scan). Everything else sits at the local optimum it reached last
   // round, so re-sweeping it buys nothing; an idle shard skips even
   // the seed marshal.
-  std::span<const VertexId> active = all_owned;
+  //
+  // Hub settling (kHubSettleRounds): past the opening rounds a dirty
+  // hub row is not re-scanned — on a scale-free cut every hub is
+  // dirtied every round, and those full-degree re-scans would dominate
+  // the settle tail. A hub that itself moved stays eligible.
+  const bool settle_hubs = round >= kHubSettleRounds;
+  lane.frontier.clear();
   double active_arcs = 0;
-  if (round > 0) {
-    lane.frontier.clear();
-    // Hub settling (kHubSettleRounds): past the opening
-    // rounds a dirty hub row is not re-scanned — on a scale-free cut
-    // every hub is dirtied every round, and those full-degree
-    // re-scans would dominate the settle tail. A hub that itself
-    // moved stays eligible.
-    const bool settle_hubs = round >= kHubSettleRounds;
-    for (VertexId i = 0; i < sh.num_owned; ++i) {
-      const VertexId g = sh.global_of[i];
-      const bool moved_recently = last_moved[g] >= round - 1;
-      if (!moved_recently &&
-          (dirty_round[g] < round - 1 ||
-           (settle_hubs && local.degree(i) > hub_degree))) {
-        continue;
-      }
-      lane.frontier.push_back(i);
-      active_arcs += static_cast<double>(local.degree(i));
+  for (VertexId i = 0; i < sh.num_owned; ++i) {
+    const VertexId g = sh.global_of[i];
+    if (round > 0 && last_moved[g] < round - 1 &&
+        (dirty_round[g] < round - 1 ||
+         (settle_hubs && local.degree(i) > hub_degree))) {
+      continue;
     }
-    active = lane.frontier;
-  } else {
-    for (VertexId i = 0; i < sh.num_owned; ++i) {
-      active_arcs += static_cast<double>(local.degree(i));
-    }
+    lane.frontier.push_back(i);
+    active_arcs += static_cast<double>(local.degree(i));
   }
-  if (active.empty()) return out;
+  if (lane.frontier.empty()) return out;
 
   // Seed the local state from the exchanged global view: the slot of
   // community c is the first local vertex found in c, and rep_comm
@@ -180,7 +170,7 @@ SweepOutcome run_shard_sweep(
   }
 
   const PhaseResult phase = core::optimize_phase(
-      device, local, frontier_cfg, st, active, threshold, ws, rec);
+      device, local, frontier_cfg, st, lane.frontier, threshold, ws, rec);
   out.sweeps = phase.sweeps;
   out.first_sweep_seconds = phase.first_sweep_seconds;
 
@@ -208,7 +198,6 @@ SweepOutcome run_shard_sweep(
              (round == 0 ? static_cast<double>(local.num_arcs())
                          : static_cast<double>(local_n));
   out.dur_ns = steady_now_ns() - out.start_raw;
-  out.seconds = timer.seconds();
   out.ran = true;
   return out;
 }
@@ -242,28 +231,22 @@ void run_lanes(unsigned lanes, Fn&& fn) {
   }
 }
 
-/// Publish one shard's buffered proposals into the global view (with
-/// incremental tot updates), stamp movers and dirty their global
-/// neighbourhoods (the targeting of a real halo message). The
-/// delta-screening prune (Vite/GVE lineage): a neighbour already in
-/// the mover's destination community saw its stay-put option
-/// reinforced, not weakened — skip it.
-std::uint64_t apply_proposals(const std::vector<Proposal>& proposals,
-                              GlobalState& gs, const Csr& global,
-                              std::span<const Weight> strengths, int round,
-                              std::vector<int>& last_moved,
-                              std::vector<int>& dirty_round) {
-  std::uint64_t moved = 0;
-  for (const Proposal& p : proposals) {
-    if (gs.apply_move(p.v, p.c, strengths)) {
-      ++moved;
-      last_moved[p.v] = round;
-      for (const VertexId u : global.neighbors(p.v)) {
-        if (gs.community_of(u) != p.c) dirty_round[u] = round;
-      }
-    }
+/// Publish one move into the global view (with incremental tot
+/// updates), stamp the mover and dirty its global neighbourhood (the
+/// targeting of a real halo message); false if the vertex was already
+/// there. The delta-screening prune (Vite/GVE lineage): a neighbour
+/// already in the mover's destination community saw its stay-put
+/// option reinforced, not weakened — skip it. Both round protocols
+/// publish through here, on the driver thread.
+bool publish(VertexId v, Community c, GlobalState& gs, const Csr& global,
+             std::span<const Weight> strengths, int round,
+             std::vector<int>& last_moved, std::vector<int>& dirty_round) {
+  if (!gs.apply_move(v, c, strengths)) return false;
+  last_moved[v] = round;
+  for (const VertexId u : global.neighbors(v)) {
+    if (gs.community_of(u) != c) dirty_round[u] = round;
   }
-  return moved;
+  return true;
 }
 
 /// Driver-side scratch of the validated barrier commit: per-community
@@ -356,13 +339,8 @@ std::uint64_t apply_proposals_validated(
       dirty_round[p.v] = round;
       continue;
     }
-    if (gs.apply_move(p.v, best_c, strengths)) {
-      ++moved;
-      last_moved[p.v] = round;
-      for (const VertexId u : adj) {
-        if (gs.community_of(u) != best_c) dirty_round[u] = round;
-      }
-    }
+    moved += publish(p.v, best_c, gs, global, strengths, round, last_moved,
+                     dirty_round);
   }
   return moved;
 }
@@ -375,9 +353,9 @@ using engine_detail::kRoundsPerLevel;
 using engine_detail::Lane;
 using engine_detail::Proposal;
 using engine_detail::SweepOutcome;
-using engine_detail::apply_proposals;
 using engine_detail::apply_proposals_validated;
 using engine_detail::CommitScratch;
+using engine_detail::publish;
 using engine_detail::run_lanes;
 using engine_detail::run_shard_sweep;
 using engine_detail::steady_now_ns;
@@ -388,29 +366,31 @@ using graph::Weight;
 using graph::kInvalidVertex;
 }  // namespace
 
-struct Engine::ConcurrentState {
-  std::vector<Lane> lanes;
-  CommitScratch commit;
-};
-
-/// Sharded-level scratch of one run, reused across its levels and
-/// rounds. seq_lane carries the marshal buffers of the sequential
-/// simulation; the concurrent mode keeps one Lane per leased device in
-/// Engine::ConcurrentState instead.
-struct Engine::LevelScratch {
+/// What the sharded levels keep across rounds, levels and runs, as one
+/// resident device per shard would.
+struct Engine::State {
   GlobalState gs;
   std::vector<Weight> strengths;
-  Lane seq_lane;
-  std::vector<VertexId> active_ids;  ///< iota; prefix = a shard's owned
-  std::vector<int> last_moved;       ///< round a global vertex last moved
-  std::vector<int> dirty_round;      ///< round a neighbour last moved
+  std::vector<int> last_moved;   ///< round a global vertex last moved
+  std::vector<int> dirty_round;  ///< round a neighbour last moved
+  /// One resident phase state per shard: round 0 of a level uploads
+  /// the local graph (reset_from, O(arcs)); later rounds only reseed
+  /// the label-derived state (O(n)), which is what a real device pays
+  /// after a halo update.
+  std::vector<core::PhaseState> shards;
+  /// One marshal lane per leased device; lane 0 also serves the
+  /// sequential rounds.
+  std::vector<Lane> lanes;
   std::vector<std::vector<Proposal>> proposals;  ///< per-shard move buffer
   std::vector<Proposal> all_props;  ///< gain-ordered barrier commit queue
   std::vector<SweepOutcome> outcomes;            ///< per-shard, per round
+  CommitScratch commit;
 };
 
 Engine::Engine(const Config& config)
-    : config_(config), core_(core::to_config(config_)) {
+    : config_(config),
+      core_(core::to_config(config_)),
+      state_(std::make_unique<State>()) {
   plan_cache().set_capacity(config_.plan_cache_capacity);
 }
 
@@ -469,14 +449,12 @@ std::shared_ptr<const Plan> Engine::plan_for(const Csr& graph, unsigned k,
 
 Result Engine::run(const Csr& graph, obs::Recorder* rec) {
   Result result;
-  LevelScratch scratch;
   core_.run_levels(
       graph,
       [&](int level, const Csr& current, double threshold) {
         const unsigned k = shards_for(current.num_vertices());
         if (k > 1) {
-          return sharded_level(level, current, k, threshold, scratch, result,
-                               rec);
+          return sharded_level(level, current, k, threshold, result, rec);
         }
         // ---- unsharded level: core's cold step verbatim, so shards <= 1
         // stays bitwise-identical to "core" and small contracted levels
@@ -505,8 +483,7 @@ Result Engine::run(const Csr& graph, obs::Recorder* rec) {
 
 core::LevelPhase Engine::sharded_level(int level, const Csr& current,
                                        unsigned k, double threshold,
-                                       LevelScratch& scratch, Result& result,
-                                       obs::Recorder* rec) {
+                                       Result& result, obs::Recorder* rec) {
   // Partition (through the plan cache), then alternate per-shard
   // restricted phases with halo exchanges of labels and community
   // totals. Sequential mode sweeps the shards Gauss-Seidel on the one
@@ -516,13 +493,13 @@ core::LevelPhase Engine::sharded_level(int level, const Csr& current,
   simt::Device& device = core_.device();
   core::Workspace& ws = core_.workspace();
   const VertexId n = current.num_vertices();
-  GlobalState& gs = scratch.gs;
-  std::vector<Weight>& strengths = scratch.strengths;
-  std::vector<VertexId>& active_ids = scratch.active_ids;
-  std::vector<int>& last_moved = scratch.last_moved;
-  std::vector<int>& dirty_round = scratch.dirty_round;
-  std::vector<std::vector<Proposal>>& proposals = scratch.proposals;
-  std::vector<SweepOutcome>& outcomes = scratch.outcomes;
+  State& st = *state_;
+  GlobalState& gs = st.gs;
+  std::vector<Weight>& strengths = st.strengths;
+  std::vector<int>& last_moved = st.last_moved;
+  std::vector<int>& dirty_round = st.dirty_round;
+  std::vector<std::vector<Proposal>>& proposals = st.proposals;
+  std::vector<SweepOutcome>& outcomes = st.outcomes;
 
   std::shared_ptr<const Plan> plan_ptr;
   {
@@ -548,34 +525,26 @@ core::LevelPhase Engine::sharded_level(int level, const Csr& current,
   strengths = current.compute_strengths();
   gs.reset(n);
   gs.rebuild_tot(strengths);
-  scratch.seq_lane.comm_slot.assign(n, kInvalidVertex);
-  VertexId max_owned = 0;
-  for (const Shard& sh : plan.shards) {
-    max_owned = std::max(max_owned, sh.num_owned);
-  }
-  active_ids.resize(max_owned);
-  for (VertexId i = 0; i < max_owned; ++i) active_ids[i] = i;
   last_moved.assign(n, -1);
   dirty_round.assign(n, -1);
-  if (shard_states_.size() < k) shard_states_.resize(k);
+  if (st.shards.size() < k) st.shards.resize(k);
   if (proposals.size() < k) proposals.resize(k);
   if (outcomes.size() < k) outcomes.resize(k);
 
   const bool concurrent = config_.concurrent_shards;
   simt::DeviceLease lease;
-  unsigned lanes_n = 0;
+  unsigned lanes_n = 1;
   if (concurrent) {
     // One lease per level: the degradation ladder (k devices ->
     // fewer -> 1) happens here, inside acquire().
     lease = pool().acquire(k);
     lanes_n = lease.granted();
     result.devices_used = std::max(result.devices_used, lanes_n);
-    if (!conc_) conc_ = std::make_unique<ConcurrentState>();
-    if (conc_->lanes.size() < lanes_n) conc_->lanes.resize(lanes_n);
-    for (unsigned l = 0; l < lanes_n; ++l) {
-      conc_->lanes[l].comm_slot.assign(n, kInvalidVertex);
-    }
     if (rec) rec->count_max("shard/devices", lanes_n);
+  }
+  if (st.lanes.size() < lanes_n) st.lanes.resize(lanes_n);
+  for (unsigned l = 0; l < lanes_n; ++l) {
+    st.lanes[l].comm_slot.assign(n, kInvalidVertex);
   }
 
   // Every round (round 0 included) runs with the phase-internal
@@ -608,6 +577,15 @@ core::LevelPhase Engine::sharded_level(int level, const Csr& current,
     double max_shard_work = 0;
     double commit_seconds = 0;   ///< validated barrier commit (conc)
     double validate_arcs = 0;    ///< arcs re-scored by that commit
+    const auto tally = [&](const SweepOutcome& o) {
+      sweeps += o.sweeps;
+      if (round == 0) {
+        first_sweep_max = std::max(first_sweep_max, o.first_sweep_seconds);
+      }
+      max_shard_seconds =
+          std::max(max_shard_seconds, static_cast<double>(o.dur_ns) * 1e-9);
+      max_shard_work = std::max(max_shard_work, o.work);
+    };
     if (!concurrent) {
       // Symmetric Gauss-Seidel over the shards: odd rounds sweep in
       // reverse, so no shard is permanently the leader (with a
@@ -620,19 +598,15 @@ core::LevelPhase Engine::sharded_level(int level, const Csr& current,
         if (sh.num_owned == 0) continue;
         obs::Span shard_span(rec, "shard/phase");
         const SweepOutcome o = run_shard_sweep(
-            device, sh, shard_states_[s], frontier_cfg, threshold, round,
-            config_.hub_degree, gs, last_moved, dirty_round,
-            std::span<const VertexId>(active_ids.data(), sh.num_owned),
-            scratch.seq_lane, ws, rec, proposals[s]);
+            device, sh, st.shards[s], frontier_cfg, threshold, round,
+            config_.hub_degree, gs, last_moved, dirty_round, st.lanes[0], ws,
+            rec, proposals[s]);
         if (!o.ran) continue;
-        sweeps += o.sweeps;
-        if (round == 0) {
-          first_sweep_max = std::max(first_sweep_max, o.first_sweep_seconds);
+        tally(o);
+        for (const Proposal& p : proposals[s]) {
+          moved += publish(p.v, p.c, gs, current, strengths, round, last_moved,
+                           dirty_round);
         }
-        moved += apply_proposals(proposals[s], gs, current, strengths, round,
-                                 last_moved, dirty_round);
-        max_shard_seconds = std::max(max_shard_seconds, o.seconds);
-        max_shard_work = std::max(max_shard_work, o.work);
       }
     } else {
       // Jacobi round: every shard sweeps against the same
@@ -645,7 +619,7 @@ core::LevelPhase Engine::sharded_level(int level, const Csr& current,
       const std::int64_t anchor_raw = steady_now_ns();
       const std::int64_t anchor_rel = rec ? rec->elapsed_ns() : 0;
       run_lanes(lanes_n, [&](unsigned lane_id) {
-        Lane& lane = conc_->lanes[lane_id];
+        Lane& lane = st.lanes[lane_id];
         simt::Device& dev = lease.device(lane_id);
         for (unsigned s = lane_id; s < k; s += lanes_n) {
           const Shard& sh = plan.shards[s];
@@ -653,10 +627,9 @@ core::LevelPhase Engine::sharded_level(int level, const Csr& current,
           proposals[s].clear();
           if (sh.num_owned == 0) continue;
           outcomes[s] = run_shard_sweep(
-              dev, sh, shard_states_[s], frontier_cfg, threshold, round,
-              config_.hub_degree, gs, last_moved, dirty_round,
-              std::span<const VertexId>(active_ids.data(), sh.num_owned),
-              lane, lane.ws, nullptr, proposals[s]);
+              dev, sh, st.shards[s], frontier_cfg, threshold, round,
+              config_.hub_degree, gs, last_moved, dirty_round, lane, lane.ws,
+              nullptr, proposals[s]);
         }
       });
       // ---- barrier: publish timings, then moves, in shard order.
@@ -668,12 +641,7 @@ core::LevelPhase Engine::sharded_level(int level, const Csr& current,
                               anchor_rel + (o.start_raw - anchor_raw),
                               o.dur_ns, lease.lane_of(s) + 1);
         }
-        sweeps += o.sweeps;
-        if (round == 0) {
-          first_sweep_max = std::max(first_sweep_max, o.first_sweep_seconds);
-        }
-        max_shard_seconds = std::max(max_shard_seconds, o.seconds);
-        max_shard_work = std::max(max_shard_work, o.work);
+        tally(o);
       }
       // Validated commit (apply_proposals_validated): the round's
       // proposals merge into one best-first queue — predicted dQ
@@ -686,7 +654,7 @@ core::LevelPhase Engine::sharded_level(int level, const Csr& current,
       // when two snapshot-scored moves conflict the more valuable
       // one decides first.
       util::Timer commit_timer;
-      std::vector<Proposal>& all_props = scratch.all_props;
+      std::vector<Proposal>& all_props = st.all_props;
       all_props.clear();
       for (unsigned s = 0; s < k; ++s) {
         all_props.insert(all_props.end(), proposals[s].begin(),
@@ -698,7 +666,7 @@ core::LevelPhase Engine::sharded_level(int level, const Csr& current,
                 });
       moved += apply_proposals_validated(all_props, gs, current, strengths,
                                          round, last_moved, dirty_round,
-                                         conc_->commit, validate_arcs);
+                                         st.commit, validate_arcs);
       commit_seconds = commit_timer.seconds();
     }
 

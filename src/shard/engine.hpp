@@ -146,9 +146,6 @@ class Engine {
   const Config& config() const noexcept { return config_; }
 
  private:
-  /// Per-run scratch of the sharded levels (engine.cpp).
-  struct LevelScratch;
-
   /// Effective shard count for a level of n vertices.
   unsigned shards_for(graph::VertexId n) const noexcept;
 
@@ -162,31 +159,26 @@ class Engine {
   /// rounds until migration dries up, then one global modularity
   /// evaluation. Returns the exchanged labels for core's aggregation.
   core::LevelPhase sharded_level(int level, const graph::Csr& current,
-                                 unsigned k, double threshold,
-                                 LevelScratch& scratch, Result& result,
+                                 unsigned k, double threshold, Result& result,
                                  obs::Recorder* rec);
 
   /// Lazily built pool for concurrent rounds (Config::device_pool when
   /// injected, else engine-owned).
   simt::DevicePool& pool();
 
-  /// Per-device-lane scratch of the concurrent Jacobi rounds: each
-  /// lane seeds and sweeps its shards against the shared round-start
-  /// snapshot with private marshal buffers and its own workspace, and
-  /// buffers move proposals for the barrier.
-  struct ConcurrentState;
+  /// Everything the sharded levels keep across rounds, levels and runs
+  /// (engine.cpp): the global view and its round stamps, one resident
+  /// phase state per shard, one marshal lane per leased device (lane 0
+  /// also serves the sequential rounds), the move buffers and the
+  /// barrier's commit scratch.
+  struct State;
 
   Config config_;
   /// The level loop, with the device, workspace and phase state of the
   /// unsharded levels and the sequential shard sweeps.
   core::Louvain core_;
-  /// One resident state per shard (as one device per shard would
-  /// keep): round 0 of a level uploads the local graph (reset_from,
-  /// O(arcs)); later rounds only reseed the label-derived state
-  /// (O(n)), which is what a real device pays after a halo update.
-  std::vector<core::PhaseState> shard_states_;
+  std::unique_ptr<State> state_;
   std::shared_ptr<simt::DevicePool> pool_;
-  std::unique_ptr<ConcurrentState> conc_;
 };
 
 /// One-shot convenience wrapper.

@@ -11,8 +11,8 @@
 // engine using it lets go.
 //
 // The cache is process-global (plan_cache()), shared by every Engine
-// exactly like the zg side tables are shared per process; svc::Service
-// surfaces its hit/miss/eviction counters through svc::Stats, and the
+// exactly like the zg side tables are shared per process. Its
+// hit/miss/eviction counters are read from plan_cache().stats(); the
 // engine mirrors the per-run traffic into the obs counters
 // cache/plan_hit and cache/plan_miss.
 #pragma once
@@ -21,6 +21,7 @@
 
 #include "detect/options.hpp"
 #include "graph/csr.hpp"
+#include "graph/fingerprint.hpp"
 #include "shard/partition.hpp"
 #include "util/lru_cache.hpp"
 
@@ -29,8 +30,7 @@ namespace glouvain::shard {
 /// Everything that determines a plan: graph content, shard count,
 /// strategy, seed and the hub threshold.
 struct PlanKey {
-  std::uint64_t fp_hi = 0;
-  std::uint64_t fp_lo = 0;
+  graph::Fingerprint128 fp;
   unsigned shards = 1;
   detect::Partition strategy = detect::Partition::kHubRep;
   std::uint64_t seed = 1;

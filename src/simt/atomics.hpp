@@ -53,28 +53,6 @@ inline T atomic_cas(T& loc, T expected, T desired) noexcept {
   return expected;  // compare_exchange writes the observed value on failure
 }
 
-/// atomicMin analogue; returns the old value.
-template <typename T>
-inline T atomic_min(T& loc, T v) noexcept {
-  check::note_atomic(&loc);
-  std::atomic_ref<T> ref(loc);
-  T old = ref.load(std::memory_order_relaxed);
-  while (v < old && !ref.compare_exchange_weak(old, v, std::memory_order_relaxed)) {
-  }
-  return old;
-}
-
-/// atomicMax analogue; returns the old value.
-template <typename T>
-inline T atomic_max(T& loc, T v) noexcept {
-  check::note_atomic(&loc);
-  std::atomic_ref<T> ref(loc);
-  T old = ref.load(std::memory_order_relaxed);
-  while (v > old && !ref.compare_exchange_weak(old, v, std::memory_order_relaxed)) {
-  }
-  return old;
-}
-
 /// Volatile-style read/write used where kernels communicate through
 /// global arrays across a launch boundary.
 template <typename T>

@@ -84,8 +84,8 @@ class DevicePool {
 };
 
 /// Move-only RAII grant of 1..want devices. Shards map onto the grant
-/// by device_for(shard) — round-robin multiplexing when the pool
-/// degraded the lease below the asked-for width.
+/// round-robin (lane_of) when the pool degraded the lease below the
+/// asked-for width.
 class DeviceLease {
  public:
   DeviceLease() = default;
@@ -109,9 +109,6 @@ class DeviceLease {
   }
   Device& device(unsigned lane) const { return *devices_[lane]; }
   /// Round-robin shard placement over the granted lanes.
-  Device& device_for(unsigned shard) const {
-    return *devices_[shard % devices_.size()];
-  }
   unsigned lane_of(unsigned shard) const noexcept {
     return shard % static_cast<unsigned>(devices_.size());
   }

@@ -3,11 +3,11 @@
 // the fused slot-scan + best-community reduction), written once and
 // executed by whichever lane substrate the group provides.
 //
-//   * For the scalar groups (LaneGroup, FixedLaneGroup — kVector is
-//     false) each collective is the line-by-line Algorithm 2 loop that
-//     used to live in core/modopt.cpp, moved verbatim: operation
-//     order, check:: notes and atomic_loads are identical, so the
-//     scalar backend's partitions are bitwise-unchanged.
+//   * For the scalar group (FixedLaneGroup — kVector is false) each
+//     collective is the line-by-line Algorithm 2 loop that used to
+//     live in core/modopt.cpp, moved verbatim: operation order,
+//     check:: notes and atomic_loads are identical, so the scalar
+//     backend's partitions are bitwise-unchanged.
 //   * For VectorLaneGroup (kVector true) the collective lowers to the
 //     AVX2 primitives of vector_ops.hpp: bulk community gathers ahead
 //     of the hash probes, and a masked vector scan/argmax instead of

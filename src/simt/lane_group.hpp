@@ -4,7 +4,7 @@
 // of one warp (k in [2,5]), by a full warp, or by a whole 128-thread
 // block; lanes iterate the vertex's edges in an interleaved (strided)
 // pattern and finish with a shuffle-style reduction to pick the best
-// community. The software device preserves that structure: a LaneGroup
+// community. The software device preserves that structure: a lane group
 // executes its lanes in lockstep rounds inside ONE OS thread — a warp
 // never diverges across OS threads, matching SIMT — while different
 // groups (different vertices) run concurrently on the pool.
@@ -18,99 +18,40 @@
 #include <cassert>
 #include <cstddef>
 #include <span>
-#include <utility>
 
 namespace glouvain::simt {
 
-class LaneGroup {
+/// The scalar lane group: kLanes lanes in lockstep rounds, with the
+/// lane count a compile-time constant so the strided loops and the
+/// reduction tree compile with constant bounds (unrolled, modulo
+/// strength-reduced). simt::with_lane_group (lane_vec.hpp) is the one
+/// place that turns a bucket's runtime width into a group.
+///
+/// Preconditions of the collectives: kLanes is a power of two (every
+/// width the paper uses, 4..32 and 128, and the ablation widths 1, 2
+/// and 64 are). reduce()'s offset-halving tree visits exactly
+/// kLanes/2 + kLanes/4 + ... slots; with a non-power-of-two width the
+/// first halving would drop the top lanes' values on the floor,
+/// silently losing candidates. reduce() and exclusive_scan() take a
+/// span covering ALL kLanes entries with every entry initialized: idle
+/// lanes hold the combine identity (reduce) or zero (exclusive_scan),
+/// because a partial final strided_for round leaves trailing lanes
+/// untouched and the first halving still reads them.
+template <unsigned kLanes>
+class FixedLaneGroup {
  public:
+  static_assert(kLanes > 0 && (kLanes & (kLanes - 1)) == 0,
+                "lane groups are power-of-two wide");
+
   /// Scalar lockstep substrate; kernels written against the group
   /// concept branch on this to pick their lowering (see kernel_ops.hpp
   /// and lane_vec.hpp for the vector twin).
   static constexpr bool kVector = false;
 
-  // Precondition: `lanes` is a power of two (the GPU widths 4..32 and
-  // 128 all are). reduce()'s offset-halving tree visits exactly
-  // lanes/2 + lanes/4 + ... slots; with a non-power-of-two width the
-  // first halving drops the top lanes' values on the floor, silently
-  // losing candidates.
-  explicit constexpr LaneGroup(unsigned lanes) noexcept : lanes_(lanes) {
-    assert(lanes > 0 && (lanes & (lanes - 1)) == 0 &&
-           "LaneGroup width must be a power of two");
-  }
-
-  constexpr unsigned lanes() const noexcept { return lanes_; }
-
-  /// Visit indices [0, n) in warp order: round r dispatches index
-  /// r*lanes+lane for each active lane. fn(lane, index).
-  template <typename F>
-  void strided_for(std::size_t n, F&& fn) const {
-    for (std::size_t base = 0; base < n; base += lanes_) {
-      const std::size_t limit = std::min<std::size_t>(lanes_, n - base);
-      for (unsigned lane = 0; lane < limit; ++lane) {
-        fn(lane, base + lane);
-      }
-    }
-  }
-
-  /// Tree reduction of per-lane values, emulating __shfl_down_sync.
-  /// combine(a, b) must be associative and commutative.
-  ///
-  /// Preconditions: lane_values covers ALL lanes() entries and every
-  /// entry is initialized (idle lanes must hold the combine identity —
-  /// a partial final strided_for round leaves trailing lanes untouched,
-  /// and the first halving reads them). lane count must be a power of
-  /// two, enforced at construction.
-  template <typename T, typename Combine>
-  T reduce(std::span<T> lane_values, Combine&& combine) const {
-    assert(lane_values.size() >= lanes_ &&
-           "reduce needs a full-width lane array");
-    for (unsigned offset = lanes_ / 2; offset > 0; offset /= 2) {
-      for (unsigned lane = 0; lane < offset; ++lane) {
-        lane_values[lane] =
-            combine(lane_values[lane], lane_values[lane + offset]);
-      }
-    }
-    return lane_values[0];
-  }
-
-  /// Exclusive prefix sum over per-lane counts (Hillis–Steele shape);
-  /// returns the total. Used when lanes claim slots in an output array.
-  ///
-  /// Precondition: lane_values covers all lanes() entries, idle lanes
-  /// zero-initialized (they contribute nothing but are still read).
-  template <typename T>
-  T exclusive_scan(std::span<T> lane_values) const {
-    assert(lane_values.size() >= lanes_ &&
-           "exclusive_scan needs a full-width lane array");
-    T running{};
-    for (unsigned lane = 0; lane < lanes_; ++lane) {
-      const T v = lane_values[lane];
-      lane_values[lane] = running;
-      running += v;
-    }
-    return running;
-  }
-
- private:
-  unsigned lanes_;
-};
-
-/// LaneGroup with a compile-time lane count. The hot kernels dispatch
-/// to one of these for the standard warp-group widths so the strided
-/// loops and the reduction tree compile with constant bounds (unrolled,
-/// modulo strength-reduced). Semantically identical to
-/// LaneGroup(kLanes) call for call.
-template <unsigned kLanes>
-class FixedLaneGroup {
- public:
-  static_assert(kLanes > 0 && (kLanes & (kLanes - 1)) == 0,
-                "lane groups are power-of-two wide (see LaneGroup)");
-
-  static constexpr bool kVector = false;
-
   static constexpr unsigned lanes() noexcept { return kLanes; }
 
+  /// Visit indices [0, n) in warp order: round r dispatches index
+  /// r*kLanes+lane for each active lane. fn(lane, index).
   template <typename F>
   void strided_for(std::size_t n, F&& fn) const {
     for (std::size_t base = 0; base < n; base += kLanes) {
@@ -121,8 +62,8 @@ class FixedLaneGroup {
     }
   }
 
-  /// Same preconditions as LaneGroup::reduce: full-width span, every
-  /// lane initialized (idle lanes hold the combine identity).
+  /// Tree reduction of per-lane values, emulating __shfl_down_sync.
+  /// combine(a, b) must be associative and commutative.
   template <typename T, typename Combine>
   T reduce(std::span<T> lane_values, Combine&& combine) const {
     assert(lane_values.size() >= kLanes &&
@@ -136,6 +77,8 @@ class FixedLaneGroup {
     return lane_values[0];
   }
 
+  /// Exclusive prefix sum over per-lane counts (Hillis–Steele shape);
+  /// returns the total. Used when lanes claim slots in an output array.
   template <typename T>
   T exclusive_scan(std::span<T> lane_values) const {
     assert(lane_values.size() >= kLanes &&

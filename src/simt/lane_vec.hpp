@@ -1,7 +1,8 @@
 // The vector lane substrate: a lane group whose rounds execute as AVX2
 // vector instructions (with a portable scalar-emulation twin — see
 // vector_ops.hpp) instead of the scalar lockstep loops of
-// LaneGroup/FixedLaneGroup.
+// FixedLaneGroup, and with_lane_group, the one dispatch from a bucket's
+// runtime width to a group.
 //
 // VectorLaneGroup<kLanes> satisfies the same group concept the scalar
 // groups do — lanes()/strided_for/reduce/exclusive_scan behave exactly
@@ -17,6 +18,7 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 
 #include "simt/lane_group.hpp"
 
@@ -72,5 +74,41 @@ class VectorLaneGroup {
  private:
   VecLaneStats* stats_ = nullptr;
 };
+
+/// Runs kernel(group) on the lane group of a `lanes`-wide bucket, the
+/// one place a runtime width becomes a compile-time group. Every
+/// power of two from 1 to 128 gets a FixedLaneGroup; on the vector
+/// backend the paper's widths (4..32 and 128) get a VectorLaneGroup
+/// instead, whose collectives lower to AVX2 gathers and masked scans,
+/// while the ablation widths 1, 2 and 64 stay on the scalar substrate.
+/// `stats` receives the vector groups' lane counts (or null). Throws
+/// std::invalid_argument for any other width.
+template <typename Kernel>
+void with_lane_group(unsigned lanes, bool vector_backend, VecLaneStats* stats,
+                     Kernel&& kernel) {
+  if (vector_backend) {
+    switch (lanes) {
+      case 4: return kernel(VectorLaneGroup<4>{stats});
+      case 8: return kernel(VectorLaneGroup<8>{stats});
+      case 16: return kernel(VectorLaneGroup<16>{stats});
+      case 32: return kernel(VectorLaneGroup<32>{stats});
+      case 128: return kernel(VectorLaneGroup<128>{stats});
+      default: break;
+    }
+  }
+  switch (lanes) {
+    case 1: return kernel(FixedLaneGroup<1>{});
+    case 2: return kernel(FixedLaneGroup<2>{});
+    case 4: return kernel(FixedLaneGroup<4>{});
+    case 8: return kernel(FixedLaneGroup<8>{});
+    case 16: return kernel(FixedLaneGroup<16>{});
+    case 32: return kernel(FixedLaneGroup<32>{});
+    case 64: return kernel(FixedLaneGroup<64>{});
+    case 128: return kernel(FixedLaneGroup<128>{});
+    default:
+      throw std::invalid_argument(
+          "lane groups are a power of two from 1 to 128 lanes wide");
+  }
+}
 
 }  // namespace glouvain::simt

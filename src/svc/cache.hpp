@@ -1,5 +1,5 @@
-// Thread-safe LRU cache of detection results keyed by graph
-// fingerprint. Values are shared_ptr<const core::Result>: a hit hands
+// Thread-safe LRU cache of detection results keyed by svc::job_key
+// (graph fingerprint plus options). Values are shared_ptr<const core::Result>: a hit hands
 // the client the same immutable object the first run produced, so
 // repeated submissions of the same graph return without touching a
 // device and "same fingerprint -> identical community vector" holds by
@@ -12,6 +12,7 @@
 
 namespace glouvain::svc {
 
-using ResultCache = util::LruCache<Fingerprint, core::Result, FingerprintHash>;
+using ResultCache = util::LruCache<graph::Fingerprint128, core::Result,
+                                   graph::Fingerprint128Hash>;
 
 }  // namespace glouvain::svc

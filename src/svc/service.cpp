@@ -10,7 +10,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "shard/plan_cache.hpp"
 #include "simt/device_pool.hpp"
 #include "svc/queue.hpp"
 #include "util/timer.hpp"
@@ -36,7 +35,7 @@ struct Service::SessionState {
   SessionId id = kInvalidSession;
   unsigned pinned = 0;   ///< device worker that runs this session's jobs
   int priority = 0;      ///< fixed priority of every ApplyDelta job
-  Fingerprint base_fp;   ///< fingerprint of the graph at epoch 0
+  graph::Fingerprint128 base_fp;  ///< fingerprint of the graph at epoch 0
   stream::Session session;
 
   // ---- guarded by Impl::m ----
@@ -69,7 +68,7 @@ struct Service::Job {
   JobOptions options;
   std::string routed;  ///< registry name of the backend that runs it
   std::shared_ptr<const graph::Csr> graph;  ///< released when terminal
-  Fingerprint fp;
+  graph::Fingerprint128 fp;
 
   Clock::time_point submitted;
   Clock::time_point deadline;
@@ -188,7 +187,8 @@ JobId Service::submit(graph::Csr graph, const JobOptions& options) {
     // in with the graph hash, so the same graph run by two backends
     // (or two threshold schedules — or two partition seeds, via a
     // per-job options override) never aliases.
-    job->fp = job_key(fingerprint(*job->graph), job->routed, effective);
+    job->fp =
+        job_key(graph::fingerprint128(*job->graph), job->routed, effective);
     cached = impl_->cache.get(job->fp);
   }
 
@@ -299,7 +299,7 @@ util::StatusOr<SessionId> Service::open_session(graph::Csr graph,
   // The epoch-0 fingerprint and the cold detection run on the calling
   // thread: both are O(graph) and need no service state. A session's
   // device runs at the service's one thread count, like every job.
-  const Fingerprint base = fingerprint(graph);
+  const graph::Fingerprint128 base = graph::fingerprint128(graph);
   options.options.threads = config_.options.threads;
   auto opened = stream::Session::open(std::move(graph), std::move(options));
   if (!opened.ok()) return opened.status();
@@ -438,11 +438,6 @@ Stats Service::stats() const {
   s.sessions_open = impl_->sessions.size();
   s.devices = static_cast<unsigned>(impl_->devices.size());
   s.device_threads = config_.options.threads;
-  const shard::PlanCache::Stats ps = shard::plan_cache().stats();
-  s.plan_hits = ps.hits;
-  s.plan_misses = ps.misses;
-  s.plan_evictions = ps.evictions;
-  s.plan_entries = ps.entries;
   return s;
 }
 

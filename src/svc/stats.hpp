@@ -47,14 +47,6 @@ struct Stats {
   unsigned devices = 0;             ///< pooled core::Louvain instances
   unsigned device_threads = 0;      ///< resolved options.threads
 
-  // Partition-plan cache (process-wide; see shard/plan_cache.hpp —
-  // mirrors the result-cache block above for the shard backend's
-  // partition plans).
-  std::uint64_t plan_hits = 0;
-  std::uint64_t plan_misses = 0;
-  std::uint64_t plan_evictions = 0;
-  std::size_t plan_entries = 0;
-
   // Dynamic-graph sessions.
   std::uint64_t sessions_opened = 0;
   std::uint64_t sessions_closed = 0;

@@ -61,7 +61,6 @@ class MappedGraph {
   const ZCsr& zcsr() const noexcept { return view_; }
   /// False when the platform fallback (buffered read) was used.
   bool mapped() const noexcept { return addr_ != nullptr; }
-  std::size_t file_bytes() const noexcept { return len_; }
 
  private:
   MappedGraph() = default;

@@ -54,8 +54,7 @@ TEST_P(AggregateVsReference, MatchesSequentialContraction) {
   const auto part = random_partition(g.num_vertices(), blocks, 200 + seed);
 
   simt::Device device;
-  Config cfg;
-  const AggregationResult got = aggregate(device, g, cfg, part);
+  const AggregationResult got = aggregate(device, g, part);
   std::vector<VertexId> ref_new_id;
   const Csr expect = graph::contract_reference(g, part, &ref_new_id);
 
@@ -74,7 +73,7 @@ TEST(Aggregate, IdentityPartitionGivesIsomorphicGraph) {
   std::vector<Community> identity(g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) identity[v] = v;
   simt::Device device;
-  const AggregationResult agg = aggregate(device, g, Config{}, identity);
+  const AggregationResult agg = aggregate(device, g, identity);
   EXPECT_EQ(agg.contracted, g);
 }
 
@@ -82,7 +81,7 @@ TEST(Aggregate, AllOneCommunity) {
   const Csr g = gen::erdos_renyi(100, 500, 7);
   std::vector<Community> one(g.num_vertices(), 0);
   simt::Device device;
-  const AggregationResult agg = aggregate(device, g, Config{}, one);
+  const AggregationResult agg = aggregate(device, g, one);
   EXPECT_EQ(agg.contracted.num_vertices(), 1u);
   EXPECT_EQ(agg.contracted.num_loops(), 1u);
   EXPECT_NEAR(agg.contracted.total_weight(), g.total_weight(), 1e-9);
@@ -95,7 +94,7 @@ TEST(Aggregate, PreservesTotalWeight) {
   const Csr g = gen::rmat(p, 11);
   const auto part = random_partition(g.num_vertices(), 97, 13);
   simt::Device device;
-  const AggregationResult agg = aggregate(device, g, Config{}, part);
+  const AggregationResult agg = aggregate(device, g, part);
   EXPECT_NEAR(agg.contracted.total_weight(), g.total_weight(), 1e-6);
   EXPECT_TRUE(graph::validate(agg.contracted).empty())
       << graph::validate(agg.contracted);
@@ -109,7 +108,7 @@ TEST(Aggregate, ModularityInvariantAcrossContraction) {
   auto part = random_partition(g.num_vertices(), 25, 19);
   const double q_before = metrics::modularity(g, part);
   simt::Device device;
-  const AggregationResult agg = aggregate(device, g, Config{}, part);
+  const AggregationResult agg = aggregate(device, g, part);
   std::vector<Community> identity(agg.contracted.num_vertices());
   for (VertexId v = 0; v < agg.contracted.num_vertices(); ++v) identity[v] = v;
   EXPECT_NEAR(metrics::modularity(agg.contracted, identity), q_before, 1e-9);
@@ -129,7 +128,7 @@ TEST(Aggregate, SkewedCommunitySizesHitAllBuckets) {
   // Normalize labels to valid representatives.
   for (auto& c : part) c = c % g.num_vertices();
   simt::Device device;
-  const AggregationResult got = aggregate(device, g, Config{}, part);
+  const AggregationResult got = aggregate(device, g, part);
   const Csr expect = graph::contract_reference(g, part);
   EXPECT_EQ(got.contracted, expect);
 }
@@ -138,7 +137,7 @@ TEST(Aggregate, NewIdIsDenseAndOrdered) {
   const Csr g = gen::erdos_renyi(150, 600, 29);
   const auto part = random_partition(g.num_vertices(), 10, 31);
   simt::Device device;
-  const AggregationResult agg = aggregate(device, g, Config{}, part);
+  const AggregationResult agg = aggregate(device, g, part);
   // Collect defined ids: must be exactly [0, k), increasing with label.
   VertexId expected = 0;
   for (std::size_t c = 0; c < agg.new_id.size(); ++c) {
@@ -173,8 +172,8 @@ TEST(Aggregate, DenseLowLabelsContractLikeMinimumMemberLabels) {
     by_min[v] = min_member[part[v]];
   }
   simt::Device device;
-  const AggregationResult low = aggregate(device, g, Config{}, dense);
-  const AggregationResult high = aggregate(device, g, Config{}, by_min);
+  const AggregationResult low = aggregate(device, g, dense);
+  const AggregationResult high = aggregate(device, g, by_min);
   EXPECT_EQ(low.num_communities, next);
   EXPECT_EQ(high.num_communities, next);
   EXPECT_EQ(low.contracted, high.contracted);
@@ -183,7 +182,7 @@ TEST(Aggregate, DenseLowLabelsContractLikeMinimumMemberLabels) {
 TEST(Aggregate, EmptyGraph) {
   const Csr g = graph::build_csr(0, {});
   simt::Device device;
-  const AggregationResult agg = aggregate(device, g, Config{}, {});
+  const AggregationResult agg = aggregate(device, g, {});
   EXPECT_EQ(agg.contracted.num_vertices(), 0u);
 }
 
@@ -193,7 +192,7 @@ TEST(Aggregate, GraphWithSelfLoopsContractsCorrectly) {
       4, {{0, 0, 2.0}, {0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0}, {3, 3, 1.5}});
   const std::vector<Community> part{0, 0, 2, 2};
   simt::Device device;
-  const AggregationResult agg = aggregate(device, g, Config{}, part);
+  const AggregationResult agg = aggregate(device, g, part);
   const Csr expect = graph::contract_reference(g, part);
   EXPECT_EQ(agg.contracted, expect);
   // New community {0,1}: loop = 2*1 (internal edge) + 2 (old loop) = 4.
@@ -313,12 +312,12 @@ double expect_contracts_like_map(const Csr& g,
     SCOPED_TRACE(workers);
     simt::Device device({.worker_threads = workers, .backend = backend});
     obs::Recorder rec;
-    EXPECT_EQ(aggregate(device, g, Config{}, part, &rec).contracted, want);
+    EXPECT_EQ(aggregate(device, g, part, &rec).contracted, want);
     direct = direct_merges(rec);
     ZRows rows(z, device.workers());
     Workspace ws;
     obs::Recorder zrec;
-    EXPECT_EQ(aggregate(device, rows, Config{}, part, ws, &zrec).contracted,
+    EXPECT_EQ(aggregate(device, rows, part, ws, &zrec).contracted,
               want);
     EXPECT_EQ(direct_merges(zrec), direct);
   }
@@ -356,7 +355,7 @@ TEST(Aggregate, SmallCommunityMergeMatchesMapContractionOnRoad) {
   EXPECT_EQ(expect_integer_contraction_like_map(g, part), 0);
   // One level up the rows carry self-loops (the merged internal weight).
   simt::Device device;
-  const Csr up = aggregate(device, g, Config{}, part).contracted;
+  const Csr up = aggregate(device, g, part).contracted;
   ASSERT_GT(up.num_loops(), 0u);
   const auto up_part = bound_partition(up);
   expect_straddles_bound(up, up_part);
@@ -387,7 +386,7 @@ TEST(Aggregate, DirectMergeMatchesMapContractionOnPlantedPartition) {
   EXPECT_EQ(expect_contracts_like_map(fractional, part, 1), 40);
   // One level up: 40 vertices with self-loops, merged into 8 communities.
   simt::Device device({.worker_threads = 1});
-  const Csr up = aggregate(device, fractional, Config{}, part).contracted;
+  const Csr up = aggregate(device, fractional, part).contracted;
   ASSERT_EQ(up.num_vertices(), 40u);
   ASSERT_EQ(up.num_loops(), 40u);
   std::vector<Community> up_part(up.num_vertices());

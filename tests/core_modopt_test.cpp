@@ -2,6 +2,7 @@
 // GPU-style core.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -11,10 +12,13 @@
 #include "core/move_kernels.hpp"
 #include "gen/cliques.hpp"
 #include "gen/er.hpp"
+#include "gen/lfr.hpp"
 #include "gen/rmat.hpp"
 #include "graph/builder.hpp"
 #include "metrics/modularity.hpp"
 #include "metrics/partition.hpp"
+#include "simt/backend.hpp"
+#include "simt/backend.hpp"
 #include "simt/lane_vec.hpp"
 #include "util/primes.hpp"
 #include "util/prng.hpp"
@@ -168,15 +172,45 @@ TEST(OptimizePhase, RelaxedStrategyStillConverges) {
 }
 
 TEST(OptimizePhase, AblationSchemesAgreeOnCliques) {
-  const auto g = gen::ring_of_cliques(6, 5);
-  for (auto scheme : {BucketScheme::single_lane(), BucketScheme::warp_per_vertex()}) {
-    Config cfg;
-    cfg.modopt_buckets = scheme;
-    Louvain runner(cfg);
-    std::vector<Community> community;
-    runner.run_phase(g, community, 1e-9);
-    auto labels = community;
-    EXPECT_EQ(metrics::renumber(labels), 6u);
+  // The ablation widths (one lane; one warp at every degree) on both
+  // devices, through the one lane-group dispatch. On the ring of
+  // 5-cliques nearly every row takes the register path. The LFR graph's
+  // power-law degrees (up to 128) put its hub rows on the hash-table
+  // path at width 1 and 32, and its planted communities give a
+  // modularity the schemes can be held to.
+  const auto ring = gen::ring_of_cliques(6, 5);
+  gen::LfrParams lfr;
+  lfr.num_vertices = 4096;
+  lfr.seed = 3;
+  const auto skewed = gen::lfr(lfr).graph;
+  for (const simt::Backend device :
+       {simt::Backend::kScalar, simt::Backend::kVector}) {
+    SCOPED_TRACE(simt::backend_name(device));
+    const auto config = [&](const BucketScheme& scheme) {
+      Config cfg;
+      cfg.device = device;
+      cfg.modopt_buckets = scheme;
+      return cfg;
+    };
+    const double paper_q =
+        Louvain(config(BucketScheme::paper_modopt())).run(skewed).modularity;
+    for (const BucketScheme& scheme :
+         {BucketScheme::single_lane(), BucketScheme::warp_per_vertex()}) {
+      SCOPED_TRACE(scheme.lanes[0]);
+      Louvain runner(config(scheme));
+      std::vector<Community> community;
+      runner.run_phase(ring, community, 1e-9);
+      auto labels = community;
+      EXPECT_EQ(metrics::renumber(labels), 6u);
+
+      const Result r = runner.run(skewed);
+      ASSERT_EQ(r.community.size(), skewed.num_vertices());
+      labels = r.community;
+      const Community k = metrics::renumber(labels);
+      EXPECT_EQ(*std::max_element(r.community.begin(), r.community.end()) + 1,
+                k);  // dense labels: [0, k) all used
+      EXPECT_NEAR(r.modularity, paper_q, 0.02 * paper_q);
+    }
   }
 }
 
@@ -272,10 +306,10 @@ Decision small_decision(MoveCase mc, const Group& group) {
 void expect_same_decision(const MoveCase& mc, const std::string& what) {
   SCOPED_TRACE(what);
   const bool deg1 = mc.row.adj.size() == 1;
-  EXPECT_EQ(small_decision(mc, simt::LaneGroup(1)),
-            table_decision(mc, simt::LaneGroup(1)));
-  EXPECT_EQ(small_decision(mc, simt::LaneGroup(2)),
-            table_decision(mc, simt::LaneGroup(2)));
+  EXPECT_EQ(small_decision(mc, simt::FixedLaneGroup<1>{}),
+            table_decision(mc, simt::FixedLaneGroup<1>{}));
+  EXPECT_EQ(small_decision(mc, simt::FixedLaneGroup<2>{}),
+            table_decision(mc, simt::FixedLaneGroup<2>{}));
   EXPECT_EQ(small_decision(mc, simt::FixedLaneGroup<4>{}),
             table_decision(mc, simt::FixedLaneGroup<4>{}));
   EXPECT_EQ(small_decision(mc, simt::FixedLaneGroup<8>{}),
@@ -346,7 +380,7 @@ TEST(SmallMove, SeededNeighbourhoodsMatchTablePath) {
     expect_same_decision(mc, "trial " + std::to_string(trial));
     if (::testing::Test::HasFailure()) break;
     fold_sensitive += small_decision(mc, simt::FixedLaneGroup<4>{}) !=
-                      small_decision(mc, simt::LaneGroup(1));
+                      small_decision(mc, simt::FixedLaneGroup<1>{});
   }
   // The seeds reach each situation the contract is about.
   EXPECT_GT(self_loops, 100);

@@ -28,6 +28,7 @@
 #include "gen/er.hpp"
 #include "gen/rmat.hpp"
 #include "gen/sbm.hpp"
+#include "obs/recorder.hpp"
 #include "stream/apply.hpp"
 #include "stream/session.hpp"
 
@@ -105,7 +106,7 @@ TEST(WorkspaceAllocations, WarmModoptAggregateLoopIsAllocationFree) {
     optimize_phase(device, g, cfg, state,
                    std::span<const VertexId>{}, 1e-6, ws, nullptr);
     AggregationResult agg =
-        aggregate(device, g, cfg, state.community, ws, nullptr);
+        aggregate(device, g, state.community, ws, nullptr);
     // Feed the level's products back, as the level driver does.
     ws.recycle(std::move(agg.contracted));
     ws.put(std::move(agg.new_id));
@@ -121,6 +122,32 @@ TEST(WorkspaceAllocations, WarmModoptAggregateLoopIsAllocationFree) {
 
   EXPECT_EQ(g_alloc_count.load(), 0u)
       << "warm modopt+aggregation iterations must not touch the heap";
+}
+
+// The last contracted level of a run returns to the workspace, so a
+// second run on the same Louvain draws every aggregation's contracted
+// arrays from the pools: no level falls back to the heap.
+TEST(WorkspaceAllocations, SecondRunAggregatesWithoutHeapFallbacks) {
+  gen::SbmParams sbm;
+  sbm.num_vertices = 20000;
+  sbm.num_communities = 400;
+  sbm.intra_degree = 12.0;
+  sbm.inter_degree = 2.0;
+  sbm.seed = 1;
+  const auto planted = gen::planted_partition(sbm);
+
+  Louvain runner;
+  (void)runner.run(planted.graph);
+  obs::Recorder rec;
+  const Result second = runner.run(planted.graph, &rec);
+  ASSERT_GE(second.levels.size(), 2u);
+  int aggregations = 0;
+  for (const obs::CounterRecord& c : rec.counters()) {
+    if (rec.name(c.name) != "aggregate/ws_heap_fallbacks") continue;
+    ++aggregations;
+    EXPECT_EQ(c.value, 0.0) << "level " << c.level;
+  }
+  EXPECT_GT(aggregations, 0);
 }
 
 TEST(WorkspaceFootprint, HeldBytesCountsBinningResults) {

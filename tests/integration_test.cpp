@@ -93,8 +93,8 @@ TEST(Integration, FileRoundTripThenDetect) {
   std::filesystem::create_directories(dir);
   const auto g = gen::suite_entry("community").build(0.03, 5);
   const std::string path = (dir / "g.bin").string();
-  graph::save_binary(g, path);
-  const auto loaded = graph::load_auto(path);
+  ASSERT_TRUE(graph::try_save_binary(g, path).ok());
+  const auto loaded = graph::try_load_auto(path).value();
   ASSERT_EQ(loaded, g);
   const auto result = core::louvain(loaded);
   EXPECT_GT(result.modularity, 0.3);

@@ -95,7 +95,7 @@ TEST_P(GraphProperty, CoreAggregationMatchesReferenceOnLouvainPartition) {
   std::vector<Community> labels = result.community;
   metrics::renumber(labels);
   simt::Device device;
-  const auto agg = core::aggregate(device, g, core::Config{}, labels);
+  const auto agg = core::aggregate(device, g, labels);
   const Csr expect = graph::contract_reference(g, labels);
   EXPECT_EQ(agg.contracted, expect);
 }

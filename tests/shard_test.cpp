@@ -577,7 +577,7 @@ TEST(PlanCache, DisabledCacheIsNeverConsulted) {
 
 TEST(Fingerprint, JobKeyAbsorbsShardKnobs) {
   const auto g = gen::ring_of_cliques(4, 4);
-  const svc::Fingerprint fp = svc::fingerprint(g);
+  const graph::Fingerprint128 fp = graph::fingerprint128(g);
   detect::Options base;
   const auto key = [&](const detect::Options& o) {
     return svc::job_key(fp, "shard", o);

@@ -9,6 +9,7 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "simt/atomics.hpp"
@@ -197,16 +198,6 @@ TEST(Atomics, CasFailureWritesNothingUnderContention) {
   EXPECT_EQ(slot, winner_value.load());
 }
 
-TEST(Atomics, MinMax) {
-  std::uint64_t x = 50;
-  atomic_min(x, std::uint64_t{10});
-  EXPECT_EQ(x, 10u);
-  atomic_min(x, std::uint64_t{99});
-  EXPECT_EQ(x, 10u);
-  atomic_max(x, std::uint64_t{77});
-  EXPECT_EQ(x, 77u);
-}
-
 TEST(Atomics, ConcurrentDoubleSumIsExactForIntegers) {
   ThreadPool pool(4);
   double sum = 0;
@@ -230,18 +221,19 @@ TEST(Atomics, ConcurrentCasClaimsExactlyOnce) {
 
 TEST(LaneGroup, StridedForVisitsAllOnce) {
   for (unsigned lanes : {1u, 2u, 4u, 8u, 32u, 128u}) {
-    LaneGroup g(lanes);
-    std::vector<int> hits(1000, 0);
-    g.strided_for(1000, [&](unsigned lane, std::size_t idx) {
-      EXPECT_EQ(idx % lanes, lane);  // interleaved assignment
-      ++hits[idx];
+    with_lane_group(lanes, false, nullptr, [&](const auto& g) {
+      std::vector<int> hits(1000, 0);
+      g.strided_for(1000, [&](unsigned lane, std::size_t idx) {
+        EXPECT_EQ(idx % lanes, lane);  // interleaved assignment
+        ++hits[idx];
+      });
+      for (int h : hits) ASSERT_EQ(h, 1);
     });
-    for (int h : hits) ASSERT_EQ(h, 1);
   }
 }
 
 TEST(LaneGroup, StridedForWarpOrder) {
-  LaneGroup g(4);
+  FixedLaneGroup<4> g;
   std::vector<std::size_t> order;
   g.strided_for(10, [&](unsigned, std::size_t idx) { order.push_back(idx); });
   // Round 0: 0 1 2 3; round 1: 4 5 6 7; round 2: 8 9.
@@ -250,20 +242,20 @@ TEST(LaneGroup, StridedForWarpOrder) {
 }
 
 TEST(LaneGroup, ReduceSum) {
-  LaneGroup g(8);
+  FixedLaneGroup<8> g;
   std::vector<int> vals{1, 2, 3, 4, 5, 6, 7, 8};
   const int total = g.reduce(std::span<int>(vals), [](int a, int b) { return a + b; });
   EXPECT_EQ(total, 36);
 }
 
 TEST(LaneGroup, ReduceMaxSingleLane) {
-  LaneGroup g(1);
+  FixedLaneGroup<1> g;
   std::vector<int> vals{42};
   EXPECT_EQ(g.reduce(std::span<int>(vals), [](int a, int b) { return std::max(a, b); }), 42);
 }
 
 TEST(LaneGroup, ExclusiveScan) {
-  LaneGroup g(4);
+  FixedLaneGroup<4> g;
   std::vector<std::uint64_t> counts{3, 0, 2, 5};
   const auto total = g.exclusive_scan(std::span<std::uint64_t>(counts));
   EXPECT_EQ(total, 10u);
@@ -446,7 +438,7 @@ TEST(Device, BackendIsResolvedAtConstruction) {
   EXPECT_EQ(custom.config().shared_bytes, 256u);
 }
 
-// --- Reduce/scan preconditions (documented on LaneGroup): the span is
+// --- Reduce/scan preconditions (documented on FixedLaneGroup): the span is
 // always FULL lane width, and lanes idled by a partial final round must
 // hold the combine identity (reduce) or zero (scan). These tests pin
 // the kernel-side discipline that makes the offset-halving tree safe.
@@ -488,17 +480,42 @@ TEST(LaneGroup, PartialFinalRoundExclusiveScanWithIdleZeros) {
 }
 
 TEST(LaneGroup, RuntimeWidthsArePowersOfTwo) {
-  // The runtime-width group accepts exactly the paper's bucket widths;
-  // the power-of-two contract itself is a (debug-build) assertion plus
-  // the FixedLaneGroup static_assert, so here we just pin that every
-  // supported width round-trips through reduce correctly at full width.
+  // The dispatch accepts exactly the powers of two from 1 to 128 (the
+  // power-of-two contract itself is the FixedLaneGroup static_assert),
+  // so here we pin that every supported width round-trips through
+  // reduce correctly at full width, and that other widths are refused.
   for (unsigned lanes : {1u, 2u, 4u, 8u, 16u, 32u, 64u, 128u}) {
-    LaneGroup g(lanes);
-    std::vector<std::uint64_t> ones(lanes, 1);
-    EXPECT_EQ(g.reduce(std::span<std::uint64_t>(ones),
-                       [](std::uint64_t a, std::uint64_t b) { return a + b; }),
-              lanes)
+    with_lane_group(lanes, false, nullptr, [&](const auto& g) {
+      std::vector<std::uint64_t> ones(lanes, 1);
+      EXPECT_EQ(g.reduce(std::span<std::uint64_t>(ones),
+                         [](std::uint64_t a, std::uint64_t b) { return a + b; }),
+                lanes)
+          << lanes;
+    });
+  }
+  for (unsigned lanes : {0u, 3u, 256u}) {
+    EXPECT_THROW(with_lane_group(lanes, false, nullptr, [](const auto&) {}),
+                 std::invalid_argument)
         << lanes;
+  }
+}
+
+TEST(LaneGroup, DispatchHandsOutTheRequestedWidth) {
+  // Every power of two from 1 to 128 on both substrates: the group's
+  // width is the bucket's, and the vector backend hands out a vector
+  // group exactly at the paper's widths (4..32 and 128).
+  for (const bool vector_backend : {false, true}) {
+    for (unsigned lanes = 1; lanes <= 128; lanes *= 2) {
+      unsigned got = 0;
+      bool vector = false;
+      with_lane_group(lanes, vector_backend, nullptr, [&](const auto& g) {
+        got = g.lanes();
+        vector = std::decay_t<decltype(g)>::kVector;
+      });
+      EXPECT_EQ(got, lanes) << lanes;
+      const bool paper_width = (lanes >= 4 && lanes <= 32) || lanes == 128;
+      EXPECT_EQ(vector, vector_backend && paper_width) << lanes;
+    }
   }
 }
 

@@ -114,14 +114,5 @@ TEST(GraphIoStatus, AutoDispatchPropagatesStatus) {
   EXPECT_EQ(bad.status().code(), util::StatusCode::kInvalidArgument);
 }
 
-TEST(GraphIoStatus, ThrowingWrappersPreserveMessages) {
-  try {
-    (void)graph::load_edge_list(temp_path("gone.txt"));
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("cannot open"), std::string::npos);
-  }
-}
-
 }  // namespace
 }  // namespace glouvain

@@ -42,16 +42,14 @@ graph::Csr device_sized_graph(std::uint64_t seed) {
 TEST(Fingerprint, StableAcrossCopies) {
   const auto g = small_graph(0);
   const graph::Csr copy = g;
-  EXPECT_EQ(svc::fingerprint(g), svc::fingerprint(copy));
-  EXPECT_EQ(svc::fingerprint(g).hex(), svc::fingerprint(copy).hex());
-  EXPECT_EQ(svc::fingerprint(g).hex().size(), 32u);
+  EXPECT_EQ(graph::fingerprint128(g), graph::fingerprint128(copy));
 }
 
 TEST(Fingerprint, DistinguishesGraphs) {
-  const auto a = svc::fingerprint(small_graph(0));
-  const auto b = svc::fingerprint(small_graph(1));
-  const auto c = svc::fingerprint(device_sized_graph(1));
-  const auto d = svc::fingerprint(device_sized_graph(2));
+  const auto a = graph::fingerprint128(small_graph(0));
+  const auto b = graph::fingerprint128(small_graph(1));
+  const auto c = graph::fingerprint128(device_sized_graph(1));
+  const auto d = graph::fingerprint128(device_sized_graph(2));
   EXPECT_NE(a, b);
   EXPECT_NE(c, d);
   EXPECT_NE(a, c);
@@ -99,7 +97,9 @@ TEST(BoundedPriorityQueue, FilteredPop) {
 
 TEST(ResultCache, LruEviction) {
   svc::ResultCache cache(2);
-  const auto key = [](std::uint64_t i) { return svc::Fingerprint{i, ~i}; };
+  const auto key = [](std::uint64_t i) {
+    return graph::Fingerprint128{i, ~i};
+  };
   const auto value = [] { return std::make_shared<core::Result>(); };
 
   EXPECT_EQ(cache.get(key(1)), nullptr);
@@ -121,8 +121,8 @@ TEST(ResultCache, LruEviction) {
 
 TEST(ResultCache, ZeroCapacityDisables) {
   svc::ResultCache cache(0);
-  cache.put(svc::Fingerprint{1, 2}, std::make_shared<core::Result>());
-  EXPECT_EQ(cache.get(svc::Fingerprint{1, 2}), nullptr);
+  cache.put(graph::Fingerprint128{1, 2}, std::make_shared<core::Result>());
+  EXPECT_EQ(cache.get(graph::Fingerprint128{1, 2}), nullptr);
 }
 
 // ------------------------------------------------------------------- service
@@ -474,7 +474,7 @@ TEST(Fingerprint, BackendsAndEpochsDoNotCollide) {
   // Regression: the cache used to key on the graph hash alone, so the
   // SAME graph run by two backends returned whichever result landed
   // first. job_key folds backend, options, session and epoch in.
-  const auto g = svc::fingerprint(small_graph(0));
+  const auto g = graph::fingerprint128(small_graph(0));
   const detect::Options options;
   const auto core = svc::job_key(g, "core", options);
   const auto seq = svc::job_key(g, "seq", options);
@@ -807,12 +807,6 @@ TEST(Service, PlanCacheReusedAcrossJobsAndInvalidatedByDeltas) {
             svc::JobStatus::Completed);
   const shard::PlanCache::Stats third = shard::plan_cache().stats();
   EXPECT_GT(third.misses, second.misses);
-
-  // svc::Stats surfaces the same counters (read live from the cache).
-  const svc::Stats st = service.stats();
-  EXPECT_EQ(st.plan_hits, third.hits);
-  EXPECT_EQ(st.plan_misses, third.misses);
-  EXPECT_EQ(st.plan_entries, third.entries);
 }
 
 // Many submitters racing on one process-wide plan cache: the stress
