@@ -338,7 +338,11 @@ std::uint64_t open_launch(std::size_t tasks) noexcept {
     if (t_kernel) {
       label = t_kernel;
       if (t_kernel_index != kNoIndex) {
-        label += "[" + std::to_string(t_kernel_index) + "]";
+        // Appended piecewise: GCC 12 flags the inlined temporary
+        // concatenation with a false -Wrestrict.
+        label += '[';
+        label += std::to_string(t_kernel_index);
+        label += ']';
       }
     } else {
       label = "kernel";

@@ -364,17 +364,9 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
               state.move_gain[v] = 0;
               return;
             }
-            simt::VecLaneStats* st =
-                vstats.empty() ? nullptr : &vstats[ctx.worker()];
-            // Degrees up to kSmallMoveDegree decide in registers. They
-            // get the group the bucket assigns, whose fold order the
-            // register path replays.
+            // Degrees up to kSmallMoveDegree decide in registers.
             if (deg <= detail::kSmallMoveDegree) {
-              simt::with_lane_group(
-                  lanes, vector_backend, st, [&](const auto& group) {
-                    detail::compute_move_small(rows, ctx.worker(), state, m2,
-                                               v, group);
-                  });
+              detail::compute_move_small(rows, ctx.worker(), state, m2, v);
               return;
             }
             const util::HashTableParams params =
@@ -392,6 +384,8 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
             // needed).
             LocalCommunityHashMap table(keys, weights, params);
             table.clear();
+            simt::VecLaneStats* st =
+                vstats.empty() ? nullptr : &vstats[ctx.worker()];
             simt::with_lane_group(
                 lanes, vector_backend, st, [&](const auto& group) {
                   detail::compute_move(rows, ctx.worker(), state, m2, v, group,

@@ -10,39 +10,25 @@
 //     kSmallMoveDegree: at most four neighbour communities, kept in
 //     registers. No arena table, no clear, no claimed-slot list.
 //
-// Fold-order contract: compute_move_small makes the decision the
-// table path would make for the same vertex and group, bit for bit
-// (new_comm and move_gain). Every weight is summed in adjacency order,
-// the order the table accumulates in. Every candidate gets the slot
-// the table's double-hash probe would give it. The candidates then
-// fold in the order the group's slot scan folds them. That order
-// matters because better()'s epsilon tie rule is not associative.
-// Degree 1 never went through the table: its one key keeps the inline
-// gain of the closed form it replaces.
+// Both kernels sum each weight in adjacency order and take the
+// better() maximum, which does not depend on fold order, so they make
+// the same decision bit for bit (new_comm and move_gain).
 #pragma once
 
-#include <algorithm>
 #include <array>
-#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <span>
 
 #include "check/check.hpp"
-#include "core/hash_map.hpp"
 #include "core/modopt.hpp"
 #include "core/rows.hpp"
 #include "simt/atomics.hpp"
 #include "simt/kernel_ops.hpp"
-#include "simt/lane_group.hpp"
-#include "simt/vector_ops.hpp"
-#include "util/primes.hpp"
 
 namespace glouvain::core::detail {
 
-/// Vertices of at most this degree take the register path. Their hash
-/// capacity (3, 5 or 7 slots) stays below one 8-slot vector step, which
-/// is what lets the register fold replay the vector scan.
+/// Vertices of at most this degree take the register path.
 inline constexpr std::uint32_t kSmallMoveDegree = 4;
 
 /// Lines 15-18 of Algorithm 2, shared by both paths: move only on a
@@ -110,12 +96,9 @@ void compute_move(Rows& rows, unsigned worker, PhaseState& state,
 }
 
 /// The register path for one vertex of degree 1..kSmallMoveDegree.
-/// `group` is the group the table path would run the vertex on; only
-/// its fold order is used (see the contract at the top of the file).
-template <typename Rows, typename Group>
+template <typename Rows>
 void compute_move_small(Rows& rows, unsigned worker, PhaseState& state,
-                        graph::Weight m2, graph::VertexId v,
-                        const Group& group) {
+                        graph::Weight m2, graph::VertexId v) {
   const RowView r = rows.row(v, worker);
   assert(r.deg >= 1 && r.deg <= kSmallMoveDegree);
   const graph::Community old_c = state.community[v];
@@ -123,8 +106,8 @@ void compute_move_small(Rows& rows, unsigned worker, PhaseState& state,
   const double inv_m2 = 1.0 / m2;
 
   // Lines 2-13 without the table: the distinct neighbour communities in
-  // the order the table claims them (adjacency order, self-loop
-  // skipped), each weight summed in that order.
+  // first-seen order (self-loop skipped), each weight summed in
+  // adjacency order.
   std::array<graph::Community, kSmallMoveDegree> comm;
   std::array<graph::Weight, kSmallMoveDegree> weight;
   unsigned n = 0;
@@ -141,85 +124,17 @@ void compute_move_small(Rows& rows, unsigned worker, PhaseState& state,
     }
   }
 
+  // Line 14 over the candidates in first-seen order.
   graph::Weight d_old = 0;
   simt::BestComm best = simt::kEmptyBest;
-  if (n == 1) {
-    // One key: every fold order reduces to one better() against the
-    // identity, and the vector scan takes its sparse (inline) branch.
-    if (comm[0] == old_c) {
-      d_old = weight[0];
-    } else {
-      const double gain =
-          weight[0] - k * simt::atomic_load(state.tot[comm[0]]) * inv_m2;
-      best = simt::better(simt::kEmptyBest, {gain, comm[0]});
+  for (unsigned i = 0; i < n; ++i) {
+    if (comm[i] == old_c) {
+      d_old = weight[i];
+      continue;
     }
-  } else if (n > 1) {
-    // The slot each key would claim: the table's double-hash probe in
-    // claim order, past the slots claimed before it.
-    const util::HashTableParams params = util::hash_params_for_degree(r.deg);
-    assert(params.capacity < 8);
-    const FastMod mod_cap(params.magic_capacity, params.capacity);
-    const FastMod mod_step(params.magic_capacity_minus1, params.capacity - 1);
-    std::array<std::uint8_t, 8> key_at;  // slot -> index into comm
-    std::uint32_t claimed = 0;           // slot bitmask
-    for (unsigned i = 0; i < n; ++i) {
-      std::uint32_t pos = mod_cap.mod(comm[i]);
-      const std::uint32_t step = 1 + mod_step.mod(comm[i]);
-      while ((claimed >> pos) & 1u) {
-        pos += step;
-        if (pos >= params.capacity) pos -= params.capacity;
-      }
-      claimed |= 1u << pos;
-      key_at[pos] = static_cast<std::uint8_t>(i);
-    }
-
-    if constexpr (Group::kVector && !check::enabled()) {
-      // Two or more keys make the table dense (4 * keys > capacity), so
-      // the vector group scans it with vec::scan_best_sentinel: below
-      // one 8-slot step that is an ascending fold over the occupied
-      // slots. Handing the same primitive the keys in ascending slot
-      // order replays it, down to its gain arithmetic (the AVX2 build
-      // of that loop may contract to an FMA).
-      std::array<graph::Community, kSmallMoveDegree> keys;
-      std::array<graph::Weight, kSmallMoveDegree> weights;
-      unsigned j = 0;
-      for (std::uint32_t m = claimed; m != 0; m &= m - 1) {
-        const unsigned i = key_at[std::countr_zero(m)];
-        keys[j] = comm[i];
-        weights[j++] = weight[i];
-      }
-      const simt::vec::BestSlot bs = simt::vec::scan_best_sentinel(
-          keys.data(), weights.data(), n, old_c, state.tot.data(), k, inv_m2);
-      best = {bs.gain, bs.key};
-      d_old = bs.d_skip;
-    } else {
-      // Scalar groups fold slot `pos` into lane pos % lanes, in
-      // ascending slot order, then run the halving tree. With fewer
-      // than 8 slots, lanes 8 and up only ever hold the identity, and
-      // better(x, identity) == x, so an 8-lane tree over lanes that
-      // hold the identity past the group's width gives the same result
-      // as the group's own tree, narrower or wider.
-      const unsigned lanes = std::min(group.lanes(), 8u);
-      std::array<simt::BestComm, 8> lane_best;
-      lane_best.fill(simt::kEmptyBest);
-      for (std::uint32_t m = claimed; m != 0; m &= m - 1) {
-        const unsigned pos = std::countr_zero(m);
-        const unsigned i = key_at[pos];
-        if (comm[i] == old_c) {
-          d_old = weight[i];
-          continue;
-        }
-        const double gain =
-            weight[i] - k * simt::atomic_load(state.tot[comm[i]]) * inv_m2;
-        simt::BestComm& lane = lane_best[pos % lanes];
-        lane = simt::better(lane, {gain, comm[i]});
-      }
-      best = simt::FixedLaneGroup<8>{}.reduce(
-          std::span<simt::BestComm>(lane_best),
-          [](const simt::BestComm& a, const simt::BestComm& b) {
-            return simt::better(a, b);
-          });
-    }
+    const double gain =
+        weight[i] - k * simt::atomic_load(state.tot[comm[i]]) * inv_m2;
+    best = simt::better(best, {gain, comm[i]});
   }
   decide_move(state, m2, v, old_c, k, d_old, best);
 }

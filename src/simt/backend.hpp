@@ -5,10 +5,12 @@
 //     is an inner `for` loop. Bitwise-reference semantics; this is the
 //     twin the simtcheck shadow-memory checker instruments.
 //   kVector — the same kernels with the lane rounds lowered to real
-//     vector instructions (AVX2 gathers, masked compares, 4-wide FMA
-//     gain evaluation). Requires AVX2 at runtime; on a machine without
-//     it the vector lane group transparently executes the scalar
-//     emulation path, so selecting kVector is always safe.
+//     vector instructions (AVX2 gathers, masked compares, 4-wide gain
+//     evaluation). It decides each move as the scalar substrate does
+//     on the same state; only the modularity row sums re-associate.
+//     Requires AVX2 at runtime; on a machine without it the vector
+//     lane group transparently executes the scalar emulation path, so
+//     selecting kVector is always safe.
 //   kAuto — resolve at device construction: kVector when the CPU
 //     reports AVX2, kScalar otherwise.
 //

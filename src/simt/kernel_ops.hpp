@@ -51,30 +51,12 @@ inline constexpr BestComm kEmptyBest{
     -std::numeric_limits<double>::infinity(),
     std::numeric_limits<std::uint32_t>::max()};
 
-/// The argmax combine. The 1e-15 epsilon makes float-noise ties
-/// deterministic (lowest community id wins); the vector scan's take
-/// mask implements exactly this rule, so scalar and vector folds agree
-/// except where gains differ by less than the epsilon.
+/// The argmax combine, a strict total order: the higher gain wins, and
+/// on an exact tie the lower community id wins (Lu et al.'s
+/// minimum-label rule). It is associative and commutative, so a set's
+/// maximum does not depend on the order it is folded in.
 inline BestComm better(const BestComm& a, const BestComm& b) noexcept {
-  constexpr double kEps = 1e-15;
-  if (b.gain > a.gain + kEps) return b;
-  if (b.gain > a.gain - kEps && b.comm < a.comm) return b;
-  return a;
-}
-
-/// Ascending sort of a claimed-slot list; tiny lists (the common case)
-/// use insertion sort to skip the introsort dispatch.
-inline void sort_slots(std::span<std::uint32_t> slots) noexcept {
-  if (slots.size() <= 16) {
-    for (std::size_t i = 1; i < slots.size(); ++i) {
-      const std::uint32_t x = slots[i];
-      std::size_t j = i;
-      for (; j > 0 && slots[j - 1] > x; --j) slots[j] = slots[j - 1];
-      slots[j] = x;
-    }
-    return;
-  }
-  std::sort(slots.begin(), slots.end());
+  return b.gain > a.gain || (b.gain == a.gain && b.comm < a.comm) ? b : a;
 }
 
 namespace detail {
@@ -174,30 +156,29 @@ void hash_row(const Group& group, const Row& r, const std::uint32_t* community,
 /// form of the paper's shuffle-down argmax. The slot holding
 /// `skip_key` (the vertex's current community) is excluded from the
 /// argmax; its weight lands in d_skip for the caller's stay-gain term.
-/// `touched` is the claimed-slot list from hash_row_claim (mutated:
-/// sorted in place on the sparse path).
+/// `touched` is the claimed-slot list from hash_row_claim.
 template <typename Group, typename Table>
 BestComm scan_best(const Group& group, const Table& table,
-                   std::span<std::uint32_t> touched, std::uint32_t skip_key,
-                   const double* tot, double k, double inv_m2,
-                   double& d_skip) {
-  if constexpr (Group::kVector && !check::enabled()) {
-    if (touched.size() * 4 <= table.capacity()) {
-      // Sparse table: only the claimed slots matter. Ascending fold
-      // order keeps the result deterministic for a given partition.
-      sort_slots(touched);
-      BestComm best = kEmptyBest;
-      for (const std::uint32_t pos : touched) {
-        const std::uint32_t c = table.key_at(pos);
-        if (c == skip_key) {
-          d_skip = table.weight_at(pos);
-          continue;
-        }
-        const double gain = table.weight_at(pos) - k * tot[c] * inv_m2;
-        best = better(best, {gain, c});
+                   std::span<const std::uint32_t> touched,
+                   std::uint32_t skip_key, const double* tot, double k,
+                   double inv_m2, double& d_skip) {
+  if (touched.size() * 4 <= table.capacity()) {
+    // Sparse table (typical once the neighbourhood has collapsed into
+    // a few communities): fold only the claimed slots, in claim order.
+    BestComm best = kEmptyBest;
+    for (const std::uint32_t pos : touched) {
+      const std::uint32_t c = table.key_at(pos);
+      if (c == skip_key) {
+        d_skip = table.weight_at(pos);
+        continue;
       }
-      return best;
+      const double gain =
+          table.weight_at(pos) - k * atomic_load(tot[c]) * inv_m2;
+      best = better(best, {gain, c});
     }
+    return best;
+  }
+  if constexpr (Group::kVector && !check::enabled()) {
     const vec::BestSlot bs = vec::scan_best_sentinel(
         table.keys_data(), table.weights_data(), table.capacity(), skip_key,
         tot, k, inv_m2);
@@ -213,7 +194,8 @@ BestComm scan_best(const Group& group, const Table& table,
   // kernels.
   std::array<BestComm, 128> lane_best;
   for (unsigned l = 0; l < group.lanes(); ++l) lane_best[l] = kEmptyBest;
-  const auto scan_slot = [&](unsigned lane, std::size_t pos) {
+  group.strided_for(table.capacity(), [&](unsigned lane, std::size_t pos) {
+    if (!table.occupied(pos)) return;
     const std::uint32_t c = table.key_at(pos);
     if (c == skip_key) {
       // Lanes of a group execute inside one OS thread, so this plain
@@ -223,23 +205,7 @@ BestComm scan_best(const Group& group, const Table& table,
     }
     const double gain = table.weight_at(pos) - k * atomic_load(tot[c]) * inv_m2;
     lane_best[lane] = better(lane_best[lane], {gain, c});
-  };
-  if (touched.size() * 4 <= table.capacity()) {
-    // Sparse table (typical once the neighbourhood has collapsed into
-    // a few communities): visit only the claimed slots, in ascending
-    // position. strided_for assigns index i to lane i % lanes, so this
-    // replays the full scan's exact per-lane fold sequences and the
-    // chosen move is bit-identical.
-    sort_slots(touched);
-    for (const std::uint32_t pos : touched) {
-      scan_slot(static_cast<unsigned>(pos % group.lanes()), pos);
-    }
-  } else {
-    group.strided_for(table.capacity(), [&](unsigned lane, std::size_t pos) {
-      if (!table.occupied(pos)) return;
-      scan_slot(lane, pos);
-    });
-  }
+  });
   return group.reduce(
       std::span<BestComm>(lane_best.data(), group.lanes()),
       [](const BestComm& a, const BestComm& b) { return better(a, b); });

@@ -1,9 +1,9 @@
 // Runtime dispatch + scalar-emulation twins for the vector primitives.
-// The emulation paths are semantically identical to the AVX2 paths
-// (same fold order up to the epsilon tie rule, same masking), so a
-// machine without AVX2 — or a run with GLOUVAIN_NO_AVX2 set — produces
-// valid results through the exact same call graph, just without the
-// vector ALUs.
+// The emulation paths return what the AVX2 paths return (same gain
+// arithmetic, same better() maximum, same masking), so a machine
+// without AVX2 — or a run with GLOUVAIN_NO_AVX2 set — produces valid
+// results through the exact same call graph, just without the vector
+// ALUs.
 
 #include "simt/vector_ops.hpp"
 

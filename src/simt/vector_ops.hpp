@@ -1,17 +1,18 @@
 // Raw vector primitives of the AVX2 lane substrate: the operations a
 // lane group's rounds lower to when the device runs Backend::kVector.
 // Everything here works on raw pointers so the AVX2 translation unit
-// (vector_ops_avx2.cpp, compiled with -mavx2 -mfma) needs no kernel
+// (vector_ops_avx2.cpp, compiled with -mavx2) needs no kernel
 // headers, and every entry point carries a portable scalar-emulation
 // twin selected at runtime — calling these is always safe, with or
 // without AVX2 (see simt::cpu_has_avx2()).
 //
 // Semantics are pinned by the scalar kernels they accelerate:
-//   * per-element arithmetic (the gain FMA chain) performs the exact
-//     same IEEE operations as the scalar kernel, so individual gains
-//     are bitwise-equal; only the argmax FOLD ORDER differs (vector
-//     lanes fold slot i into accumulator lane i%4/i%8), which the
-//     1e-15 epsilon tie rule of kernel_ops.hpp absorbs;
+//   * per-element arithmetic (the gain multiply/multiply/subtract
+//     chain) performs the exact same IEEE operations as the scalar
+//     kernel, so individual gains are bitwise-equal; the argmax folds
+//     by kernel_ops better(), a total order, so the vector lanes' fold
+//     order (slot i into accumulator lane i%4) picks the scalar fold's
+//     answer;
 //   * reductions (row_internal_weight) re-associate the sum across
 //     accumulator lanes — permitted on the vector backend only, whose
 //     contract is ≥98% quality parity, not bitwise identity.
@@ -40,8 +41,8 @@ void gather_u32(const std::uint32_t* idx, std::size_t n,
 /// table (keys[pos] == 0xffffffff marks an empty slot): for every
 /// occupied slot with key != skip_key evaluate
 ///   gain = weights[pos] - k * tot[key] * inv_m2
-/// and return the best (gain, key), ties to the lowest key under the
-/// kernel_ops epsilon rule; d_skip receives weights at key == skip_key.
+/// and return the best (gain, key) under kernel_ops better() (exact
+/// ties to the lowest key); d_skip receives weights at key == skip_key.
 BestSlot scan_best_sentinel(const std::uint32_t* keys, const double* weights,
                             std::size_t cap, std::uint32_t skip_key,
                             const double* tot, double k,

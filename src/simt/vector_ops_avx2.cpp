@@ -1,13 +1,13 @@
 // AVX2 lowering of the vector lane primitives. This translation unit
-// is compiled with -mavx2 -mfma (see simt/CMakeLists.txt) and must be
+// is compiled with -mavx2 (see simt/CMakeLists.txt) and must be
 // entered only behind simt::cpu_has_avx2() — the dispatchers in
 // vector_ops.cpp guarantee that, so no function here re-checks.
 //
 // Numeric contract (see vector_ops.hpp): per-element gain arithmetic
 // is the same IEEE multiply/multiply/subtract chain as the scalar
-// kernel; the argmax keeps the 1e-15 epsilon tie rule of
-// kernel_ops.hpp, evaluated lane-wise and then folded lane 0..7 in a
-// fixed order, so results are deterministic for a given input.
+// kernel (no FMA is enabled, so nothing contracts), and the argmax
+// folds with the compares of kernel_ops better(), a total order, so
+// the lane layout cannot change the answer.
 
 #include "simt/vector_ops.hpp"
 
@@ -23,8 +23,6 @@ namespace glouvain::simt::vec::detail {
 
 namespace {
 
-constexpr double kEps = 1e-15;
-
 /// u32 -> double, exact over the full 32-bit range (the 2^52 mantissa
 /// trick; plain _mm256_cvtepi32_pd would misread ids >= 2^31).
 inline __m256d u32_to_pd(__m128i v) noexcept {
@@ -34,25 +32,25 @@ inline __m256d u32_to_pd(__m128i v) noexcept {
                        _mm256_set1_pd(4503599627370496.0));
 }
 
-/// Running 4-lane argmax state plus the epsilon-tie fold, the vector
-/// form of kernel_ops better().
+/// Running 4-lane argmax state, the vector form of kernel_ops better().
 struct BestLanes {
   __m256d gain = _mm256_set1_pd(-std::numeric_limits<double>::infinity());
   __m256d key = _mm256_set1_pd(4294967295.0);
 
-  void fold(__m256d gain4, __m256d key4) noexcept {
-    const __m256d veps = _mm256_set1_pd(kEps);
-    const __m256d gt =
-        _mm256_cmp_pd(gain4, _mm256_add_pd(gain, veps), _CMP_GT_OQ);
-    const __m256d ge =
-        _mm256_cmp_pd(gain4, _mm256_sub_pd(gain, veps), _CMP_GT_OQ);
+  /// Folds the lanes of (gain4, key4) that `cand` marks. A dead lane
+  /// never takes, so its gain (whatever the masked gather left) cannot
+  /// tie the identity and win on its key.
+  void fold(__m256d gain4, __m256d key4, __m256d cand) noexcept {
+    const __m256d gt = _mm256_cmp_pd(gain4, gain, _CMP_GT_OQ);
+    const __m256d eq = _mm256_cmp_pd(gain4, gain, _CMP_EQ_OQ);
     const __m256d lt = _mm256_cmp_pd(key4, key, _CMP_LT_OQ);
-    const __m256d take = _mm256_or_pd(gt, _mm256_and_pd(ge, lt));
+    const __m256d take =
+        _mm256_and_pd(cand, _mm256_or_pd(gt, _mm256_and_pd(eq, lt)));
     gain = _mm256_blendv_pd(gain, gain4, take);
     key = _mm256_blendv_pd(key, key4, take);
   }
 
-  /// Fold the 4 lanes into one candidate, lane 0 first.
+  /// Fold the 4 lanes into one candidate.
   BestComm collapse() const noexcept {
     alignas(32) double g[4];
     alignas(32) double k[4];
@@ -72,8 +70,6 @@ struct BestLanes {
 inline void scan_step(__m256i ks, __m256i cand, const double* weights,
                       std::size_t at, const double* tot, __m256d vk,
                       __m256d vinv, BestLanes& lo, BestLanes& hi) noexcept {
-  const __m256d vneginf =
-      _mm256_set1_pd(-std::numeric_limits<double>::infinity());
   const __m128i keys_lo = _mm256_castsi256_si128(ks);
   const __m128i keys_hi = _mm256_extracti128_si256(ks, 1);
   const __m256i m_lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(cand));
@@ -88,14 +84,12 @@ inline void scan_step(__m256i ks, __m256i cand, const double* weights,
                                                 keys_hi, mpd_hi, 8);
   const __m256d w_lo = _mm256_loadu_pd(weights + at);
   const __m256d w_hi = _mm256_loadu_pd(weights + at + 4);
-  __m256d gain_lo = _mm256_sub_pd(
+  const __m256d gain_lo = _mm256_sub_pd(
       w_lo, _mm256_mul_pd(_mm256_mul_pd(vk, t_lo), vinv));
-  __m256d gain_hi = _mm256_sub_pd(
+  const __m256d gain_hi = _mm256_sub_pd(
       w_hi, _mm256_mul_pd(_mm256_mul_pd(vk, t_hi), vinv));
-  gain_lo = _mm256_blendv_pd(vneginf, gain_lo, mpd_lo);
-  gain_hi = _mm256_blendv_pd(vneginf, gain_hi, mpd_hi);
-  lo.fold(gain_lo, u32_to_pd(keys_lo));
-  hi.fold(gain_hi, u32_to_pd(keys_hi));
+  lo.fold(gain_lo, u32_to_pd(keys_lo), mpd_lo);
+  hi.fold(gain_hi, u32_to_pd(keys_hi), mpd_hi);
 }
 
 }  // namespace
@@ -137,9 +131,7 @@ BestSlot scan_best_sentinel_avx2(const std::uint32_t* keys,
         _mm256_or_si256(isnull, isskip), _mm256_set1_epi32(-1));
     scan_step(ks, cand, weights, i, tot, vk, vinv, lo, hi);
   }
-  // Accumulators no step touched collapse to kEmptyBest: a table below
-  // one 8-slot step (the register move kernel's keys) skips the collapse.
-  BestComm best = i == 0 ? kEmptyBest : better(lo.collapse(), hi.collapse());
+  BestComm best = better(lo.collapse(), hi.collapse());
   for (; i < cap; ++i) {
     const std::uint32_t c = keys[i];
     if (c == 0xffffffffu) continue;

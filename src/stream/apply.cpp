@@ -213,9 +213,9 @@ ApplyResult apply_delta(const Csr& graph, const Delta& delta,
     if (slot == ~0u) {
       if (v >= old_n) return;  // new isolated vertex (none in practice)
       const auto nbrs = graph.neighbors(v);
-      const auto ws = graph.weights(v);
+      const auto wts = graph.weights(v);
       std::copy(nbrs.begin(), nbrs.end(), adj.begin() + static_cast<std::ptrdiff_t>(out));
-      std::copy(ws.begin(), ws.end(), weights.begin() + static_cast<std::ptrdiff_t>(out));
+      std::copy(wts.begin(), wts.end(), weights.begin() + static_cast<std::ptrdiff_t>(out));
       return;
     }
     const auto [a, b] = ranges[slot];

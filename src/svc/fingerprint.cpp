@@ -32,7 +32,8 @@ graph::Fingerprint128 job_key(const graph::Fingerprint128& graph_fp,
   // The RESOLVED lane backend keys the cache, not the request: kAuto
   // and an explicit request for what kAuto resolves to produce the
   // same partition, and a vector-backend result must never satisfy a
-  // later --device scalar request (different fold order).
+  // later --device scalar request (its modularity row sums
+  // re-associate).
   const auto resolved =
       static_cast<std::uint64_t>(simt::resolve_backend(options.device));
   a = mix(a, resolved + 0x517cc1b727220a95ULL);

@@ -62,7 +62,7 @@ struct JobOptions {
   /// Its `threads` is ignored: every job runs at the service's
   /// options.threads. A job whose options carry a warm start neither
   /// reads nor fills the cache (the key does not see the seed).
-  std::shared_ptr<const detect::Options> options;
+  std::shared_ptr<const detect::Options> options = nullptr;
 };
 
 struct JobResult {

@@ -207,7 +207,7 @@ class SuiteEntryTest : public ::testing::TestWithParam<std::string> {};
 
 INSTANTIATE_TEST_SUITE_P(AllFamilies, SuiteEntryTest,
                          ::testing::ValuesIn(suite_names()),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& p) { return p.param; });
 
 TEST_P(SuiteEntryTest, BuildsValidGraphAtTinyScale) {
   const SuiteEntry& entry = suite_entry(GetParam());

@@ -28,7 +28,7 @@ class SuiteQuality : public ::testing::TestWithParam<std::string> {
 
 INSTANTIATE_TEST_SUITE_P(AllFamilies, SuiteQuality,
                          ::testing::ValuesIn(gen::suite_names()),
-                         [](const auto& info) { return info.param; });
+                         [](const auto& p) { return p.param; });
 
 TEST_P(SuiteQuality, CoreTracksSequentialPerGraph) {
   const auto g = make();

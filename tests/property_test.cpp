@@ -64,9 +64,9 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, GraphProperty,
     ::testing::Combine(::testing::Range(0, 6),
                        ::testing::Values<std::uint64_t>(1, 2, 3)),
-    [](const auto& info) {
-      return std::string(kFamilies[std::get<0>(info.param)].name) + "_s" +
-             std::to_string(std::get<1>(info.param));
+    [](const auto& p) {
+      return std::string(kFamilies[std::get<0>(p.param)].name) + "_s" +
+             std::to_string(std::get<1>(p.param));
     });
 
 TEST_P(GraphProperty, GeneratorOutputIsValidCsr) {

@@ -3,23 +3,30 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "simt/atomics.hpp"
 #include "simt/backend.hpp"
 #include "simt/device.hpp"
+#include "simt/kernel_ops.hpp"
 #include "simt/lane_group.hpp"
 #include "simt/lane_vec.hpp"
 #include "simt/shared_arena.hpp"
 #include "simt/thread_pool.hpp"
 #include "simt/vector_ops.hpp"
+#include "util/prng.hpp"
 
 namespace glouvain::simt {
 namespace {
@@ -519,6 +526,59 @@ TEST(LaneGroup, DispatchHandsOutTheRequestedWidth) {
   }
 }
 
+// --- better(): the argmax combine is a total order, so the maximum of
+// a candidate set does not depend on the order it is folded in.
+
+TEST(Better, FoldsToOneAnswerInAnyOrder) {
+  // Gains 1, 1 + 3 ulps and 1 + 6 ulps: a 1e-15 band would call the
+  // neighbouring pairs ties but not the ends, so its answer followed
+  // the fold order. All six orders must pick id 3.
+  const std::array<BestComm, 3> cand{{{1.0, 1},
+                                      {1.0 + 3 * 0x1p-52, 2},
+                                      {1.0 + 6 * 0x1p-52, 3}}};
+  std::array<int, 3> order{0, 1, 2};
+  do {
+    BestComm best = kEmptyBest;
+    for (const int i : order) best = better(best, cand[i]);
+    EXPECT_EQ(best.comm, 3u) << order[0] << order[1] << order[2];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(best.gain),
+              std::bit_cast<std::uint64_t>(cand[2].gain));
+  } while (std::next_permutation(order.begin(), order.end()));
+
+  // Seeded sets with exact ties and gaps of a few ulps, shuffled, then
+  // folded per lane and reduced by every group width: each width gives
+  // the set's maximum (highest gain, lowest id on an exact tie).
+  util::Xoshiro256 rng(31);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<BestComm> set(1 + rng.next_below(300));
+    for (std::size_t i = 0; i < set.size(); ++i) {
+      set[i] = {1.0 + static_cast<double>(rng.next_below(8)) * 0x1p-52,
+                static_cast<std::uint32_t>(i)};
+    }
+    for (std::size_t i = set.size() - 1; i > 0; --i) {
+      std::swap(set[i], set[rng.next_below(i + 1)]);
+    }
+    const BestComm want = *std::min_element(
+        set.begin(), set.end(), [](const BestComm& a, const BestComm& b) {
+          return a.gain > b.gain || (a.gain == b.gain && a.comm < b.comm);
+        });
+    for (unsigned lanes = 1; lanes <= 128; lanes *= 2) {
+      with_lane_group(lanes, false, nullptr, [&](const auto& g) {
+        std::vector<BestComm> lane_best(lanes, kEmptyBest);
+        g.strided_for(set.size(), [&](unsigned lane, std::size_t i) {
+          lane_best[lane] = better(lane_best[lane], set[i]);
+        });
+        const BestComm got = g.reduce(
+            std::span<BestComm>(lane_best),
+            [](const BestComm& a, const BestComm& b) { return better(a, b); });
+        EXPECT_EQ(got.comm, want.comm) << "trial " << trial << " lanes " << lanes;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.gain),
+                  std::bit_cast<std::uint64_t>(want.gain));
+      });
+    }
+  }
+}
+
 // --- VectorLaneGroup: same group concept, same collective semantics as
 // the scalar FixedLaneGroup of equal width, plus occupancy accounting.
 
@@ -575,11 +635,10 @@ TEST(VecOps, GatherMatchesScalarLoop) {
 
 namespace {
 // Scalar reference for the fused scan: ascending slot order, the
-// kernel_ops epsilon rule (1e-15 band, ties to the lowest key).
+// total order of kernel_ops better() (ties to the lowest key).
 vec::BestSlot scan_ref(const std::uint32_t* keys, const double* weights,
                        std::size_t cap, std::uint32_t skip_key,
                        const double* tot, double k, double inv_m2) {
-  constexpr double kEps = 1e-15;
   vec::BestSlot best{-std::numeric_limits<double>::infinity(), 0xffffffffu,
                      0.0};
   for (std::size_t i = 0; i < cap; ++i) {
@@ -589,47 +648,80 @@ vec::BestSlot scan_ref(const std::uint32_t* keys, const double* weights,
       continue;
     }
     const double gain = weights[i] - k * tot[keys[i]] * inv_m2;
-    if (gain > best.gain + kEps ||
-        (gain > best.gain - kEps && keys[i] < best.key)) {
+    if (gain > best.gain || (gain == best.gain && keys[i] < best.key)) {
       best.gain = gain;
       best.key = keys[i];
     }
   }
   return best;
 }
+
+/// (gain bits, key, d_skip bits) of a scan result.
+std::tuple<std::uint64_t, std::uint32_t, std::uint64_t> bits(
+    const vec::BestSlot& s) {
+  return {std::bit_cast<std::uint64_t>(s.gain), s.key,
+          std::bit_cast<std::uint64_t>(s.d_skip)};
+}
 }  // namespace
 
 TEST(VecOps, ScanBestSentinelMatchesReference) {
-  // 37 slots (odd tail), ~half empty, one skip slot, distinct gains.
+  // 37 slots (odd tail), ~half empty, one skip slot, distinct gains,
+  // and 1/m2 not a power of two, so a fused multiply-subtract would
+  // round the gains differently from the scalar expression.
   constexpr std::size_t kCap = 37;
   constexpr std::uint32_t kEmpty = 0xffffffffu;
   std::vector<std::uint32_t> keys(kCap, kEmpty);
   std::vector<double> weights(kCap, 0.0);
-  std::vector<double> tot(64, 0.0);
+  std::vector<double> tot(128, 0.0);
   for (std::size_t c = 0; c < tot.size(); ++c) {
     tot[c] = 1.0 + 0.37 * static_cast<double>(c);
   }
   for (std::size_t i = 0; i < kCap; i += 2) {
     keys[i] = static_cast<std::uint32_t>((i * 7) % 60);
-    weights[i] = 0.5 + 0.11 * static_cast<double>(i);
+    weights[i] = 0.01 + 0.001 * static_cast<double>(i);
   }
-  keys[8] = 42;  // the skip slot
+  const std::uint32_t skip = keys[8];  // the skip slot
   weights[8] = 3.25;
+  // Near ties at the top, 3 and 6 ulps of the weight apart, three of
+  // them in one accumulator lane (slots 1, 9, 17) and an exact tie in
+  // the tail: the winner is key 63, the lower id of the exact tie.
+  const double u = 0x1p-52;
+  const std::pair<std::size_t, std::pair<std::uint32_t, double>> near[] = {
+      {1, {63, 1.0 + 6 * u}},
+      {9, {62, 1.0 + 3 * u}},
+      {17, {61, 1.0}},
+      {33, {100, 1.0 + 6 * u}}};
+  for (const auto& [slot, kw] : near) {
+    keys[slot] = kw.first;
+    weights[slot] = kw.second;
+    tot[kw.first] = 15.0;
+  }
   const double k = 5.0;
-  const double inv_m2 = 1.0 / 256.0;
+  const double inv_m2 = 1.0 / 77.0;
   const auto got = vec::scan_best_sentinel(keys.data(), weights.data(), kCap,
-                                           42, tot.data(), k, inv_m2);
+                                           skip, tot.data(), k, inv_m2);
   const auto want =
-      scan_ref(keys.data(), weights.data(), kCap, 42, tot.data(), k, inv_m2);
-  EXPECT_EQ(got.key, want.key);
-  EXPECT_DOUBLE_EQ(got.gain, want.gain);
-  EXPECT_DOUBLE_EQ(got.d_skip, 3.25);
+      scan_ref(keys.data(), weights.data(), kCap, skip, tot.data(), k, inv_m2);
+  EXPECT_EQ(want.key, 63u);
+  EXPECT_EQ(bits(got), bits(want));
+  EXPECT_EQ(got.d_skip, 3.25);
+
+  // The same table with its slots shuffled gives the same bits.
+  util::Xoshiro256 rng(37);
+  for (std::size_t i = kCap - 1; i > 0; --i) {
+    const std::size_t j = rng.next_below(i + 1);
+    std::swap(keys[i], keys[j]);
+    std::swap(weights[i], weights[j]);
+  }
+  EXPECT_EQ(bits(vec::scan_best_sentinel(keys.data(), weights.data(), kCap,
+                                         skip, tot.data(), k, inv_m2)),
+            bits(want));
 }
 
 TEST(VecOps, ScanBestSentinelExactTieGoesToLowestKey) {
   // Two slots with bitwise-identical gains in different vector lanes:
-  // the fold order differs between backends, but the epsilon tie rule
-  // must still hand the win to the lowest community id.
+  // the fold order differs between backends, but better()'s total
+  // order hands the exact tie to the lowest community id.
   constexpr std::uint32_t kEmpty = 0xffffffffu;
   std::vector<std::uint32_t> keys(16, kEmpty);
   std::vector<double> weights(16, 0.0);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <string>
 
@@ -81,11 +82,10 @@ TEST(GraphIoStatus, TruncatedBinaryIsIoError) {
   graph::Csr g = graph::build_csr({{0, 1, 1.0}, {1, 2, 2.0}, {2, 0, 1.0}});
   ASSERT_TRUE(graph::try_save_binary(g, good).ok());
 
-  std::ifstream in(good, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
   const std::string cut = temp_path("truncated.bin");
-  std::ofstream(cut, std::ios::binary) << bytes.substr(0, bytes.size() - 8);
+  std::filesystem::copy_file(good, cut,
+                             std::filesystem::copy_options::overwrite_existing);
+  std::filesystem::resize_file(cut, std::filesystem::file_size(cut) - 8);
 
   const auto r = graph::try_load_binary(cut);
   ASSERT_FALSE(r.ok());
