@@ -58,11 +58,18 @@ struct AlgoRun {
   double modularity = 0;
   int levels = 0;
   double teps = 0;
+  double optimize_seconds = 0;  ///< phase 1, summed over the levels
+  double contract_seconds = 0;  ///< phase 2, summed over the levels
 };
 
 inline AlgoRun make_algo_run(const detect::Result& r) {
-  return {r.total_seconds, r.modularity, static_cast<int>(r.levels.size()),
-          r.first_phase_teps};
+  AlgoRun run{r.total_seconds, r.modularity, static_cast<int>(r.levels.size()),
+              r.first_phase_teps};
+  for (const LevelReport& level : r.levels) {
+    run.optimize_seconds += level.optimize_seconds;
+    run.contract_seconds += level.aggregate_seconds;
+  }
+  return run;
 }
 
 inline AlgoRun run_seq(const graph::Csr& g, bool adaptive,

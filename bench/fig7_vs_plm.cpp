@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
                 "GPU 1.1-27x faster than 20-thread OpenMP Louvain (avg 6.1x), "
                 "same thresholds (1e-2, 1e-6) on both");
 
-  util::Table table({"graph", "plm[s]", "gpu[s]", "speedup", "Q(plm)", "Q(gpu)"});
+  util::Table table({"graph", "plm[s]", "plm.opt[s]", "plm.contract[s]", "gpu[s]",
+                     "speedup", "Q(plm)", "Q(gpu)"});
   double sum_speedup = 0, sum_q_ratio = 0;
   for (const auto& name : graphs) {
     const auto g = gen::suite_entry(name).build(scale, static_cast<std::uint64_t>(seed));
@@ -38,6 +39,8 @@ int main(int argc, char** argv) {
                        ? gpu_run.modularity / plm_run.modularity
                        : 1.0;
     table.add_row({name, util::Table::fixed(plm_run.seconds, 3),
+                   util::Table::fixed(plm_run.optimize_seconds, 3),
+                   util::Table::fixed(plm_run.contract_seconds, 3),
                    util::Table::fixed(gpu_run.seconds, 3),
                    util::Table::fixed(speedup, 2),
                    util::Table::fixed(plm_run.modularity, 4),

@@ -29,8 +29,8 @@ int main(int argc, char** argv) {
                 "GPU 0.15s-26.1s on a K40m; GPU faster on all 55 graphs");
 
   util::Table table({"graph", "stands in for", "|V|", "|E|", "deg(avg)",
-                     "seq[s]", "gpu[s]", "vec[s]", "speedup", "Q(seq)",
-                     "Q(gpu)"});
+                     "seq[s]", "seq.opt[s]", "seq.contract[s]", "gpu[s]",
+                     "vec[s]", "speedup", "Q(seq)", "Q(gpu)"});
   for (const auto& name : graphs) {
     const auto& entry = gen::suite_entry(name);
     const auto g = entry.build(scale, static_cast<std::uint64_t>(seed));
@@ -69,6 +69,8 @@ int main(int argc, char** argv) {
                    util::Table::count(g.num_edges()),
                    util::Table::fixed(stats.mean_degree, 1),
                    skip_seq ? "-" : util::Table::fixed(seq_run.seconds, 3),
+                   skip_seq ? "-" : util::Table::fixed(seq_run.optimize_seconds, 3),
+                   skip_seq ? "-" : util::Table::fixed(seq_run.contract_seconds, 3),
                    util::Table::fixed(core_run.seconds, 3),
                    util::Table::fixed(vec_run.seconds, 3),
                    skip_seq ? "-"

@@ -60,6 +60,7 @@ StatusOr<Csr> try_load_edge_list(const std::string& path) {
     double w = 1.0;
     if (!(ss >> u >> v)) return malformed(path, "bad edge line: " + line);
     ss >> w;
+    if (!valid_weight(w)) return malformed(path, "bad edge weight: " + line);
     if (!fits_vertex_id(u)) return vertex_overflow(path, u);
     if (!fits_vertex_id(v)) return vertex_overflow(path, v);
     edges.push_back({static_cast<VertexId>(u), static_cast<VertexId>(v), w});
@@ -139,6 +140,7 @@ StatusOr<Csr> try_load_metis(const std::string& path) {
     while (ss >> nb) {
       double w = 1.0;
       if (has_edge_weights && !(ss >> w)) return malformed(path, "missing edge weight");
+      if (!valid_weight(w)) return malformed(path, "bad edge weight: " + line);
       if (nb == 0 || nb > n) return malformed(path, "neighbor out of range");
       if (nb - 1 >= v) {  // keep each undirected edge once
         edges.push_back({static_cast<VertexId>(v), static_cast<VertexId>(nb - 1), w});
@@ -255,6 +257,9 @@ StatusOr<Csr> try_load_binary(const std::string& path) {
   const auto n = static_cast<VertexId>(offsets.size() - 1);
   for (const VertexId nb : adj) {
     if (nb >= n) return malformed(path, "neighbor id out of range");
+  }
+  for (const Weight w : weights) {
+    if (!valid_weight(w)) return malformed(path, "bad edge weight");
   }
   return Csr(std::move(offsets), std::move(adj), std::move(weights));
 }

@@ -5,7 +5,9 @@
 // Every operation reports failure as a value: util::Status /
 // util::StatusOr (missing file -> kNotFound, malformed content ->
 // kInvalidArgument, mid-stream read/write failure -> kIoError; the CLI
-// maps these to distinct exit codes).
+// maps these to distinct exit codes). An edge weight that is not finite
+// and > 0 (graph::valid_weight) is malformed content, except in
+// MatrixMarket files, which read |value| and map 0 to 1.
 #pragma once
 
 #include <string>

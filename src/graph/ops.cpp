@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-#include <unordered_map>
 
 #include "simt/thread_pool.hpp"
 
@@ -33,7 +31,7 @@ std::string validate(const Csr& graph) {
       if (!first && adj[i] <= prev) {
         return "row not strictly sorted (duplicate edge?) at vertex " + std::to_string(v);
       }
-      if (!(weights[i] > 0) || !std::isfinite(weights[i])) {
+      if (!valid_weight(weights[i])) {
         return "non-positive or non-finite weight at vertex " + std::to_string(v);
       }
       if (adj[i] == v) ++loops;
@@ -110,22 +108,6 @@ Csr permute(const Csr& graph, const std::vector<VertexId>& perm) {
     }
   });
   return Csr(std::move(offsets), std::move(adj), std::move(weights));
-}
-
-Csr contract_reference(const Csr& graph, const std::vector<Community>& community,
-                       std::vector<VertexId>* new_id_out) {
-  struct Row {
-    const VertexId* adj;
-    const Weight* w;
-    EdgeIdx deg;
-  };
-  return contract_reference(
-      graph.num_vertices(),
-      [&](VertexId v) {
-        return Row{graph.neighbors(v).data(), graph.weights(v).data(),
-                   graph.degree(v)};
-      },
-      community, new_id_out);
 }
 
 std::uint64_t count_components(const Csr& graph) {

@@ -33,6 +33,15 @@ constexpr bool fits_vertex_id(unsigned long long id) noexcept {
   return id < kInvalidVertex;
 }
 
+/// Whether a weight from outside input is finite and > 0 (NaN fails
+/// both comparisons). Every backend assumes positive weights: a zero
+/// sum marks an untouched id in core::CommunityWeights. Every reader of
+/// untrusted weights (graph io, delta files) and graph::validate check
+/// this one rule.
+constexpr bool valid_weight(Weight w) noexcept {
+  return w > 0 && w <= std::numeric_limits<Weight>::max();
+}
+
 /// A weighted edge in coordinate form, the builder's input currency.
 struct Edge {
   VertexId u = 0;

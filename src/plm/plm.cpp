@@ -1,13 +1,11 @@
 #include "plm/plm.hpp"
 
-#include <algorithm>
-#include <cmath>
-
+#include "core/community_weights.hpp"
 #include "core/levels.hpp"
+#include "core/rows.hpp"
 #include "metrics/modularity.hpp"
 #include "metrics/partition.hpp"
 #include "obs/recorder.hpp"
-#include "prim/scan.hpp"
 #include "simt/atomics.hpp"
 #include "simt/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -18,17 +16,8 @@ namespace {
 
 using graph::Community;
 using graph::Csr;
-using graph::EdgeIdx;
 using graph::VertexId;
 using graph::Weight;
-
-/// One worker's sparse accumulator (value + touched list), reset in
-/// O(deg) after each vertex. Cache-line aligned: the touched list's
-/// clear() and push_back write its header for every vertex.
-struct alignas(64) Accumulator {
-  std::vector<Weight> neigh;
-  std::vector<Community> touched;
-};
 
 /// One modularity-optimization phase with immediate (asynchronous)
 /// moves.
@@ -46,11 +35,8 @@ PhaseResult optimize_phase(const Csr& graph, std::vector<Community>& community,
   std::vector<Weight> tot = strengths;
   std::vector<VertexId> com_size(n, 1);
 
-  std::vector<Accumulator> acc(pool.size());
-  for (Accumulator& a : acc) {
-    a.neigh.assign(n, -1);
-    a.touched.reserve(256);
-  }
+  std::vector<core::CommunityWeights> acc;
+  for (unsigned w = 0; w < pool.size(); ++w) acc.emplace_back(n);
 
   PhaseResult result;
   double current_q = metrics::modularity(graph, community);
@@ -65,30 +51,21 @@ PhaseResult optimize_phase(const Csr& graph, std::vector<Community>& community,
       const Community old_c = simt::atomic_load(community[v]);
       const Weight k = strengths[v];
 
-      auto& nw = acc[worker].neigh;
-      auto& tc = acc[worker].touched;
-      tc.clear();
-
+      core::CommunityWeights& nw = acc[worker];
       auto nbrs = graph.neighbors(v);
       auto ws = graph.weights(v);
       for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        if (nbrs[i] == v) continue;
-        const Community c = simt::atomic_load(community[nbrs[i]]);
-        if (nw[c] < 0) {
-          nw[c] = 0;
-          tc.push_back(c);
-        }
-        nw[c] += ws[i];
+        if (nbrs[i] != v) nw.add(simt::atomic_load(community[nbrs[i]]), ws[i]);
       }
 
-      const Weight d_old = nw[old_c] < 0 ? 0 : nw[old_c];
+      const Weight d_old = nw[old_c];
       const Weight tot_old_without_v = simt::atomic_load(tot[old_c]) - k;
 
       Community best_c = old_c;
       double best_gain = d_old - k * tot_old_without_v / m2;
       const bool v_is_singleton = simt::atomic_load(com_size[old_c]) == 1;
 
-      for (const Community c : tc) {
+      for (const Community c : nw.touched()) {
         if (c == old_c) continue;
         const double gain = nw[c] - k * simt::atomic_load(tot[c]) / m2;
         if (gain > best_gain + 1e-15 ||
@@ -98,7 +75,7 @@ PhaseResult optimize_phase(const Csr& graph, std::vector<Community>& community,
         }
       }
 
-      for (const Community c : tc) nw[c] = -1;
+      nw.clear();
 
       // Singleton guard from [16]: a singleton may only join another
       // singleton with a smaller community id (breaks the two-vertex
@@ -134,70 +111,6 @@ PhaseResult optimize_phase(const Csr& graph, std::vector<Community>& community,
   return result;
 }
 
-/// Parallel contraction: counting-sort vertices by community, then one
-/// task per community merges its members' neighbour lists.
-Csr contract_parallel(const Csr& graph, const std::vector<Community>& community,
-                      VertexId num_communities) {
-  const VertexId n = graph.num_vertices();
-  auto& pool = simt::ThreadPool::global();
-
-  // Group members of each community.
-  std::vector<EdgeIdx> size(num_communities, 0);
-  for (VertexId v = 0; v < n; ++v) ++size[community[v]];
-  std::vector<EdgeIdx> start(num_communities + 1, 0);
-  start[num_communities] = prim::exclusive_scan(
-      std::span<const EdgeIdx>(size),
-      std::span<EdgeIdx>(start.data(), num_communities), pool);
-  std::vector<EdgeIdx> cursor(start.begin(), start.begin() + num_communities);
-  std::vector<VertexId> members(n);
-  for (VertexId v = 0; v < n; ++v) members[cursor[community[v]]++] = v;
-
-  // Merge each community's rows.
-  std::vector<std::vector<std::pair<VertexId, Weight>>> rows(num_communities);
-  pool.parallel_for(num_communities, [&](std::size_t c, unsigned) {
-    std::vector<std::pair<VertexId, Weight>> acc;
-    for (EdgeIdx i = start[c]; i < start[c + 1]; ++i) {
-      const VertexId v = members[i];
-      auto nbrs = graph.neighbors(v);
-      auto ws = graph.weights(v);
-      for (std::size_t e = 0; e < nbrs.size(); ++e) {
-        acc.emplace_back(community[nbrs[e]], ws[e]);
-      }
-    }
-    std::sort(acc.begin(), acc.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    auto& row = rows[c];
-    for (std::size_t i = 0; i < acc.size();) {
-      const VertexId nb = acc[i].first;
-      Weight w = 0;
-      while (i < acc.size() && acc[i].first == nb) {
-        w += acc[i].second;
-        ++i;
-      }
-      row.emplace_back(nb, w);
-    }
-  });
-
-  std::vector<EdgeIdx> degree(num_communities);
-  for (VertexId c = 0; c < num_communities; ++c) degree[c] = rows[c].size();
-  std::vector<EdgeIdx> offsets(num_communities + 1, 0);
-  offsets[num_communities] = prim::exclusive_scan(
-      std::span<const EdgeIdx>(degree),
-      std::span<EdgeIdx>(offsets.data(), num_communities), pool);
-
-  std::vector<VertexId> adj(offsets[num_communities]);
-  std::vector<Weight> weights(offsets[num_communities]);
-  pool.parallel_for(num_communities, [&](std::size_t c, unsigned) {
-    EdgeIdx at = offsets[c];
-    for (const auto& [nb, w] : rows[c]) {
-      adj[at] = nb;
-      weights[at] = w;
-      ++at;
-    }
-  });
-  return Csr(std::move(offsets), std::move(adj), std::move(weights));
-}
-
 }  // namespace
 
 detect::Result louvain(const Csr& graph, const Config& config,
@@ -218,10 +131,12 @@ detect::Result louvain(const Csr& graph, const Config& config,
       },
       [&](int) {
         obs::Span agg_span(rec, "aggregate");
-        const Community num_communities = metrics::renumber(phase_community);
+        metrics::renumber(phase_community);
         result.community = metrics::flatten(result.community, phase_community);
         result.dendrogram.push_level(phase_community);
-        current = contract_parallel(current, phase_community, num_communities);
+        current = core::contract_reference(core::PlainRows(current),
+                                           phase_community,
+                                           simt::ThreadPool::global());
         return core::LevelSize{current.num_vertices(), current.num_arcs()};
       });
 

@@ -23,9 +23,10 @@ namespace glouvain::plm {
 /// global pool as-is); PLM has no backend-specific extensions.
 struct Config : detect::Options {};
 
-/// Full multi-level run (core::climb_levels over PLM's phase and its
-/// parallel contraction). `recorder` (optional) receives per-level
-/// "modopt"/"aggregate" spans comparable with the core backend's.
+/// Full multi-level run (core::climb_levels over PLM's phase and
+/// core::contract_reference on the global pool). `recorder` (optional)
+/// receives per-level "modopt"/"aggregate" spans comparable with the
+/// core backend's.
 detect::Result louvain(const graph::Csr& graph, const Config& config = {},
                        obs::Recorder* recorder = nullptr);
 

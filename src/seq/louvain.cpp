@@ -2,9 +2,9 @@
 
 #include <optional>
 
+#include "core/community_weights.hpp"
 #include "core/levels.hpp"
 #include "core/rows.hpp"
-#include "graph/ops.hpp"
 #include "metrics/partition.hpp"
 #include "obs/recorder.hpp"
 #include "util/timer.hpp"
@@ -96,12 +96,7 @@ PhaseResult phase_impl(Rows& rows, std::vector<Community>& community,
     }
   }
 
-  // Sparse neighbour-community accumulator (the "hash table" of the
-  // sequential algorithm): value array indexed by community plus the
-  // list of touched entries for O(deg) reset.
-  std::vector<Weight> neigh_weight(n, -1);
-  std::vector<Community> touched;
-  touched.reserve(256);
+  core::CommunityWeights neigh_weight(n);  // the sequential "hash table"
 
   PhaseResult result;
   double current_q = modularity_from(in, tot, m2);
@@ -120,19 +115,12 @@ PhaseResult phase_impl(Rows& rows, std::vector<Community>& community,
       const Weight k = strengths[v];
 
       // Gather d_{v,c} for every adjacent community (self excluded).
-      touched.clear();
       const core::RowView r = rows.row(v, 0);
       for (std::uint32_t i = 0; i < r.deg; ++i) {
-        if (r.adj[i] == v) continue;
-        const Community c = community[r.adj[i]];
-        if (neigh_weight[c] < 0) {
-          neigh_weight[c] = 0;
-          touched.push_back(c);
-        }
-        neigh_weight[c] += r.w[i];
+        if (r.adj[i] != v) neigh_weight.add(community[r.adj[i]], r.w[i]);
       }
 
-      const Weight d_old = neigh_weight[old_c] < 0 ? 0 : neigh_weight[old_c];
+      const Weight d_old = neigh_weight[old_c];
 
       // Remove v from its community.
       tot[old_c] -= k;
@@ -142,7 +130,7 @@ PhaseResult phase_impl(Rows& rows, std::vector<Community>& community,
       // staying put wins ties against moving (strict improvement only).
       Community best_c = old_c;
       double best_gain = d_old - k * tot[old_c] / m2;
-      for (const Community c : touched) {
+      for (const Community c : neigh_weight.touched()) {
         if (c == old_c) continue;
         const double gain = neigh_weight[c] - k * tot[c] / m2;
         if (gain > best_gain + 1e-15 ||
@@ -153,9 +141,7 @@ PhaseResult phase_impl(Rows& rows, std::vector<Community>& community,
       }
 
       // Insert into the winner.
-      const Weight d_best = best_c == old_c
-                                ? d_old
-                                : (neigh_weight[best_c] < 0 ? 0 : neigh_weight[best_c]);
+      const Weight d_best = neigh_weight[best_c];
       tot[best_c] += k;
       in[best_c] += 2 * d_best + loops[v];
       community[v] = best_c;
@@ -164,7 +150,7 @@ PhaseResult phase_impl(Rows& rows, std::vector<Community>& community,
         ++moved_count;
       }
 
-      for (const Community c : touched) neigh_weight[c] = -1;
+      neigh_weight.clear();
     }
 
     if (result.sweeps == 1) result.first_sweep_seconds = sweep_timer.seconds();
@@ -203,6 +189,7 @@ detect::Result run_impl(const Csr* graph, const zg::ZCsr* z0,
   result.community.resize(size0.vertices);
   for (VertexId v = 0; v < size0.vertices; ++v) result.community[v] = v;
 
+  simt::ThreadPool one_thread(1);  // contracts inline on the caller
   Csr current;  // empty during level 0 of a compressed run
   std::optional<core::ZRows> zrows;  // level 0 of a compressed run only
   if (z0) {
@@ -235,11 +222,9 @@ detect::Result run_impl(const Csr* graph, const zg::ZCsr* z0,
     result.community = metrics::flatten(result.community, phase_community);
     result.dendrogram.push_level(phase_community);
     current = zrows && level == 0
-                  ? graph::contract_reference(
-                        zrows->num_vertices(),
-                        [&](VertexId v) { return zrows->row(v, 0); },
-                        phase_community)
-                  : graph::contract_reference(current, phase_community);
+                  ? core::contract_reference(*zrows, phase_community, one_thread)
+                  : core::contract_reference(core::PlainRows(current),
+                                             phase_community, one_thread);
     return core::LevelSize{current.num_vertices(), current.num_arcs()};
   };
 

@@ -27,8 +27,8 @@ struct Config : detect::Options {
   Config() { thresholds.adaptive = false; }
 };
 
-/// Full multi-level run (core::climb_levels over seq's phase and its
-/// sort-based contraction). `recorder` (optional) receives per-level
+/// Full multi-level run (core::climb_levels over seq's phase and
+/// core::contract_reference). `recorder` (optional) receives per-level
 /// "modopt"/"aggregate" spans comparable with the core backend's.
 detect::Result louvain(const graph::Csr& graph, const Config& config = {},
                        obs::Recorder* recorder = nullptr);

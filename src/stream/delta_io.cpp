@@ -55,7 +55,10 @@ util::StatusOr<std::vector<Delta>> try_load_deltas(const std::string& path) {
     }
     graph::Edge e{static_cast<graph::VertexId>(u),
                   static_cast<graph::VertexId>(v)};
-    if (head == "+") ls >> e.w;  // optional weight (default 1), insertions only
+    if (head == "+") {  // optional weight (default 1), insertions only
+      ls >> e.w;
+      if (!graph::valid_weight(e.w)) return bad_line(line_no, line);
+    }
 
     if (!open_batch) {
       deltas.emplace_back();

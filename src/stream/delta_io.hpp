@@ -2,13 +2,13 @@
 // emitted by `glouvain churn`. Line-oriented, `#`/`%` comments skipped:
 //
 //   batch <stamp>        -- starts a new Delta (stamp optional, u64)
-//   + u v [w]            -- insertion (w defaults to 1)
+//   + u v [w]            -- insertion (w defaults to 1; finite and > 0)
 //   - u v                -- deletion
 //
 // Edges before the first `batch` line form an implicit batch 0. Status
 // vocabulary matches graph/io: missing file -> kNotFound, malformed
-// line or a vertex id >= graph::kInvalidVertex -> kInvalidArgument,
-// mid-stream failure -> kIoError.
+// line (a bad weight included) or a vertex id >= graph::kInvalidVertex
+// -> kInvalidArgument, mid-stream failure -> kIoError.
 #pragma once
 
 #include <string>

@@ -1,12 +1,15 @@
 // Tests for the GPU-style aggregation phase (Algorithm 3): it must
-// produce exactly the same contracted graph as the sequential reference
-// contraction, for arbitrary partitions.
+// produce exactly the same contracted graph as the reference
+// contraction, for arbitrary partitions. The reference itself, and the
+// accumulator it sums with, are held against a std::map contraction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 
 #include "core/aggregate.hpp"
+#include "core/community_weights.hpp"
 #include "core/workspace.hpp"
 #include "gen/er.hpp"
 #include "gen/lfr.hpp"
@@ -17,6 +20,7 @@
 #include "graph/ops.hpp"
 #include "metrics/modularity.hpp"
 #include "obs/recorder.hpp"
+#include "simt/thread_pool.hpp"
 #include "util/prng.hpp"
 #include "zg/zcsr.hpp"
 
@@ -56,7 +60,8 @@ TEST_P(AggregateVsReference, MatchesSequentialContraction) {
   simt::Device device;
   const AggregationResult got = aggregate(device, g, part);
   std::vector<VertexId> ref_new_id;
-  const Csr expect = graph::contract_reference(g, part, &ref_new_id);
+  const Csr expect = contract_reference(PlainRows(g), part,
+                                        simt::ThreadPool::global(), &ref_new_id);
 
   ASSERT_EQ(got.contracted.num_vertices(), expect.num_vertices());
   EXPECT_EQ(got.contracted, expect);  // identical arrays, rows sorted
@@ -129,7 +134,8 @@ TEST(Aggregate, SkewedCommunitySizesHitAllBuckets) {
   for (auto& c : part) c = c % g.num_vertices();
   simt::Device device;
   const AggregationResult got = aggregate(device, g, part);
-  const Csr expect = graph::contract_reference(g, part);
+  const Csr expect =
+      contract_reference(PlainRows(g), part, simt::ThreadPool::global());
   EXPECT_EQ(got.contracted, expect);
 }
 
@@ -193,7 +199,8 @@ TEST(Aggregate, GraphWithSelfLoopsContractsCorrectly) {
   const std::vector<Community> part{0, 0, 2, 2};
   simt::Device device;
   const AggregationResult agg = aggregate(device, g, part);
-  const Csr expect = graph::contract_reference(g, part);
+  const Csr expect =
+      contract_reference(PlainRows(g), part, simt::ThreadPool::global());
   EXPECT_EQ(agg.contracted, expect);
   // New community {0,1}: loop = 2*1 (internal edge) + 2 (old loop) = 4.
   EXPECT_DOUBLE_EQ(agg.contracted.loop_weight(0), 4.0);
@@ -205,7 +212,7 @@ TEST(Aggregate, GraphWithSelfLoopsContractsCorrectly) {
 // sum of 16 arcs) against a std::map contraction.
 
 /// Contraction through one std::map per new vertex: shares no code with
-/// either merge path or with graph::contract_reference.
+/// either merge path or with contract_reference.
 Csr map_contraction(const Csr& g, const std::vector<Community>& part) {
   std::map<Community, VertexId> new_id;
   for (VertexId v = 0; v < g.num_vertices(); ++v) new_id.emplace(part[v], 0);
@@ -392,6 +399,124 @@ TEST(Aggregate, DirectMergeMatchesMapContractionOnPlantedPartition) {
   std::vector<Community> up_part(up.num_vertices());
   for (VertexId v = 0; v < up.num_vertices(); ++v) up_part[v] = v / 5 * 5;
   EXPECT_EQ(expect_contracts_like_map(up, up_part, 1), 8);
+}
+
+// --- The reference contraction and its accumulator.
+
+TEST(CommunityWeights, SumsInAddOrderAndClearsOnlyTouchedIds) {
+  CommunityWeights sums(8);
+  const Weight a = 0.1;
+  const Weight b = 0.2;
+  const Weight c = 0.3;
+  sums.add(5, a);
+  sums.add(2, b);
+  sums.add(5, b);
+  sums.add(5, c);
+  EXPECT_EQ(std::vector<Community>(sums.touched().begin(), sums.touched().end()),
+            (std::vector<Community>{5, 2}));  // first-touch order
+  EXPECT_EQ(sums[0], 0.0);  // untouched ids read 0
+  EXPECT_EQ(sums[7], 0.0);
+  // The sum is the left fold in add order, whose bits differ from
+  // another association of the same three terms.
+  ASSERT_NE((a + b) + c, a + (b + c));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sums[5]),
+            std::bit_cast<std::uint64_t>((a + b) + c));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sums[2]), std::bit_cast<std::uint64_t>(b));
+
+  // clear() zeroes the touched ids, so the next vertex starts clean:
+  // every id reads 0 and a re-touched id is a first touch again.
+  sums.clear();
+  EXPECT_TRUE(sums.touched().empty());
+  for (Community id = 0; id < 8; ++id) EXPECT_EQ(sums[id], 0.0) << id;
+  sums.add(2, c);
+  sums.add(5, a);
+  EXPECT_EQ(std::vector<Community>(sums.touched().begin(), sums.touched().end()),
+            (std::vector<Community>{2, 5}));
+  EXPECT_EQ(sums[2], c);
+  EXPECT_EQ(sums[5], a);
+}
+
+TEST(ReferenceContraction, MatchesMapContractionBitForBit) {
+  // Members are summed in ascending id and each row in adjacency order,
+  // the order map_contraction adds in, so even non-integer sums agree
+  // bit for bit, on either row source and at any pool size.
+  const Csr sbm = gen::planted_partition(
+                      {.num_vertices = 20000, .num_communities = 40, .seed = 11})
+                      .graph;
+  const Csr road = gen::road_network({.grid_nx = 48, .grid_ny = 48, .seed = 3});
+  simt::ThreadPool one(1);
+  simt::ThreadPool four(4);
+  for (const auto& [input, base] :
+       {std::pair<const char*, const Csr*>{"sbm", &sbm}, {"road", &road}}) {
+    for (const bool integer : {true, false}) {
+      const Csr g = integer ? *base : reweighted(*base);
+      const zg::ZCsr z = zg::ZCsr::encode(g);
+      for (const bool bound : {true, false}) {
+        const auto part = bound ? bound_partition(g)
+                                : random_partition(g.num_vertices(), 17, 5);
+        const Csr want = map_contraction(g, part);
+        for (simt::ThreadPool* pool : {&one, &four}) {
+          SCOPED_TRACE(std::string(input) + (integer ? " integer" : " reweighted") +
+                       (bound ? " bound_partition" : " random_partition") +
+                       " pool " + std::to_string(pool->size()));
+          EXPECT_EQ(contract_reference(PlainRows(g), part, *pool), want);
+          EXPECT_EQ(contract_reference(ZRows(z, pool->size()), part, *pool), want);
+        }
+      }
+    }
+  }
+}
+
+Csr random_graph(VertexId n, std::size_t m, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<graph::Edge> edges;
+  for (std::size_t i = 0; i < m; ++i) {
+    edges.push_back({static_cast<VertexId>(rng.next_below(n)),
+                     static_cast<VertexId>(rng.next_below(n)),
+                     1.0 + static_cast<double>(rng.next_below(5))});
+  }
+  return graph::build_csr(n, std::move(edges));
+}
+
+TEST(ReferenceContraction, MergesCommunities) {
+  // Two triangles joined by one edge; contract each triangle.
+  const Csr g = graph::build_csr(6, {{0, 1, 1}, {1, 2, 1}, {0, 2, 1},
+                                     {3, 4, 1}, {4, 5, 1}, {3, 5, 1},
+                                     {2, 3, 1}});
+  const std::vector<Community> part{0, 0, 0, 1, 1, 1};
+  const Csr c = contract_reference(PlainRows(g), part, simt::ThreadPool::global());
+  EXPECT_EQ(c.num_vertices(), 2u);
+  // Self-loop: 2 * 3 internal edges = 6; cross edge weight 1.
+  EXPECT_DOUBLE_EQ(c.loop_weight(0), 6.0);
+  EXPECT_DOUBLE_EQ(c.loop_weight(1), 6.0);
+  EXPECT_NEAR(c.total_weight(), g.total_weight(), 1e-9);
+  EXPECT_TRUE(graph::validate(c).empty()) << graph::validate(c);
+}
+
+TEST(ReferenceContraction, PreservesTotalWeightOnRandom) {
+  const Csr g = random_graph(300, 2000, 4);
+  util::Xoshiro256 rng(9);
+  std::vector<Community> part(300);
+  for (auto& c : part) c = static_cast<Community>(rng.next_below(17));
+  std::vector<VertexId> new_id;
+  const Csr c = contract_reference(PlainRows(g), part, simt::ThreadPool::global(),
+                                   &new_id);
+  EXPECT_NEAR(c.total_weight(), g.total_weight(), 1e-9);
+  EXPECT_TRUE(graph::validate(c).empty()) << graph::validate(c);
+  // Strength of each new vertex equals the summed member strengths.
+  std::vector<Weight> expect(c.num_vertices(), 0);
+  for (VertexId v = 0; v < 300; ++v) expect[new_id[part[v]]] += g.strength(v);
+  for (VertexId nv = 0; nv < c.num_vertices(); ++nv) {
+    EXPECT_NEAR(c.strength(nv), expect[nv], 1e-9) << nv;
+  }
+}
+
+TEST(ReferenceContraction, IdentityPartition) {
+  const Csr g = random_graph(50, 200, 5);
+  std::vector<Community> part(50);
+  for (VertexId v = 0; v < 50; ++v) part[v] = v;
+  const Csr c = contract_reference(PlainRows(g), part, simt::ThreadPool::global());
+  EXPECT_EQ(c, g);
 }
 
 }  // namespace

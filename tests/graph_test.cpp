@@ -179,46 +179,6 @@ TEST(Ops, PermutePreservesStructure) {
   for (VertexId v = 0; v < 200; ++v) EXPECT_EQ(p.degree(perm[v]), g.degree(v));
 }
 
-TEST(Ops, ContractReferenceMergesCommunities) {
-  // Two triangles joined by one edge; contract each triangle.
-  const Csr g = build_csr(6, {{0, 1, 1}, {1, 2, 1}, {0, 2, 1},
-                              {3, 4, 1}, {4, 5, 1}, {3, 5, 1},
-                              {2, 3, 1}});
-  const std::vector<Community> part{0, 0, 0, 1, 1, 1};
-  const Csr c = contract_reference(g, part);
-  EXPECT_EQ(c.num_vertices(), 2u);
-  // Self-loop: 2 * 3 internal edges = 6; cross edge weight 1.
-  EXPECT_DOUBLE_EQ(c.loop_weight(0), 6.0);
-  EXPECT_DOUBLE_EQ(c.loop_weight(1), 6.0);
-  EXPECT_NEAR(c.total_weight(), g.total_weight(), 1e-9);
-  EXPECT_TRUE(validate(c).empty()) << validate(c);
-}
-
-TEST(Ops, ContractPreservesTotalWeightOnRandom) {
-  const Csr g = random_graph(300, 2000, 4);
-  util::Xoshiro256 rng(9);
-  std::vector<Community> part(300);
-  for (auto& c : part) c = static_cast<Community>(rng.next_below(17));
-  std::vector<VertexId> new_id;
-  const Csr c = contract_reference(g, part, &new_id);
-  EXPECT_NEAR(c.total_weight(), g.total_weight(), 1e-9);
-  EXPECT_TRUE(validate(c).empty()) << validate(c);
-  // Strength of each new vertex equals the summed member strengths.
-  std::vector<Weight> expect(c.num_vertices(), 0);
-  for (VertexId v = 0; v < 300; ++v) expect[new_id[part[v]]] += g.strength(v);
-  for (VertexId nv = 0; nv < c.num_vertices(); ++nv) {
-    EXPECT_NEAR(c.strength(nv), expect[nv], 1e-9) << nv;
-  }
-}
-
-TEST(Ops, ContractIdentityPartition) {
-  const Csr g = random_graph(50, 200, 5);
-  std::vector<Community> part(50);
-  for (VertexId v = 0; v < 50; ++v) part[v] = v;
-  const Csr c = contract_reference(g, part);
-  EXPECT_EQ(c, g);
-}
-
 TEST(Ops, CountComponents) {
   const Csr g = build_csr(6, {{0, 1, 1}, {1, 2, 1}, {3, 4, 1}});
   EXPECT_EQ(count_components(g), 3u);  // {0,1,2}, {3,4}, {5}

@@ -3,13 +3,15 @@
 
 #include <cmath>
 
+#include "core/community_weights.hpp"
+#include "core/rows.hpp"
 #include "gen/cliques.hpp"
 #include "gen/er.hpp"
 #include "graph/builder.hpp"
-#include "graph/ops.hpp"
 #include "metrics/compare.hpp"
 #include "metrics/modularity.hpp"
 #include "metrics/partition.hpp"
+#include "simt/thread_pool.hpp"
 #include "util/prng.hpp"
 
 namespace glouvain::metrics {
@@ -70,7 +72,8 @@ TEST(Modularity, InvariantUnderContraction) {
   const double q_fine = modularity(g, part);
 
   std::vector<graph::VertexId> new_id;
-  const Csr coarse = graph::contract_reference(g, part, &new_id);
+  const Csr coarse = core::contract_reference(core::PlainRows(g), part,
+                                              simt::ThreadPool::global(), &new_id);
   // On the contracted graph each vertex is its own community.
   std::vector<Community> identity(coarse.num_vertices());
   for (VertexId v = 0; v < coarse.num_vertices(); ++v) identity[v] = v;

@@ -61,6 +61,11 @@ expect(2 "retired detect --shard-storage flag"
   detect --in "${graph}" --shard-storage mmap)
 expect(2 "retired batch --shard-storage flag" batch --shard-storage plain)
 expect(2 "undeclared stats flag" stats --in "${graph}" --verbose)
+# Every backend assumes positive weights; the loaders reject others.
+file(WRITE "${WORK_DIR}/cli_codes_negative.txt"
+  "0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n2 3 -2\n")
+expect(2 "negative edge weight"
+  detect --in "${WORK_DIR}/cli_codes_negative.txt")
 set(deltas "${WORK_DIR}/cli_codes.deltas")
 file(WRITE "${deltas}" "batch 1\n+ 0 1\n")
 expect(2 "unknown stream backend"

@@ -1,5 +1,6 @@
 // Tests for the util::Status error vocabulary and its adoption by the
-// graph I/O layer (try_* loaders with distinct failure codes).
+// graph I/O layer (try_* loaders with distinct failure codes) and the
+// delta parser.
 #include "util/status.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 
 #include "graph/builder.hpp"
 #include "graph/io.hpp"
+#include "stream/delta_io.hpp"
 
 namespace glouvain {
 namespace {
@@ -112,6 +114,50 @@ TEST(GraphIoStatus, AutoDispatchPropagatesStatus) {
   const auto bad = graph::try_load_auto(path);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), util::StatusCode::kInvalidArgument);
+}
+
+// Every backend assumes positive weights, so each reader of a weight
+// rejects one that is not finite and > 0 on the line that carries it.
+TEST(GraphIoStatus, NonPositiveEdgeListWeightIsInvalidArgument) {
+  for (const std::string w : {"0", "-2"}) {
+    // Two triangles joined by an edge of weight w.
+    const std::string path = temp_path("weight_" + w + ".txt");
+    std::ofstream(path) << "0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n2 3 " << w << "\n";
+    const auto r = graph::try_load_edge_list(path);
+    ASSERT_FALSE(r.ok()) << w;
+    EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument) << w;
+  }
+}
+
+TEST(GraphIoStatus, NegativeMetisWeightIsInvalidArgument) {
+  const std::string path = temp_path("negative.graph");
+  std::ofstream(path) << "3 2 1\n2 1\n1 1 3 -3\n2 -3\n";
+  const auto r = graph::try_load_metis(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
+}
+
+TEST(GraphIoStatus, NegativeBinaryWeightIsInvalidArgument) {
+  const std::string path = temp_path("negative.bin");
+  graph::Csr g = graph::build_csr({{0, 1, 1.0}, {1, 2, 2.0}, {2, 0, 1.0}});
+  ASSERT_TRUE(graph::try_save_binary(g, path).ok());
+  // The weight section ends the file: overwrite its last entry.
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(-static_cast<std::streamoff>(sizeof(double)), std::ios::end);
+  const double negative = -1.0;
+  f.write(reinterpret_cast<const char*>(&negative), sizeof negative);
+  f.close();
+  const auto r = graph::try_load_binary(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
+}
+
+TEST(DeltaIoStatus, NegativeInsertionWeightIsInvalidArgument) {
+  const std::string path = temp_path("negative.deltas");
+  std::ofstream(path) << "batch 1\n+ 0 1 -5\n";
+  const auto r = stream::try_load_deltas(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 }  // namespace
