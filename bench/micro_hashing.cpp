@@ -10,7 +10,7 @@
 
 #include "core/buckets.hpp"
 #include "core/hash_map.hpp"
-#include "simt/lane_vec.hpp"
+#include "simt/lane_group.hpp"
 #include "util/primes.hpp"
 
 using namespace glouvain;
@@ -46,13 +46,12 @@ double core_hash_pass(simt::Device& device, const graph::Csr& g) {
       const graph::EdgeIdx off = g.offset(v);
       auto adjacency = g.adjacency();
       auto ew = g.edge_weights();
-      simt::with_lane_group(
-          scheme.lanes[b], false, nullptr, [&](const auto& group) {
-            group.strided_for(deg, [&](unsigned, std::size_t idx) {
-              // First iteration: every neighbour is its own community.
-              table.insert_add(adjacency[off + idx], ew[off + idx]);
-            });
-          });
+      simt::with_lane_group(scheme.lanes[b], [&](const auto& group) {
+        group.strided_for(deg, [&](unsigned, std::size_t idx) {
+          // First iteration: every neighbour is its own community.
+          table.insert_add(adjacency[off + idx], ew[off + idx]);
+        });
+      });
       sink[ctx.worker()] += table.weight_at(0);
     });
   }

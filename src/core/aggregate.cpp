@@ -16,7 +16,7 @@
 #include "prim/scan.hpp"
 #include "simt/atomics.hpp"
 #include "simt/kernel_ops.hpp"
-#include "simt/lane_vec.hpp"
+#include "simt/lane_group.hpp"
 #include "util/primes.hpp"
 
 namespace glouvain::core {
@@ -147,8 +147,6 @@ AggregationResult aggregate_impl(simt::Device& device, Rows& rows,
   check::WorkspaceGuard ws_guard(&ws);
   const VertexId n = rows.num_vertices();
   auto& pool = device.pool();
-  const bool vector_backend =
-      device.backend() == simt::Backend::kVector && !check::enabled();
   obs::Span phase_span(rec, "aggregate");
   const Workspace::Counters ws_since = ws.counters();
   using Slot = Workspace::Slot;
@@ -314,11 +312,8 @@ AggregationResult aggregate_impl(simt::Device& device, Rows& rows,
 
       // Members processed one after another, all lanes cooperating on
       // each member's edge list (§4.1, aggregation thread assignment).
-      // One group hashes and emits. On the vector backend the hashing
-      // collective lowers to bulk community gathers, which never read
-      // the group's width; emission runs the scalar rounds either way.
-      simt::with_lane_group(lanes, vector_backend, nullptr,
-                            [&](const auto& group) {
+      // One group hashes and emits.
+      simt::with_lane_group(lanes, [&](const auto& group) {
         for (EdgeIdx m = vertex_start[c]; m < vertex_start[c] + com_size[c];
              ++m) {
           simt::hash_row(group, rows.row(com[m], ctx.worker()),

@@ -59,8 +59,7 @@ class FastMod {
 template <bool Atomic>
 class BasicCommunityHashMap {
  public:
-  /// Emptiness is encoded as this sentinel inside the key array itself
-  /// (the vector slot scan masks empty slots by it).
+  /// Emptiness is encoded as this sentinel inside the key array itself.
   static constexpr graph::Community kNull = graph::kInvalidCommunity;
 
   /// capacity = keys.size() must be prime (double hashing needs the
@@ -162,8 +161,8 @@ class BasicCommunityHashMap {
   /// for a previously absent key (task-local variant only: claim
   /// tracking is per-caller state, which a concurrent table cannot
   /// attribute). The kernels use it to keep a compact list of occupied
-  /// slots so the candidate scan can skip the empty majority of a
-  /// sparsely filled table.
+  /// slots, which the best-community fold visits instead of the whole
+  /// table.
   std::size_t insert_add_claim(graph::Community c, graph::Weight w,
                                bool& claimed) noexcept {
     static_assert(!Atomic, "claim tracking is for task-local tables");
@@ -216,16 +215,6 @@ class BasicCommunityHashMap {
   bool occupied(std::size_t pos) const noexcept {
     check::note_plain_read(&keys_[pos]);
     return keys_[pos] != kNull;
-  }
-
-  /// Raw slot arrays for the vector scan (simt/vector_ops.hpp), which
-  /// sweeps whole cache lines instead of per-slot accessors. Bulk
-  /// vector loads carry no check:: notes, so these are only consumed
-  /// outside GLOUVAIN_SIMTCHECK builds (kernel_ops gates on
-  /// check::enabled()).
-  const graph::Community* keys_data() const noexcept { return keys_.data(); }
-  const graph::Weight* weights_data() const noexcept {
-    return weights_.data();
   }
 
  private:

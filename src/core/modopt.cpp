@@ -1,7 +1,6 @@
 #include "core/modopt.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
 
@@ -14,8 +13,8 @@
 #include "obs/recorder.hpp"
 #include "prim/reduce.hpp"
 #include "simt/atomics.hpp"
-#include "simt/kernel_ops.hpp"
-#include "simt/lane_vec.hpp"
+#include "simt/lane_group.hpp"
+#include "simt/vector_ops.hpp"
 #include "util/primes.hpp"
 #include "util/prng.hpp"
 #include "util/timer.hpp"
@@ -241,16 +240,6 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
   }
   const std::size_t num_active = active.size();
 
-  // Vector lane substrate? Resolved once per phase from the device.
-  // Under the checker the scalar twin always runs (kernel_ops gates on
-  // check::enabled()), so the checker keeps validating every build.
-  const bool vector_backend =
-      device.backend() == simt::Backend::kVector && !check::enabled();
-  // Lane occupancy feeds only a recorder counter, so it is collected
-  // only with one attached; groups built without stats skip the count.
-  std::vector<simt::VecLaneStats> vstats;
-  if (vector_backend && rec) vstats.resize(device.workers());
-
   const BucketScheme& scheme = config.modopt_buckets;
   // Sub-round classes: under the bucketed update each degree bucket
   // commits in `subrounds` groups, a vertex's group being a hash of its
@@ -330,9 +319,6 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
 
     for (std::size_t b = 0; b < scheme.num_buckets(); ++b) {
       const unsigned lanes = scheme.lanes[b];
-      // The per-vertex argmax array is sized for <= 128 lanes (one
-      // block); a wider scheme would scribble past it.
-      check::contract(lanes <= 128, "modopt: lane group wider than a block");
       const bool use_global = b >= scheme.global_from;
       // Heaviest bucket: one task per dispatch so the desc-by-degree
       // order load-balances (paper: interleaved assignment to blocks).
@@ -384,13 +370,10 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
             // needed).
             LocalCommunityHashMap table(keys, weights, params);
             table.clear();
-            simt::VecLaneStats* st =
-                vstats.empty() ? nullptr : &vstats[ctx.worker()];
-            simt::with_lane_group(
-                lanes, vector_backend, st, [&](const auto& group) {
-                  detail::compute_move(rows, ctx.worker(), state, m2, v, group,
-                                       table, touched);
-                });
+            simt::with_lane_group(lanes, [&](const auto& group) {
+              detail::compute_move(rows, ctx.worker(), state, m2, v, group,
+                                   table, touched);
+            });
           });
         }
 
@@ -441,19 +424,6 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
   }
 
   if (rec) rec->count("modopt/sweeps", result.sweeps);
-  if (!vstats.empty()) {
-    std::uint64_t lanes_active = 0;
-    std::uint64_t lanes_issued = 0;
-    for (const simt::VecLaneStats& st : vstats) {
-      lanes_active += st.active;
-      lanes_issued += st.slots;
-    }
-    if (lanes_issued > 0) {
-      rec->count("modopt/vector_lane_occupancy",
-                 static_cast<double>(lanes_active) /
-                     static_cast<double>(lanes_issued));
-    }
-  }
   if (q_fresh || !config.eval_phase_modularity) {
     result.modularity = current_q;
   } else {

@@ -4,8 +4,8 @@
 // the other.
 //
 //   * compute_move, the table path: a lane group hashes the
-//     neighbourhood into a task-local open-addressing table and scans
-//     its slots down to the best destination.
+//     neighbourhood into a task-local open-addressing table, and its
+//     claimed slots fold down to the best destination.
 //   * compute_move_small, the register path for degrees 1 to
 //     kSmallMoveDegree: at most four neighbour communities, kept in
 //     registers. No arena table, no clear, no claimed-slot list.
@@ -67,8 +67,8 @@ inline constexpr std::uint32_t kSmallMoveDegree = 4;
 
 /// The table path for one vertex. Rows is the storage seam (PlainRows
 /// or ZRows); Table is the task-local hash map; Group is a
-/// FixedLaneGroup or a VectorLaneGroup. `touched` is caller scratch for
-/// >= capacity slot indices.
+/// FixedLaneGroup. `touched` is caller scratch for >= capacity slot
+/// indices.
 template <typename Rows, typename Group, typename Table>
 void compute_move(Rows& rows, unsigned worker, PhaseState& state,
                   graph::Weight m2, graph::VertexId v, const Group& group,
@@ -79,18 +79,18 @@ void compute_move(Rows& rows, unsigned worker, PhaseState& state,
 
   // Lines 2-13: lane-parallel hashing of the neighbourhood into the
   // task-local table (the self-loop contributes equally to every
-  // candidate, so it is skipped). Claimed slots are recorded so a
-  // sparse table can be scanned compactly below.
+  // candidate, so it is skipped). Claimed slots are recorded for the
+  // fold below.
   const std::uint32_t num_touched = simt::hash_row_claim(
       group, r, v, state.community.data(), table, touched.data());
 
-  // Line 14: scan the table slots and reduce to the best destination.
+  // Line 14: fold the claimed slots down to the best destination.
   // The gain term per candidate community c (v removed from its own
   // community first) is e_{v->c} - k_v * a_c / 2m, the variable part
   // of Eq. (2).
   graph::Weight d_old = 0;  // e_{v->C(v)\{v}}, collected during the scan
   const simt::BestComm best =
-      simt::scan_best(group, table, touched.first(num_touched), old_c,
+      simt::scan_best(table, touched.first(num_touched), old_c,
                       state.tot.data(), k, 1.0 / m2, d_old);
   decide_move(state, m2, v, old_c, k, d_old, best);
 }

@@ -100,9 +100,10 @@ struct Options {
   /// Null = cold start. Shared so copying Options never copies the
   /// O(n) seed/frontier arrays.
   std::shared_ptr<const WarmStart> warm_start;
-  /// Lane substrate for the GPU-style backend's kernels: kScalar is
-  /// the lockstep interpreter (bitwise-stable partitions), kVector the
-  /// AVX2 lowering, kAuto picks vector iff the CPU supports it.
+  /// Device substrate for the GPU-style backend: kScalar is the
+  /// lockstep interpreter (bitwise-stable partitions), kVector adds the
+  /// AVX2 modularity row sum, kAuto picks vector iff the CPU supports
+  /// it.
   /// Ignored by backends without a simt device (seq, plm).
   simt::Backend device = simt::Backend::kAuto;
   /// Sharded backend only: number of edge-cut shards (0 and 1 both

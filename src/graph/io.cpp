@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 
 #include "graph/builder.hpp"
@@ -267,6 +269,9 @@ StatusOr<Csr> try_load_binary(const std::string& path) {
 Status try_save_edge_list(const Csr& graph, const std::string& path) {
   std::ofstream out(path);
   if (!out) return cannot_open(path);
+  // Every bit of a weight survives the text round trip; unit weights
+  // still print as "1".
+  out << std::setprecision(std::numeric_limits<Weight>::max_digits10);
   for (VertexId u = 0; u < graph.num_vertices(); ++u) {
     auto nbrs = graph.neighbors(u);
     auto ws = graph.weights(u);

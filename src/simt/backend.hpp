@@ -1,16 +1,14 @@
-// Execution backend of the software-SIMT device: which substrate a
-// lane group's rounds run on.
+// Execution backend of the software-SIMT device: which substrate the
+// device's vector primitive runs on.
 //
-//   kScalar — the original lockstep interpretation: every lane round
-//     is an inner `for` loop. Bitwise-reference semantics; this is the
-//     twin the simtcheck shadow-memory checker instruments.
-//   kVector — the same kernels with the lane rounds lowered to real
-//     vector instructions (AVX2 gathers, masked compares, 4-wide gain
-//     evaluation). It decides each move as the scalar substrate does
-//     on the same state; only the modularity row sums re-associate.
-//     Requires AVX2 at runtime; on a machine without it the vector
-//     lane group transparently executes the scalar emulation path, so
-//     selecting kVector is always safe.
+//   kScalar — every loop is plain scalar code. Bitwise-reference
+//     semantics.
+//   kVector — the same kernels, with the modularity evaluation's row
+//     sums (vec::row_internal_weight) lowered to AVX2. It decides each
+//     move as the scalar substrate does on the same state; only the
+//     modularity row sums re-associate. Requires AVX2 at runtime; on a
+//     machine without it the row sum transparently takes its scalar
+//     emulation twin, so selecting kVector is always safe.
 //   kAuto — resolve at device construction: kVector when the CPU
 //     reports AVX2, kScalar otherwise.
 //
@@ -45,7 +43,7 @@ inline bool parse_backend(std::string_view name, Backend& out) noexcept {
   return false;
 }
 
-/// True when the running CPU supports the AVX2 lane substrate. Probed
+/// True when the running CPU supports the AVX2 row sum. Probed
 /// once (cpuid via __builtin_cpu_supports) and cached. The environment
 /// variable GLOUVAIN_NO_AVX2, read at first call, forces false — the
 /// CI fallback-dispatch smoke uses it to exercise the emulation path
@@ -55,7 +53,7 @@ bool cpu_has_avx2() noexcept;
 /// Collapse kAuto to the substrate this machine will actually run:
 /// kVector when AVX2 is available, kScalar otherwise. kScalar and
 /// kVector pass through unchanged (kVector without AVX2 still runs,
-/// via the vector group's scalar emulation).
+/// via the row sum's scalar emulation).
 Backend resolve_backend(Backend requested) noexcept;
 
 }  // namespace glouvain::simt

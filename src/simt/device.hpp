@@ -24,8 +24,8 @@ namespace glouvain::simt {
 struct DeviceConfig {
   unsigned worker_threads = 0;  ///< 0 = hardware concurrency
   std::size_t shared_bytes = SharedArena::kDefaultCapacity;
-  /// Lane substrate for the kernels launched on this device. kAuto
-  /// resolves at construction (vector iff the CPU has AVX2 and
+  /// Substrate of the device's vector primitive (the modularity row
+  /// sum; see backend.hpp). kAuto resolves at construction (vector iff the CPU has AVX2 and
   /// GLOUVAIN_NO_AVX2 is unset); Device::backend() is always concrete.
   Backend backend = Backend::kAuto;
 };
@@ -60,8 +60,8 @@ class Device {
 
   const DeviceConfig& config() const noexcept { return config_; }
 
-  /// The resolved lane substrate — never kAuto. Kernel hosts dispatch
-  /// their group type (scalar lockstep vs vector) on this.
+  /// The resolved substrate — never kAuto. The modularity evaluation
+  /// picks its row sum (scalar loop vs AVX2) on this.
   Backend backend() const noexcept { return backend_; }
 
   unsigned workers() const noexcept { return pool_->size(); }
@@ -132,22 +132,6 @@ class Device {
   Backend backend_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<SharedArena> arenas_;
-};
-
-/// Device pinned to the scalar lockstep substrate — today's semantics,
-/// bitwise-identical partitions. Convenience over DeviceConfig.backend.
-class ScalarDevice : public Device {
- public:
-  explicit ScalarDevice(DeviceConfig config = {})
-      : Device((config.backend = Backend::kScalar, config)) {}
-};
-
-/// Device pinned to the vector substrate (AVX2 when available, scalar
-/// emulation of the same call graph otherwise).
-class VectorDevice : public Device {
- public:
-  explicit VectorDevice(DeviceConfig config = {})
-      : Device((config.backend = Backend::kVector, config)) {}
 };
 
 }  // namespace glouvain::simt

@@ -15,12 +15,9 @@ DevicePool::DevicePool(const DevicePoolConfig& config) : config_(config) {
   }
   devices_.resize(config_.max_devices);
   in_use_.assign(config_.max_devices, false);
-  stats_.capacity = config_.max_devices;
 }
 
 DevicePool::~DevicePool() = default;
-
-unsigned DevicePool::capacity() const noexcept { return config_.max_devices; }
 
 DeviceLease DevicePool::acquire(unsigned want) {
   want = std::clamp(want, 1u, config_.max_devices);
@@ -36,15 +33,11 @@ DeviceLease DevicePool::acquire(unsigned want) {
       DeviceConfig dc = config_.device;
       dc.worker_threads = threads_per_device_;
       devices_[i] = std::make_unique<Device>(dc);
-      ++stats_.devices_created;
     }
     in_use_[i] = true;
     indices.push_back(i);
     granted.push_back(devices_[i].get());
   }
-  ++stats_.leases;
-  stats_.devices_granted += granted.size();
-  if (granted.size() < want) ++stats_.degraded_leases;
   return DeviceLease(this, std::move(indices), std::move(granted));
 }
 
@@ -54,11 +47,6 @@ void DevicePool::release(const std::vector<unsigned>& indices) {
     for (const unsigned i : indices) in_use_[i] = false;
   }
   cv_.notify_all();
-}
-
-DevicePool::Stats DevicePool::stats() const {
-  const std::lock_guard lock(m_);
-  return stats_;
 }
 
 }  // namespace glouvain::simt

@@ -17,7 +17,6 @@
 // svc::Service keeps core detectors warm per worker.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -47,28 +46,17 @@ class DeviceLease;
 
 class DevicePool {
  public:
-  struct Stats {
-    std::uint64_t leases = 0;           ///< acquire() calls served
-    std::uint64_t devices_granted = 0;  ///< sum of granted() over leases
-    std::uint64_t degraded_leases = 0;  ///< granted fewer than asked
-    unsigned devices_created = 0;       ///< lazily constructed so far
-    unsigned capacity = 0;              ///< == config.max_devices
-  };
-
   explicit DevicePool(const DevicePoolConfig& config = {});
   ~DevicePool();
 
   DevicePool(const DevicePool&) = delete;
   DevicePool& operator=(const DevicePool&) = delete;
 
-  /// Lease up to `want` devices (want is clamped to [1, capacity]).
+  /// Lease up to `want` devices (want is clamped to [1, max_devices]).
   /// Grants min(want, free) immediately when any device is free;
   /// blocks only while every device is leased out. The lease releases
   /// on destruction.
   DeviceLease acquire(unsigned want);
-
-  unsigned capacity() const noexcept;
-  Stats stats() const;
 
  private:
   friend class DeviceLease;
@@ -76,11 +64,10 @@ class DevicePool {
 
   DevicePoolConfig config_;
   unsigned threads_per_device_ = 1;
-  mutable std::mutex m_;
+  std::mutex m_;
   std::condition_variable cv_;
   std::vector<std::unique_ptr<Device>> devices_;
   std::vector<bool> in_use_;
-  Stats stats_;
 };
 
 /// Move-only RAII grant of 1..want devices. Shards map onto the grant

@@ -3,50 +3,41 @@
 // On the GPU a vertex of degree d is processed by a group of 2^k lanes
 // of one warp (k in [2,5]), by a full warp, or by a whole 128-thread
 // block; lanes iterate the vertex's edges in an interleaved (strided)
-// pattern and finish with a shuffle-style reduction to pick the best
-// community. The software device preserves that structure: a lane group
+// pattern. The software device preserves that structure: a lane group
 // executes its lanes in lockstep rounds inside ONE OS thread — a warp
 // never diverges across OS threads, matching SIMT — while different
 // groups (different vertices) run concurrently on the pool.
 //
-// Keeping the lane-strided visit order and per-lane partial state means
-// the kernel code below is a line-by-line transcription of Algorithm 2
-// rather than a loose CPU re-imagining of it.
+// Keeping the lane-strided visit order means the hashing loops are a
+// line-by-line transcription of Algorithm 2 rather than a loose CPU
+// re-imagining of it. The best-community reduction needs no lanes: it
+// folds the claimed slots under a total order (kernel_ops.hpp), which
+// reaches the answer of the GPU's shuffle-down tree.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <span>
+#include <stdexcept>
 
 namespace glouvain::simt {
 
-/// The scalar lane group: kLanes lanes in lockstep rounds, with the
-/// lane count a compile-time constant so the strided loops and the
-/// reduction tree compile with constant bounds (unrolled, modulo
-/// strength-reduced). simt::with_lane_group (lane_vec.hpp) is the one
-/// place that turns a bucket's runtime width into a group.
+/// A lane group: kLanes lanes in lockstep rounds, with the lane count a
+/// compile-time constant so the strided loops compile with constant
+/// bounds (unrolled, modulo strength-reduced). with_lane_group is the
+/// one place that turns a bucket's runtime width into a group.
 ///
-/// Preconditions of the collectives: kLanes is a power of two (every
-/// width the paper uses, 4..32 and 128, and the ablation widths 1, 2
-/// and 64 are). reduce()'s offset-halving tree visits exactly
-/// kLanes/2 + kLanes/4 + ... slots; with a non-power-of-two width the
-/// first halving would drop the top lanes' values on the floor,
-/// silently losing candidates. reduce() and exclusive_scan() take a
-/// span covering ALL kLanes entries with every entry initialized: idle
-/// lanes hold the combine identity (reduce) or zero (exclusive_scan),
-/// because a partial final strided_for round leaves trailing lanes
-/// untouched and the first halving still reads them.
+/// kLanes is a power of two (every width the paper uses, 4..32 and
+/// 128, and the ablation widths 1, 2 and 64 are). exclusive_scan()
+/// takes a span covering ALL kLanes entries with every entry
+/// initialized: a lane that never counted (a short row leaves the top
+/// lanes idle) holds zero.
 template <unsigned kLanes>
 class FixedLaneGroup {
  public:
   static_assert(kLanes > 0 && (kLanes & (kLanes - 1)) == 0,
                 "lane groups are power-of-two wide");
-
-  /// Scalar lockstep substrate; kernels written against the group
-  /// concept branch on this to pick their lowering (see kernel_ops.hpp
-  /// and lane_vec.hpp for the vector twin).
-  static constexpr bool kVector = false;
 
   static constexpr unsigned lanes() noexcept { return kLanes; }
 
@@ -60,21 +51,6 @@ class FixedLaneGroup {
         fn(lane, base + lane);
       }
     }
-  }
-
-  /// Tree reduction of per-lane values, emulating __shfl_down_sync.
-  /// combine(a, b) must be associative and commutative.
-  template <typename T, typename Combine>
-  T reduce(std::span<T> lane_values, Combine&& combine) const {
-    assert(lane_values.size() >= kLanes &&
-           "reduce needs a full-width lane array");
-    for (unsigned offset = kLanes / 2; offset > 0; offset /= 2) {
-      for (unsigned lane = 0; lane < offset; ++lane) {
-        lane_values[lane] =
-            combine(lane_values[lane], lane_values[lane + offset]);
-      }
-    }
-    return lane_values[0];
   }
 
   /// Exclusive prefix sum over per-lane counts (Hillis–Steele shape);
@@ -92,5 +68,26 @@ class FixedLaneGroup {
     return running;
   }
 };
+
+/// Runs kernel(group) on the lane group of a `lanes`-wide bucket, the
+/// one place a runtime width becomes a compile-time group. Every power
+/// of two from 1 to 128 gets a FixedLaneGroup; any other width throws
+/// std::invalid_argument.
+template <typename Kernel>
+void with_lane_group(unsigned lanes, Kernel&& kernel) {
+  switch (lanes) {
+    case 1: return kernel(FixedLaneGroup<1>{});
+    case 2: return kernel(FixedLaneGroup<2>{});
+    case 4: return kernel(FixedLaneGroup<4>{});
+    case 8: return kernel(FixedLaneGroup<8>{});
+    case 16: return kernel(FixedLaneGroup<16>{});
+    case 32: return kernel(FixedLaneGroup<32>{});
+    case 64: return kernel(FixedLaneGroup<64>{});
+    case 128: return kernel(FixedLaneGroup<128>{});
+    default:
+      throw std::invalid_argument(
+          "lane groups are a power of two from 1 to 128 lanes wide");
+  }
+}
 
 }  // namespace glouvain::simt

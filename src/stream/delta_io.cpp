@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <fstream>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -79,6 +81,9 @@ util::Status try_save_deltas(const std::vector<Delta>& deltas,
   std::ofstream out(path);
   if (!out) return util::Status::io_error("cannot open " + path +
                                           " for writing");
+  // Every bit of a weight survives the text round trip; unit weights
+  // still print as "1".
+  out << std::setprecision(std::numeric_limits<graph::Weight>::max_digits10);
   for (const Delta& d : deltas) {
     out << "batch " << d.stamp << "\n";
     for (const graph::Edge& e : d.deletions) {

@@ -21,7 +21,7 @@
 #include "metrics/modularity.hpp"
 #include "metrics/partition.hpp"
 #include "simt/backend.hpp"
-#include "simt/lane_vec.hpp"
+#include "simt/lane_group.hpp"
 #include "util/primes.hpp"
 #include "util/prng.hpp"
 
@@ -298,10 +298,8 @@ Decision small_decision(MoveCase mc) {
           std::bit_cast<std::uint64_t>(mc.state.move_gain[0])};
 }
 
-/// The register decision == the table path's for every group shape
-/// the phase runs: the scalar widths (per-lane fold + halving tree,
-/// lanes 1 and 2 of the ablation schemes included) and the vector
-/// widths (the vector scan).
+/// The register decision == the table path's at group widths from 1 to
+/// 128, lanes 1 and 2 of the ablation schemes included.
 void expect_same_decision(const MoveCase& mc, const std::string& what) {
   SCOPED_TRACE(what);
   const Decision small = small_decision(mc);
@@ -310,8 +308,7 @@ void expect_same_decision(const MoveCase& mc, const std::string& what) {
   EXPECT_EQ(small, table_decision(mc, simt::FixedLaneGroup<4>{}));
   EXPECT_EQ(small, table_decision(mc, simt::FixedLaneGroup<8>{}));
   EXPECT_EQ(small, table_decision(mc, simt::FixedLaneGroup<32>{}));
-  EXPECT_EQ(small, table_decision(mc, simt::VectorLaneGroup<4>{}));
-  EXPECT_EQ(small, table_decision(mc, simt::VectorLaneGroup<128>{}));
+  EXPECT_EQ(small, table_decision(mc, simt::FixedLaneGroup<128>{}));
 }
 
 /// Candidate pairs of v = 0 whose gains differ by less than 1e-15

@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "check/check.hpp"
 #include "gen/rmat.hpp"
 #include "gen/sbm.hpp"
 #include "obs/recorder.hpp"
@@ -363,8 +362,7 @@ TEST(DetectConformance, CoreDetectorRebuildsOnThreadChange) {
 
 TEST(DetectConformance, CoreDetectorRebuildsOnLaneBackendChange) {
   // A scalar run after a vector run on the same detector runs on a
-  // scalar device: no vector counter, and the bits of a fresh scalar
-  // detector.
+  // scalar device: the bits of a fresh scalar detector.
   const graph::Csr g = sbm_graph();
   auto reused = detect::make("core");
   auto fresh = detect::make("core");
@@ -373,48 +371,10 @@ TEST(DetectConformance, CoreDetectorRebuildsOnLaneBackendChange) {
   options.device = simt::Backend::kVector;
   (void)(*reused)->run(g, options);
   options.device = simt::Backend::kScalar;
-  obs::Recorder rec;
-  const detect::Result again = (*reused)->run(g, options, &rec);
+  const detect::Result again = (*reused)->run(g, options);
   const detect::Result reference = (*fresh)->run(g, options);
   EXPECT_EQ(again.community, reference.community);
   EXPECT_EQ(again.modularity, reference.modularity);
-  for (const auto& c : rec.counters()) {
-    EXPECT_NE(rec.name(c.name),
-              std::string_view("modopt/vector_lane_occupancy"));
-  }
-}
-
-TEST(DetectConformance, VectorLaneOccupancyCounterIsEmitted) {
-  // The obs counter only exists on vector runs; scalar runs must not
-  // emit it (it would read as 0/0). Under a GLOUVAIN_SIMTCHECK build
-  // the vector collectives deliberately take the scalar reference path
-  // (that is the twin the checker instruments), so no run emits it.
-  const graph::Csr g = sbm_graph();
-  auto d = detect::make("core");
-  ASSERT_TRUE(d.ok());
-  for (const simt::Backend device :
-       {simt::Backend::kScalar, simt::Backend::kVector}) {
-    SCOPED_TRACE(simt::backend_name(device));
-    detect::Options options = small_options();
-    options.device = device;
-    obs::Recorder rec;
-    (void)(*d)->run(g, options, &rec);
-    bool found = false;
-    double value = -1.0;
-    for (const auto& c : rec.counters()) {
-      if (rec.name(c.name) == std::string_view("modopt/vector_lane_occupancy")) {
-        found = true;
-        value = c.value;
-      }
-    }
-    if (device == simt::Backend::kVector && !check::enabled()) {
-      EXPECT_TRUE(found);
-      EXPECT_GT(value, 0.0);
-      EXPECT_LE(value, 1.0);
-    } else {
-      EXPECT_FALSE(found);
-    }
-  }
 }
 
 TEST(DetectConformance, ServiceRunsEveryBackend) {

@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
@@ -205,6 +207,20 @@ TEST_F(IoRoundTrip, EdgeList) {
   const Csr back = try_load_edge_list(path("g.txt")).value();
   EXPECT_EQ(back.num_arcs(), g.num_arcs());
   EXPECT_NEAR(back.total_weight(), g.total_weight(), 1e-6);
+}
+
+TEST_F(IoRoundTrip, EdgeListKeepsEveryBitOfAWeight) {
+  // 0.1 + 1/7 needs 17 significant digits; at the stream's default
+  // precision of six it would read back as 0.242857. Unit weights
+  // still print as "1".
+  const Csr g = build_csr(3, {{0, 1, 0.1 + 1.0 / 7}, {1, 2, 1.0}});
+  ASSERT_TRUE(try_save_edge_list(g, path("w.txt")).ok());
+  EXPECT_EQ(try_load_edge_list(path("w.txt")).value(), g);
+  std::ifstream in(path("w.txt"));
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  EXPECT_EQ(lines, (std::vector<std::string>{"0 1 0.24285714285714285",
+                                             "1 2 1"}));
 }
 
 TEST_F(IoRoundTrip, Binary) {

@@ -180,6 +180,26 @@ TEST(StreamDeltaIo, Roundtrip) {
   EXPECT_EQ(missing.status().code(), util::StatusCode::kNotFound);
 }
 
+TEST(StreamDeltaIo, RoundtripKeepsEveryBitOfAWeight) {
+  // 0.1 + 1/7 needs 17 significant digits; at the stream's default
+  // precision of six it would read back as 0.242857. Unit weights
+  // still print as "1".
+  std::vector<stream::Delta> deltas(1);
+  deltas[0].stamp = 3;
+  deltas[0].insertions = {{0, 1, 0.1 + 1.0 / 7}, {2, 3, 1.0}};
+  const std::string path = testing::TempDir() + "/deltas_weight_bits.txt";
+  ASSERT_TRUE(stream::try_save_deltas(deltas, path).ok());
+  auto loaded = stream::try_load_deltas(path);
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_EQ(loaded->size(), 1u);
+  EXPECT_EQ((*loaded)[0].insertions, deltas[0].insertions);
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  EXPECT_EQ(lines, (std::vector<std::string>{
+                       "batch 3", "+ 0 1 0.24285714285714285", "+ 2 3 1"}));
+}
+
 TEST(StreamDeltaIo, VertexIdBeyondTheIdSpaceIsInvalid) {
   // 4294967295 is graph::kInvalidVertex: apply_delta would grow the
   // graph to id + 1, which wraps to 0.

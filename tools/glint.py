@@ -1747,8 +1747,7 @@ def check_fanout(an, fns, findings):
             recv = receiver_before(toks, ci)
             recv_txt = expr_text(recv)
             ty = model.type_of(recv) if recv else None
-            devicey = (ty in ("Device", "ScalarDevice", "VectorDevice")
-                       or bool(DEVICE_RECV_RE.search(recv_txt)))
+            devicey = ty == "Device" or bool(DEVICE_RECV_RE.search(recv_txt))
             if not devicey:
                 continue
             region = toks[b0:b1]

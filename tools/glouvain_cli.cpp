@@ -95,10 +95,10 @@ int usage(const char* error = nullptr) {
                "device backends (detect --device; core/shard backends only):\n"
                "  scalar  lockstep lane interpreter; partitions bitwise-stable\n"
                "          across runs and machines\n"
-               "  vector  AVX2 lane substrate (gathered hash probes, masked\n"
-               "          slot scans); falls back to a scalar emulation of\n"
-               "          the same call graph without AVX2 or with\n"
-               "          GLOUVAIN_NO_AVX2 set\n"
+               "  vector  the scalar kernels and move decisions, with the\n"
+               "          modularity evaluation's row sums in AVX2 (Q may\n"
+               "          differ in the last bits); sums with the scalar\n"
+               "          loop without AVX2 or with GLOUVAIN_NO_AVX2 set\n"
                "  auto    vector iff the CPU supports AVX2 (default)\n"
                "\n"
                "flag/exit-code matrix: flags a command does not declare,\n"
@@ -216,7 +216,7 @@ int cmd_detect(util::Options& opt) {
   const bool verbose =
       opt.get_flag("verbose", "print per-level timings and device stats");
   const std::string device_arg = opt.get_string(
-      "device", "auto", "lane substrate: scalar | vector | auto");
+      "device", "auto", "device substrate: scalar | vector | auto");
   const std::string partition_arg = opt.get_string(
       "partition", "", "block | random | hubrep (shard backend only)");
 
