@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <bit>
 #include <map>
+#include <utility>
 
 #include "core/aggregate.hpp"
 #include "core/community_weights.hpp"
@@ -403,18 +404,28 @@ TEST(Aggregate, DirectMergeMatchesMapContractionOnPlantedPartition) {
 
 // --- The reference contraction and its accumulator.
 
+/// The ids of `sums.touched()`, in order.
+std::vector<Community> touched_ids(const CommunityWeights& sums) {
+  return {sums.touched().begin(), sums.touched().end()};
+}
+
+/// Adds one row whose arc i has head ids[i] and weight w[i], each head
+/// its own label; arcs to `skip` are left out.
+void add_row(CommunityWeights& sums, std::vector<VertexId> ids,
+             std::vector<Weight> w, VertexId skip = graph::kInvalidVertex) {
+  const RowView r{ids.data(), w.data(), static_cast<std::uint32_t>(ids.size())};
+  sums.add(r, skip, [](VertexId u) { return u; });
+}
+
 TEST(CommunityWeights, SumsInAddOrderAndClearsOnlyTouchedIds) {
-  CommunityWeights sums(8);
+  CommunityWeights sums(8, 9);
   const Weight a = 0.1;
   const Weight b = 0.2;
   const Weight c = 0.3;
-  sums.add(5, a);
-  sums.add(2, b);
-  sums.add(5, b);
-  sums.add(5, c);
-  EXPECT_EQ(std::vector<Community>(sums.touched().begin(), sums.touched().end()),
-            (std::vector<Community>{5, 2}));  // first-touch order
+  add_row(sums, {5, 2, 5, 3, 5}, {a, b, b, 1.0, c}, /*skip=*/3);
+  EXPECT_EQ(touched_ids(sums), (std::vector<Community>{5, 2}));  // first touch
   EXPECT_EQ(sums[0], 0.0);  // untouched ids read 0
+  EXPECT_EQ(sums[3], 0.0);  // the skipped head adds nothing
   EXPECT_EQ(sums[7], 0.0);
   // The sum is the left fold in add order, whose bits differ from
   // another association of the same three terms.
@@ -428,12 +439,79 @@ TEST(CommunityWeights, SumsInAddOrderAndClearsOnlyTouchedIds) {
   sums.clear();
   EXPECT_TRUE(sums.touched().empty());
   for (Community id = 0; id < 8; ++id) EXPECT_EQ(sums[id], 0.0) << id;
-  sums.add(2, c);
-  sums.add(5, a);
-  EXPECT_EQ(std::vector<Community>(sums.touched().begin(), sums.touched().end()),
-            (std::vector<Community>{2, 5}));
+  add_row(sums, {2}, {c});
+  add_row(sums, {5}, {a});  // rows accumulate until a clear
+  EXPECT_EQ(touched_ids(sums), (std::vector<Community>{2, 5}));
   EXPECT_EQ(sums[2], c);
   EXPECT_EQ(sums[5], a);
+}
+
+TEST(CommunityWeights, DrainFoldsInFirstTouchOrderAndLeavesEverySumZero) {
+  // Both touched-list sizes the class allows: 3 slots for 200 arcs over
+  // two ids (one more than the distinct ids), and 200 slots for a row
+  // of 200 arcs over 150 ids (the arcs added).
+  for (const auto& [ids, slots] :
+       {std::pair<Community, std::size_t>{2, 3}, {150, 200}}) {
+    SCOPED_TRACE(ids);
+    CommunityWeights sums(1000, slots);
+    std::vector<VertexId> heads;
+    std::vector<Weight> w;
+    std::vector<Weight> want(1000, 0);
+    for (std::uint32_t i = 0; i < 200; ++i) {
+      heads.push_back(999 - (i * 7) % ids);
+      w.push_back(0.1 + 0.01 * (i % 13));
+      want[heads.back()] += w.back();
+    }
+    add_row(sums, heads, w);
+    ASSERT_EQ(sums.touched().size(), ids);
+    std::vector<Community> order;
+    sums.drain([&](Community c, Weight sum) {
+      order.push_back(c);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(sum),
+                std::bit_cast<std::uint64_t>(want[c])) << c;
+    });
+    std::vector<Community> first_touch;
+    for (const VertexId h : heads) {
+      if (std::find(first_touch.begin(), first_touch.end(), h) ==
+          first_touch.end()) {
+        first_touch.push_back(h);
+      }
+    }
+    EXPECT_EQ(order, first_touch);
+    EXPECT_TRUE(sums.touched().empty());
+    for (Community id = 0; id < 1000; ++id) ASSERT_EQ(sums[id], 0.0) << id;
+  }
+}
+
+TEST(CommunityWeights, GrowsPastItsInitialTouchedCapacity) {
+  CommunityWeights sums(1000, 4);
+  sums.grow(1000, 600);
+  std::vector<VertexId> heads;
+  for (VertexId i = 0; i < 600; ++i) heads.push_back(i % 500 * 2);
+  add_row(sums, heads, std::vector<Weight>(600, 1.0));
+  ASSERT_EQ(sums.touched().size(), 500u);  // more than the first 4
+  for (VertexId i = 0; i < 500; ++i) {
+    EXPECT_EQ(sums.touched()[i], i * 2);
+    EXPECT_EQ(sums[i * 2], i < 100 ? 2.0 : 1.0);
+  }
+  sums.clear();
+  for (Community id = 0; id < 1000; ++id) ASSERT_EQ(sums[id], 0.0) << id;
+}
+
+TEST(CommunityWeights, GrowingTheIdsOfAUsedAccumulatorKeepsItsSums) {
+  CommunityWeights sums(8, 9);
+  add_row(sums, {6, 1, 6}, {0.25, 0.5, 0.75});
+  sums.grow(64, 9);  // a larger phase hands the same accumulator out
+  EXPECT_EQ(touched_ids(sums), (std::vector<Community>{6, 1}));
+  EXPECT_EQ(sums[6], 1.0);
+  EXPECT_EQ(sums[1], 0.5);
+  for (Community id = 8; id < 64; ++id) ASSERT_EQ(sums[id], 0.0) << id;
+  add_row(sums, {63, 6}, {2.0, 1.0});
+  EXPECT_EQ(touched_ids(sums), (std::vector<Community>{6, 1, 63}));
+  EXPECT_EQ(sums[63], 2.0);
+  EXPECT_EQ(sums[6], 2.0);
+  sums.clear();
+  for (Community id = 0; id < 64; ++id) ASSERT_EQ(sums[id], 0.0) << id;
 }
 
 TEST(ReferenceContraction, MatchesMapContractionBitForBit) {

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "check/check.hpp"
 #include "core/aggregate.hpp"
 #include "core/buckets.hpp"
+#include "core/community_weights.hpp"
 #include "core/louvain.hpp"
 #include "core/modopt.hpp"
 #include "core/workspace.hpp"
@@ -171,6 +173,22 @@ TEST(WorkspaceFootprint, HeldBytesCountsBinningResults) {
   ASSERT_EQ(binned.order.size(), kItems);
   EXPECT_GE(ws.held_bytes(),
             before + binned.order.capacity() * sizeof(VertexId));
+}
+
+TEST(WorkspaceFootprint, HeldBytesCountsAccumulators) {
+  Workspace ws;
+  const std::size_t before = ws.held_bytes();
+  const std::span<CommunityWeights> acc = ws.accumulators(4, 1000, 64);
+  ASSERT_EQ(acc.size(), 4u);
+  const std::size_t one = 1000 * sizeof(graph::Weight) + 64 * sizeof(Community);
+  EXPECT_GE(ws.held_bytes(), before + 4 * one);
+  // Grow-only in workers, ids and touched capacity: a smaller request
+  // keeps what the larger one built.
+  const std::size_t grown = ws.held_bytes();
+  EXPECT_EQ(ws.accumulators(2, 10, 8).size(), 2u);
+  EXPECT_EQ(ws.held_bytes(), grown);
+  ws.accumulators(4, 2000, 64);
+  EXPECT_GE(ws.held_bytes(), grown + 4 * 1000 * sizeof(graph::Weight));
 }
 
 // --- (b) dirty workspace == fresh device, bitwise -------------------
