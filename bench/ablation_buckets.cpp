@@ -7,7 +7,10 @@
 // Expected shape: on skewed-degree graphs the paper scheme beats
 // one-lane-per-vertex (load imbalance from hubs) and uniform-warp
 // (wasted lanes on degree-2 vertices); on uniform low-degree graphs
-// (road) the advantage shrinks.
+// (road) the advantage shrinks. Core's modopt runs no lane group (its
+// moves sum in registers or a per-worker accumulator, DESIGN §5.10),
+// so here the schemes differ only in scheduling grain and in how they
+// group vertices into commits; `occupancy` analyses the lane widths.
 //
 // The Q columns print 17 significant digits, so two builds that must
 // make the same decisions can be compared bit for bit (the CLI cannot
