@@ -1,23 +1,18 @@
 #include "core/aggregate.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cassert>
 #include <string>
 #include <string_view>
 
 #include "check/check.hpp"
 #include "core/buckets.hpp"
-#include "core/hash_map.hpp"
+#include "core/community_weights.hpp"
 #include "core/rows.hpp"
 #include "core/workspace.hpp"
 #include "obs/recorder.hpp"
 #include "prim/reduce.hpp"
 #include "prim/scan.hpp"
 #include "simt/atomics.hpp"
-#include "simt/kernel_ops.hpp"
-#include "simt/lane_group.hpp"
-#include "util/primes.hpp"
 
 namespace glouvain::core {
 
@@ -29,115 +24,56 @@ using graph::EdgeIdx;
 using graph::VertexId;
 using graph::Weight;
 
-/// Communities whose member degrees sum to at most this many arcs
-/// merge in registers instead of a hash table.
-constexpr EdgeIdx kSmallMergeArcs = 16;
+/// A merged row goes out in id order by scanning every id of the level
+/// when the level has at most this many ids per id the row touched, and
+/// by sorting the touched ids otherwise (DESIGN §5.9).
+constexpr VertexId kScanIdsPerTouched = 16;
 
-/// Whether a community of `degree` arcs merges into a table indexed by
-/// new community id rather than a hash table: the level has at most
-/// twice as many communities as the hash table would have slots. The
-/// direct table may be the larger one because it also saves the probe
-/// chains and the compaction sort.
-bool merges_direct(EdgeIdx degree, VertexId num_communities) {
-  return degree > kSmallMergeArcs &&
-         num_communities <=
-             2 * std::uint64_t{util::hash_params_for_degree(degree).capacity};
-}
-
-/// `count` merge-table slots from the task's arena: "shared memory"
-/// below the scheme's global_from bucket, "global memory" from there on.
-template <typename T>
-std::span<T> table_slots(simt::SharedArena& arena, bool global,
-                         std::size_t count) {
-  return global ? arena.alloc_global<T>(count) : arena.alloc<T>(count);
-}
-
-/// mergeCommunity for one community of at most kSmallMergeArcs arcs:
-/// (neighbour community, weight) pairs in a fixed array, found by
-/// linear search. Members come in `com` order and each row in
-/// adjacency order, self-loops included: the order the table adds in,
-/// so every super-edge weight has the table path's bits. The pairs
-/// are emitted in first-seen order; compaction sorts a row that is not
-/// in id order, so the contracted graph does not depend on it.
+/// mergeCommunity for one community (Algorithm 3 lines 20-23) in the
+/// worker's accumulator, one slot per new community id (DESIGN §5.9).
+/// Members come in `com` order and each row in adjacency order,
+/// self-loops included, and the first add to an id stores its weight
+/// exactly (0 + w == w): every super-edge weight is the left fold the
+/// paper's per-community table computes. The merged row goes out in
+/// ascending id order, the Csr invariant, and the touched ids are
+/// cleared.
 template <typename Rows>
-void merge_small(Rows& rows, unsigned worker,
-                 std::span<const Community> community,
-                 std::span<const VertexId> members,
-                 std::span<const VertexId> new_id, std::span<VertexId> out_adj,
-                 std::span<Weight> out_w, EdgeIdx& out_degree) {
-  std::array<Community, kSmallMergeArcs> keys;
-  std::array<Weight, kSmallMergeArcs> weights;
-  EdgeIdx n = 0;
+void merge_community(Rows& rows, unsigned worker,
+                     std::span<const Community> community,
+                     std::span<const VertexId> members,
+                     std::span<const VertexId> new_id,
+                     VertexId num_communities, CommunityWeights& acc,
+                     std::span<VertexId> out_adj, std::span<Weight> out_w,
+                     EdgeIdx& out_degree) {
+  // A missed clear would add the previous community's sums to this one's.
+  check::contract(acc.touched().empty(),
+                  "aggregate: accumulator not empty on entry");
   for (const VertexId v : members) {
-    const RowView r = rows.row(v, worker);
-    for (std::uint32_t i = 0; i < r.deg; ++i) {
-      const Community to = community[r.adj[i]];
-      EdgeIdx at = 0;
-      while (at < n && keys[at] != to) ++at;
-      if (at == n) {
-        assert(n < kSmallMergeArcs);  // the caller bounds the arc sum
-        keys[n] = to;
-        weights[n++] = r.w[i];
-      } else {
-        weights[at] += r.w[i];
-      }
-    }
+    acc.add(rows.row(v, worker), graph::kInvalidVertex,
+            [&](VertexId u) { return new_id[community[u]]; });
   }
-  for (EdgeIdx i = 0; i < n; ++i) {
+  const std::span<const Community> touched = acc.touched();
+  const EdgeIdx degree = touched.size();
+  for (EdgeIdx i = 0; i < degree; ++i) {
     check::note_plain_write(&out_adj[i]);
-    out_adj[i] = new_id[keys[i]];
     check::note_plain_write(&out_w[i]);
-    out_w[i] = weights[i];
   }
-  check::note_plain_write(&out_degree);
-  out_degree = n;
-}
-
-/// mergeCommunity for a community that merges_direct: one (key, weight)
-/// slot per new community id, so no probing. Members come in `com`
-/// order and each row in adjacency order, self-loops included; the
-/// first add to a key stores the weight, as the table's claim does, and
-/// later adds accumulate, so every super-edge weight has the table
-/// path's bits. The occupied slots are emitted in ascending id order,
-/// which compaction copies without sorting.
-template <typename Rows>
-void merge_direct(Rows& rows, unsigned worker,
-                  std::span<const Community> community,
-                  std::span<const VertexId> members,
-                  std::span<const VertexId> new_id, std::span<Community> keys,
-                  std::span<Weight> weights, std::span<VertexId> out_adj,
-                  std::span<Weight> out_w, EdgeIdx& out_degree) {
-  for (Community& key : keys) {
-    check::note_init(&key);
-    key = graph::kInvalidCommunity;
-  }
-  for (const VertexId v : members) {
-    const RowView r = rows.row(v, worker);
-    for (std::uint32_t i = 0; i < r.deg; ++i) {
-      const VertexId to = new_id[community[r.adj[i]]];
-      check::note_plain_read(&keys[to]);
-      check::note_plain_write(&weights[to]);
-      if (keys[to] == graph::kInvalidCommunity) {
-        check::note_plain_claim(&keys[to]);
-        keys[to] = to;
-        weights[to] = r.w[i];
-      } else {
-        weights[to] += r.w[i];
-      }
+  if (num_communities <= kScanIdsPerTouched * degree) {
+    // Few ids for the row: scan them all; an untouched id reads 0.
+    EdgeIdx i = 0;
+    for (VertexId id = 0; id < num_communities; ++id) {
+      if (acc[id] == 0) continue;
+      out_adj[i] = id;
+      out_w[i++] = acc[id];
     }
+  } else {
+    std::copy(touched.begin(), touched.end(), out_adj.begin());
+    std::sort(out_adj.begin(), out_adj.begin() + degree);
+    for (EdgeIdx i = 0; i < degree; ++i) out_w[i] = acc[out_adj[i]];
   }
-  EdgeIdx n = 0;
-  for (VertexId to = 0; to < keys.size(); ++to) {
-    check::note_plain_read(&keys[to]);
-    if (keys[to] == graph::kInvalidCommunity) continue;
-    check::note_plain_read(&weights[to]);
-    check::note_plain_write(&out_adj[n]);
-    out_adj[n] = to;
-    check::note_plain_write(&out_w[n]);
-    out_w[n++] = weights[to];
-  }
+  acc.clear();
   check::note_plain_write(&out_degree);
-  out_degree = n;
+  out_degree = degree;
 }
 
 template <typename Rows>
@@ -217,16 +153,35 @@ AggregationResult aggregate_impl(simt::Device& device, Rows& rows,
   if (rec) rec->end_span(order_span);
 
   // --- mergeCommunity over work buckets (lines 20-23). Communities are
-  // binned by their degree-sum bound; each task merges the closed
-  // neighbourhood of one community (in registers, in a table indexed by
-  // new id, or in a hash table) and emits the merged edge list into its
-  // scratch region.
+  // binned by their degree-sum bound, which schedules the merges; each
+  // task merges the closed neighbourhood of one community in its
+  // worker's accumulator and emits the sorted row into its scratch
+  // region.
   auto tmp_adj = ws.buffer<VertexId>(Slot::kAggTmpAdj, scratch_arcs);
   auto tmp_w = ws.buffer<Weight>(Slot::kAggTmpW, scratch_arcs);
   auto merged_degree = ws.buffer<EdgeIdx>(Slot::kAggMergedDegree, n);
   // A community with members but zero degree never reaches a merge
   // kernel, so its width must already read 0 at compaction.
   device.for_each(n, [&](std::size_t c) { merged_degree[c] = 0; });
+
+  // A row touches at most num_communities ids and at most its degree
+  // sum, so the smaller of the largest degree sum and one more than the
+  // id count sizes every worker's touched list.
+  const EdgeIdx max_degree_sum =
+      prim::reduce(
+          n,
+          [&](std::size_t begin, std::size_t end, unsigned) {
+            prim::Max<EdgeIdx> part;
+            for (std::size_t c = begin; c < end; ++c) {
+              part.value = std::max(part.value, com_degree[c]);
+            }
+            return part;
+          },
+          ws.scratch(), pool)
+          .value;
+  const std::span<CommunityWeights> acc = ws.accumulators(
+      device.workers(), num_communities,
+      std::min<EdgeIdx>(max_degree_sum, EdgeIdx{num_communities} + 1));
 
   static const BucketScheme scheme = BucketScheme::paper_aggregation();
   Binned& binned = ws.aggregate_binned();
@@ -236,29 +191,13 @@ AggregationResult aggregate_impl(simt::Device& device, Rows& rows,
         n, scheme, [&](VertexId c) { return com_degree[c]; }, 1,
         [](VertexId) { return 0u; }, binned, ws.scratch(), pool);
   }
-  if (rec) {
-    for (std::size_t b = 0; b < scheme.num_buckets(); ++b) {
-      rec->count("aggregate/bucket_occupancy",
-                 static_cast<double>(binned.bucket(b).size()),
-                 static_cast<std::int64_t>(b));
-    }
-    const std::uint64_t direct = prim::reduce(
-        num_communities,
-        [&](std::size_t begin, std::size_t end, unsigned) {
-          std::uint64_t k = 0;
-          for (std::size_t i = begin; i < end; ++i) {
-            k += merges_direct(com_degree[old_id[i]], num_communities);
-          }
-          return k;
-        },
-        ws.scratch(), pool);
-    rec->count("aggregate/direct_merges", static_cast<double>(direct));
-  }
-
   std::vector<std::string> bucket_names;
   if (rec) {
     bucket_names.resize(scheme.num_buckets());
     for (std::size_t b = 0; b < scheme.num_buckets(); ++b) {
+      rec->count("aggregate/bucket_occupancy",
+                 static_cast<double>(binned.bucket(b).size()),
+                 static_cast<std::int64_t>(b));
       bucket_names[b] = "aggregate/bucket" + std::to_string(b);
     }
   }
@@ -266,9 +205,9 @@ AggregationResult aggregate_impl(simt::Device& device, Rows& rows,
   for (std::size_t b = 0; b < scheme.num_buckets(); ++b) {
     auto bucket = binned.bucket(b);
     if (bucket.empty()) continue;
-    const unsigned lanes = scheme.lanes[b];
-    const bool use_global = b >= scheme.global_from;
-    const std::size_t grain = use_global ? 1 : 0;
+    // The heaviest bucket, sorted by descending degree sum, goes out one
+    // community per grab so the largest merges start first.
+    const std::size_t grain = b >= scheme.global_from ? 1 : 0;
 
     obs::Span kernel_span(
         rec, rec ? std::string_view(bucket_names[b]) : std::string_view());
@@ -276,81 +215,26 @@ AggregationResult aggregate_impl(simt::Device& device, Rows& rows,
     device.launch(bucket.size(), grain, [&](simt::TaskContext& ctx) {
       const Community c = bucket[ctx.task()];
       if (com_size[c] == 0 || com_degree[c] == 0) return;
-      // Binning contract: the merge table is sized from the bucket's
-      // degree-sum class.
+      // Binning contract: each community sits in the bucket of its
+      // degree-sum class, which the schedule above relies on.
       if (b < scheme.bounds.size()) {
         check::contract(com_degree[c] <= scheme.bounds[b],
                         "aggregate: community degree exceeds its bucket bound");
       }
-      if (com_degree[c] <= kSmallMergeArcs) {
-        merge_small(rows, ctx.worker(), community,
-                    com.subspan(vertex_start[c], com_size[c]), new_id,
-                    tmp_adj.subspan(edge_pos[c], com_degree[c]),
-                    tmp_w.subspan(edge_pos[c], com_degree[c]),
-                    merged_degree[c]);
-        return;
-      }
-      if (merges_direct(com_degree[c], num_communities)) {
-        merge_direct(
-            rows, ctx.worker(), community,
-            com.subspan(vertex_start[c], com_size[c]), new_id,
-            table_slots<Community>(ctx.shared(), use_global, num_communities),
-            table_slots<Weight>(ctx.shared(), use_global, num_communities),
-            tmp_adj.subspan(edge_pos[c], com_degree[c]),
-            tmp_w.subspan(edge_pos[c], com_degree[c]), merged_degree[c]);
-        return;
-      }
-      const util::HashTableParams params =
-          util::hash_params_for_degree(com_degree[c]);
-      const std::size_t cap = params.capacity;
-      auto keys = table_slots<Community>(ctx.shared(), use_global, cap);
-      auto weights = table_slots<Weight>(ctx.shared(), use_global, cap);
-      // Task-local: one community is merged entirely inside one OS
-      // thread (see hash_map.hpp for the atomicity policy).
-      LocalCommunityHashMap table(keys, weights, params);
-      table.clear();
-
-      // Members processed one after another, all lanes cooperating on
-      // each member's edge list (§4.1, aggregation thread assignment).
-      // One group hashes and emits.
-      simt::with_lane_group(lanes, [&](const auto& group) {
-        for (EdgeIdx m = vertex_start[c]; m < vertex_start[c] + com_size[c];
-             ++m) {
-          simt::hash_row(group, rows.row(com[m], ctx.worker()),
-                         community.data(), table);
-        }
-
-        // Emission: each lane counts the slots it owns, a lane prefix
-        // sum assigns disjoint output ranges, then lanes copy their
-        // entries — the paper's "mark, prefix-sum across threads, move
-        // in parallel".
-        std::array<EdgeIdx, 128> lane_count{};
-        group.strided_for(cap, [&](unsigned lane, std::size_t pos) {
-          if (table.occupied(pos)) ++lane_count[lane];
-        });
-        const EdgeIdx total = group.exclusive_scan(
-            std::span<EdgeIdx>(lane_count.data(), lanes));
-        std::array<EdgeIdx, 128> lane_cursor = lane_count;
-        group.strided_for(cap, [&](unsigned lane, std::size_t pos) {
-          if (!table.occupied(pos)) return;
-          const EdgeIdx at = edge_pos[c] + lane_cursor[lane]++;
-          // Neighbouring community id is rewritten to its new vertex id
-          // here, exactly as mergeCommunity does.
-          check::note_plain_write(&tmp_adj[at]);
-          tmp_adj[at] = new_id[table.key_at(pos)];
-          check::note_plain_write(&tmp_w[at]);
-          tmp_w[at] = table.weight_at(pos);
-        });
-        check::note_plain_write(&merged_degree[c]);
-        merged_degree[c] = total;
-      });
+      merge_community(rows, ctx.worker(), community,
+                      com.subspan(vertex_start[c], com_size[c]), new_id,
+                      num_communities, acc[ctx.worker()],
+                      tmp_adj.subspan(edge_pos[c], com_degree[c]),
+                      tmp_w.subspan(edge_pos[c], com_degree[c]),
+                      merged_degree[c]);
     });
   }
 
   // --- Compaction (the prefix-sum + move pass after line 23): gather
-  // per-new-vertex degrees, scan, and copy rows into their final slots.
-  // The three contracted arrays leave with the result, so they come
-  // from the recycling pool (a retired level's graph feeds them).
+  // per-new-vertex degrees, scan, and copy the sorted rows into their
+  // final slots. The three contracted arrays leave with the result, so
+  // they come from the recycling pool (a retired level's graph feeds
+  // them).
   obs::Span compact_span(rec, "aggregate/compact");
   check::KernelScope compact_scope("aggregate/compact");
   auto new_degree = ws.buffer<EdgeIdx>(Slot::kAggNewDegree, num_communities);
@@ -371,37 +255,12 @@ AggregationResult aggregate_impl(simt::Device& device, Rows& rows,
     const VertexId c = old_id[ctx.task()];
     const EdgeIdx src = edge_pos[c];
     const EdgeIdx dst = offsets[ctx.task()];
-    const EdgeIdx deg = merged_degree[c];
-    if (deg == 0) return;
-    const auto put = [&](EdgeIdx i, VertexId id, Weight weight) {
+    for (EdgeIdx i = 0; i < merged_degree[c]; ++i) {
       check::note_plain_write(&adj[dst + i]);
-      adj[dst + i] = id;
+      adj[dst + i] = tmp_adj[src + i];
       check::note_plain_write(&w[dst + i]);
-      w[dst + i] = weight;
-    };
-    // Library-wide Csr invariant: rows sorted by neighbor id. A direct
-    // merge emits its row in id order, so it is copied as it stands.
-    const VertexId* ids = tmp_adj.data() + src;
-    if (std::is_sorted(ids, ids + deg)) {
-      for (EdgeIdx i = 0; i < deg; ++i) put(i, ids[i], tmp_w[src + i]);
-      return;
+      w[dst + i] = tmp_w[src + i];
     }
-    // The hash table emits in slot order, so sort the (short) row here;
-    // the row buffer comes from the task's arena (global side: this is
-    // staging, not a hash table, so it must not count as a shared-memory
-    // spill).
-    struct RowEntry {
-      VertexId id;
-      Weight weight;
-    };
-    auto row = ctx.shared().alloc_global<RowEntry>(
-        static_cast<std::size_t>(deg));
-    for (EdgeIdx i = 0; i < deg; ++i) {
-      row[i] = {ids[i], tmp_w[src + i]};
-    }
-    std::sort(row.begin(), row.end(),
-              [](const RowEntry& a, const RowEntry& b) { return a.id < b.id; });
-    for (EdgeIdx i = 0; i < deg; ++i) put(i, row[i].id, row[i].weight);
   });
 
   AggregationResult result{

@@ -1,18 +1,24 @@
-// The per-vertex / per-community hash table of Algorithm 2: open
-// addressing with double hashing over a prime-sized table, slot
-// claiming on the community-id array, weight accumulation on the
-// parallel weight array (lines 4-13 of the paper's pseudocode).
+// The per-vertex / per-community hash table of the paper's Algorithms
+// 2 and 3: open addressing with double hashing over a prime-sized
+// table, slot claiming on the community-id array, weight accumulation
+// on the parallel weight array (lines 4-13 of Algorithm 2).
 //
-// The table is a VIEW over spans handed out by a SharedArena, so the
-// same code runs against "shared memory" (buckets 1-6) and "global
-// memory" (bucket 7) storage.
+// No production kernel uses it: core's moves and merges sum by
+// community id in the worker's CommunityWeights (DESIGN §5.9, §5.10).
+// The tables back only the table-path reference the tests hold the
+// move kernels against (core::detail::compute_move), the checker's
+// seeded cases, and the micro_hashing and micro_prim benches.
+//
+// The table is a VIEW over caller spans, such as a SharedArena's, so
+// the same code runs against "shared memory" and "global memory"
+// storage.
 //
 // Atomicity policy: Atomic = true gives the fully concurrent table
 // (CAS slot claiming + atomic accumulate) for storage shared between
 // OS threads; it is what the GPU kernels use across warps and is
 // stress-tested under real contention in core_hash_test.cpp.
-// Atomic = false is the task-local specialization the software-SIMT
-// kernels use: a lane group executes inside ONE OS thread, so its
+// Atomic = false is the task-local specialization of the table-path
+// reference: a lane group executes inside ONE OS thread, so its
 // per-vertex table needs no host atomics — mirroring the GPU, where
 // intra-warp shared-memory atomics are close to free while the
 // algorithmic structure (probe sequence, claim-then-accumulate) is

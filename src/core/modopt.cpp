@@ -38,16 +38,6 @@ struct CommitResult {
   }
 };
 
-/// The largest degree of a set of vertices, combined by max.
-struct MaxDegree {
-  std::uint32_t value = 0;
-
-  MaxDegree& operator+=(const MaxDegree& o) noexcept {
-    value = std::max(value, o.value);
-    return *this;
-  }
-};
-
 /// Commit newComm for the vertices of one bucket and update a_c and the
 /// community sizes incrementally (equivalent to the paper's "recompute
 /// a_c in parallel", Algorithm 1 lines 8-11, but O(bucket) not O(n)).
@@ -252,10 +242,10 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
   // worker's accumulator (DESIGN §5.10), whose touched list the largest
   // active degree sizes. A phase with no such vertex, such as a road
   // lattice's level 0, takes none.
-  const MaxDegree max_degree = prim::reduce(
+  const prim::Max<std::uint32_t> max_degree = prim::reduce(
       num_active,
       [&](std::size_t begin, std::size_t end, unsigned) {
-        MaxDegree part;
+        prim::Max<std::uint32_t> part;
         for (std::size_t i = begin; i < end; ++i) {
           part.value = std::max(part.value, rows.degree(active[i]));
         }

@@ -20,9 +20,11 @@
 //     arrays, renumbering maps): take<T>() re-uses the capacity of a
 //     previously recycled vector, recycle(Csr&&) feeds a retired
 //     level's graph back into the pools.
-//   * ACCUMULATORS — one CommunityWeights per device worker for
-//     modopt's dense path (DESIGN §5.10), built in place and handed
-//     out only to a phase with a vertex above the register path.
+//   * ACCUMULATORS — one CommunityWeights per device worker, built
+//     in place. Modopt's dense path (DESIGN §5.10) takes them for a
+//     phase with a vertex above the register path, and every
+//     aggregation merge (DESIGN §5.9) takes them, grown to the level's
+//     community count.
 //
 // A Workspace is single-threaded (driver thread only) and owned by
 // whoever owns the device: core::Louvain keeps one across levels,

@@ -56,6 +56,18 @@ T reduce_chunked(std::size_t n, Body& body, std::span<T> partial,
 
 }  // namespace detail
 
+/// A chunk partial combined by max, for a reduce() that finds the
+/// largest value.
+template <typename T>
+struct Max {
+  T value{};
+
+  Max& operator+=(const Max& o) noexcept {
+    value = std::max(value, o.value);
+    return *this;
+  }
+};
+
 /// Sum of body(begin, end, worker) over the chunks of [0, n), added in
 /// chunk order. `worker` is the executing worker's id, for per-worker
 /// scratch such as row decode buffers — never for accumulation. Chunk

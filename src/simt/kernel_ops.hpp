@@ -1,18 +1,20 @@
-// Kernel collectives: the warp-level operations of the paper's kernels
-// (neighbourhood hashing with slot claiming, the best-community
-// reduction), written once and run by every device.
+// Kernel collectives: the warp-level operations of the paper's
+// modularity-optimization kernel (neighbourhood hashing with slot
+// claiming, the best-community reduction) and the argmax combine every
+// move kernel folds with. The hashing runs only in the table-path
+// reference the tests hold core's move kernels against; better() is
+// the production fold.
 //
-//   * Hashing (Algorithm 2 lines 2-13, Algorithm 3's mergeCommunity)
-//     is the lane-strided loop of the group: round r of a kLanes-wide
-//     group probes edges r*kLanes .. r*kLanes + kLanes - 1.
+//   * Hashing (Algorithm 2 lines 2-13) is the lane-strided loop of the
+//     group: round r of a kLanes-wide group probes edges
+//     r*kLanes .. r*kLanes + kLanes - 1.
 //   * The reduction (line 14) folds the claimed slots under better(),
 //     a total order, so its answer is the maximum of the candidate set
 //     whatever order the slots were claimed in: the answer the GPU's
 //     per-lane fold and shuffle-down tree reach.
 //
-// Tables and rows are duck-typed (key_at/weight_at/insert_add/
-// insert_add_claim; adj/w/deg) so this header depends on no core/ or
-// zg/ type.
+// Tables and rows are duck-typed (key_at/weight_at/insert_add_claim;
+// adj/w/deg) so this header depends on no core/ or zg/ type.
 #pragma once
 
 #include <cstddef>
@@ -66,17 +68,6 @@ std::uint32_t hash_row_claim(const Group& group, const Row& r,
     if (claimed) touched[num_touched++] = static_cast<std::uint32_t>(pos);
   });
   return num_touched;
-}
-
-/// The aggregation flavour (Algorithm 3 mergeCommunity inner loop):
-/// hash every edge of the row — self-loops included, they carry the
-/// community's internal weight — without claim tracking.
-template <typename Group, typename Row, typename Table>
-void hash_row(const Group& group, const Row& r, const std::uint32_t* community,
-              Table& table) {
-  group.strided_for(r.deg, [&](unsigned /*lane*/, std::size_t idx) {
-    table.insert_add(community[r.adj[idx]], r.w[idx]);
-  });
 }
 
 /// Algorithm 2 line 14: fold the claimed slots (`touched`, from

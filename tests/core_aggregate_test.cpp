@@ -20,7 +20,6 @@
 #include "graph/builder.hpp"
 #include "graph/ops.hpp"
 #include "metrics/modularity.hpp"
-#include "obs/recorder.hpp"
 #include "simt/thread_pool.hpp"
 #include "util/prng.hpp"
 #include "zg/zcsr.hpp"
@@ -209,11 +208,11 @@ TEST(Aggregate, GraphWithSelfLoopsContractsCorrectly) {
 }
 
 
-// --- Communities on both sides of the register-merge bound (a degree
-// sum of 16 arcs) against a std::map contraction.
+// --- Communities of every shape, and rows on both sides of the merge's
+// emission rule, against a std::map contraction.
 
 /// Contraction through one std::map per new vertex: shares no code with
-/// either merge path or with contract_reference.
+/// the merge kernel or with contract_reference.
 Csr map_contraction(const Csr& g, const std::vector<Community>& part) {
   std::map<Community, VertexId> new_id;
   for (VertexId v = 0; v < g.num_vertices(); ++v) new_id.emplace(part[v], 0);
@@ -272,8 +271,8 @@ std::vector<Community> bound_partition(const Csr& g) {
 }
 
 void expect_straddles_bound(const Csr& g, const std::vector<Community>& part) {
-  // The partition straddles the bound: singletons, pairs, and
-  // communities of exactly 16 and 17 arcs, plus larger ones.
+  // Every shape occurs: singletons, pairs, and communities of exactly
+  // 16 and 17 arcs, plus larger ones.
   std::map<Community, std::pair<VertexId, EdgeIdx>> shape;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     ++shape[part[v]].first;
@@ -293,51 +292,32 @@ void expect_straddles_bound(const Csr& g, const std::vector<Community>& part) {
   }
 }
 
-/// The level's aggregate/direct_merges count: how many communities
-/// merged into a table indexed by new id.
-double direct_merges(const obs::Recorder& rec) {
-  double total = 0;
-  for (const obs::CounterRecord& c : rec.counters()) {
-    if (rec.name(c.name) == "aggregate/direct_merges") total += c.value;
-  }
-  return total;
-}
-
 /// Contracts `g` from plain and from compressed rows on scalar and
 /// vector devices of `workers` workers (0 = one per hardware thread)
-/// and expects the std::map contraction bit for bit. Returns the
-/// direct-merge count, which both row sources must agree on.
-double expect_contracts_like_map(const Csr& g,
-                                 const std::vector<Community>& part,
-                                 unsigned workers) {
+/// and expects the std::map contraction bit for bit.
+void expect_contracts_like_map(const Csr& g, const std::vector<Community>& part,
+                               unsigned workers) {
   const Csr want = map_contraction(g, part);
   EXPECT_TRUE(graph::validate(want).empty());  // rows sorted
   const zg::ZCsr z = zg::ZCsr::encode(g);
-  double direct = -1;
   for (const simt::Backend backend :
        {simt::Backend::kScalar, simt::Backend::kVector}) {
     SCOPED_TRACE(simt::backend_name(backend));
     SCOPED_TRACE(workers);
     simt::Device device({.worker_threads = workers, .backend = backend});
-    obs::Recorder rec;
-    EXPECT_EQ(aggregate(device, g, part, &rec).contracted, want);
-    direct = direct_merges(rec);
+    EXPECT_EQ(aggregate(device, g, part).contracted, want);
     ZRows rows(z, device.workers());
     Workspace ws;
-    obs::Recorder zrec;
-    EXPECT_EQ(aggregate(device, rows, part, ws, &zrec).contracted,
-              want);
-    EXPECT_EQ(direct_merges(zrec), direct);
+    EXPECT_EQ(aggregate(device, rows, part, ws).contracted, want);
   }
-  return direct;
 }
 
 /// Integer weights sum exactly in any order, so every device must match
-/// the reference bitwise; its return is the direct-merge count.
-double expect_integer_contraction_like_map(const Csr& g,
-                                           const std::vector<Community>& part) {
+/// the reference bitwise on one worker and on all of them.
+void expect_integer_contraction_like_map(const Csr& g,
+                                         const std::vector<Community>& part) {
   expect_contracts_like_map(g, part, 1);
-  return expect_contracts_like_map(g, part, 0);
+  expect_contracts_like_map(g, part, 0);
 }
 
 /// The same graph with symmetric non-integer weights, whose sums depend
@@ -358,9 +338,7 @@ TEST(Aggregate, SmallCommunityMergeMatchesMapContractionOnRoad) {
   const Csr g = gen::road_network({.grid_nx = 48, .grid_ny = 48, .seed = 3});
   const auto part = bound_partition(g);
   expect_straddles_bound(g, part);
-  // Hundreds of communities of at most 40 arcs: every one too small for
-  // a table of one slot per community.
-  EXPECT_EQ(expect_integer_contraction_like_map(g, part), 0);
+  expect_integer_contraction_like_map(g, part);
   // One level up the rows carry self-loops (the merged internal weight).
   simt::Device device;
   const Csr up = aggregate(device, g, part).contracted;
@@ -380,26 +358,49 @@ TEST(Aggregate, SmallCommunityMergeMatchesMapContractionOnLfr) {
   expect_integer_contraction_like_map(g, part);
 }
 
-TEST(Aggregate, DirectMergeMatchesMapContractionOnPlantedPartition) {
-  // 40 planted communities of about 7,000 arcs each: a table of 40
-  // slots replaces each community's hash table.
+TEST(Aggregate, MergeMatchesMapContractionOnPlantedPartition) {
+  // 40 planted communities of about 7,000 arcs each.
   const gen::SbmResult sbm = gen::planted_partition(
       {.num_vertices = 20000, .num_communities = 40, .seed = 11});
   const Csr& g = sbm.graph;
-  const std::vector<Community>& part = sbm.ground_truth;
-  EXPECT_EQ(expect_integer_contraction_like_map(g, part), 40);
-  // On one worker `com` holds each community's members in ascending id
-  // order, the reference's order, so non-integer sums match bitwise.
+  // The same with its last two communities split into singletons: 1,038
+  // new ids. Planted labels are 0..39 over blocks of 500 ids, so a
+  // singleton labelled by its own id (19,000 and up) joins no planted
+  // community.
+  std::vector<Community> split = sbm.ground_truth;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (split[v] >= 38) split[v] = v;
+  }
+  // Its one contraction has rows on both sides of the emission rule
+  // (DESIGN §5.9: scan when the level has at most 16 ids per id the row
+  // touches, else sort). A planted community's row touches the other
+  // planted ones and the singletons its cut arcs reach, and scans; a
+  // singleton's row touches its few neighbours' ids, and sorts.
+  const Csr split_want = map_contraction(g, split);
+  int scans = 0;
+  int sorts = 0;
+  for (VertexId c = 0; c < split_want.num_vertices(); ++c) {
+    ++(split_want.num_vertices() <= 16 * split_want.degree(c) ? scans : sorts);
+  }
+  EXPECT_GT(scans, 0);
+  EXPECT_GT(sorts, 0);
+
   const Csr fractional = reweighted(g);
-  EXPECT_EQ(expect_contracts_like_map(fractional, part, 1), 40);
+  for (const std::vector<Community>& part : {sbm.ground_truth, split}) {
+    expect_integer_contraction_like_map(g, part);
+    // On one worker `com` holds each community's members in ascending
+    // id order, the reference's order, so non-integer sums match
+    // bitwise.
+    expect_contracts_like_map(fractional, part, 1);
+  }
   // One level up: 40 vertices with self-loops, merged into 8 communities.
   simt::Device device({.worker_threads = 1});
-  const Csr up = aggregate(device, fractional, part).contracted;
+  const Csr up = aggregate(device, fractional, sbm.ground_truth).contracted;
   ASSERT_EQ(up.num_vertices(), 40u);
   ASSERT_EQ(up.num_loops(), 40u);
   std::vector<Community> up_part(up.num_vertices());
   for (VertexId v = 0; v < up.num_vertices(); ++v) up_part[v] = v / 5 * 5;
-  EXPECT_EQ(expect_contracts_like_map(up, up_part, 1), 8);
+  expect_contracts_like_map(up, up_part, 1);
 }
 
 // --- The reference contraction and its accumulator.
