@@ -11,40 +11,45 @@
 
 #include "core/buckets.hpp"
 #include "core/community_weights.hpp"
-#include "core/hash_map.hpp"
 #include "core/rows.hpp"
-#include "simt/lane_group.hpp"
-#include "util/primes.hpp"
+#include "paper/hash_map.hpp"
+#include "paper/lane_group.hpp"
+#include "paper/primes.hpp"
 
 using namespace glouvain;
 
 namespace {
 
 /// One full edge-hashing pass with the paper's bucketed kernels
-/// (hash tables from the shared arena, lane-strided edge loops).
+/// (per-vertex hash tables in per-worker buffers sized for the largest
+/// row, lane-strided edge loops).
 double core_hash_pass(simt::Device& device, const graph::Csr& g) {
   const auto scheme = core::BucketScheme::paper_modopt();
   const auto binned = core::bin_by_key(
       g.num_vertices(), scheme,
       [&](graph::VertexId v) { return g.degree(v); }, device.pool());
+  const auto max_cap = static_cast<std::size_t>(
+      util::hash_capacity_for_degree(core::max_row_degree(g)));
+  std::vector<std::vector<graph::Community>> keys(
+      device.workers(), std::vector<graph::Community>(max_cap));
+  std::vector<std::vector<graph::Weight>> weights(
+      device.workers(), std::vector<graph::Weight>(max_cap));
   std::vector<graph::Weight> sink(device.workers(), 0);
 
   util::Timer timer;
   for (std::size_t b = 0; b < scheme.num_buckets(); ++b) {
     auto bucket = binned.bucket(b);
     if (bucket.empty()) continue;
-    const bool use_global = b >= scheme.global_from;
-    device.launch(bucket.size(), use_global ? 1 : 0, [&](simt::TaskContext& ctx) {
+    device.launch(bucket.size(), b >= scheme.global_from ? 1 : 0,
+                  [&](simt::TaskContext& ctx) {
       const graph::VertexId v = bucket[ctx.task()];
       const graph::EdgeIdx deg = g.degree(v);
       if (deg == 0) return;
       const auto cap =
           static_cast<std::size_t>(util::hash_capacity_for_degree(deg));
-      auto keys = use_global ? ctx.shared().alloc_global<graph::Community>(cap)
-                             : ctx.shared().alloc<graph::Community>(cap);
-      auto weights = use_global ? ctx.shared().alloc_global<graph::Weight>(cap)
-                                : ctx.shared().alloc<graph::Weight>(cap);
-      core::CommunityHashMap table(keys, weights);
+      core::CommunityHashMap table(
+          std::span(keys[ctx.worker()]).first(cap),
+          std::span(weights[ctx.worker()]).first(cap));
       table.clear();
       const graph::EdgeIdx off = g.offset(v);
       auto adjacency = g.adjacency();

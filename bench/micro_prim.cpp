@@ -1,14 +1,15 @@
 // google-benchmark microbenches for the Thrust-analogue primitives the
-// library calls (exclusive scan, sort) and the concurrent hash table —
-// the building blocks whose throughput the kernels inherit.
+// library calls (exclusive scan, sort), whose throughput the kernels
+// inherit, and the paper's concurrent hash table (src/paper), which no
+// production kernel runs.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
-#include "core/hash_map.hpp"
+#include "paper/hash_map.hpp"
+#include "paper/primes.hpp"
 #include "prim/scan.hpp"
 #include "prim/sort.hpp"
-#include "util/primes.hpp"
 #include "util/prng.hpp"
 
 namespace {

@@ -7,7 +7,7 @@
 // two ablation schemes, per suite graph.
 #include "bench_common.hpp"
 
-#include "core/occupancy.hpp"
+#include "paper/occupancy.hpp"
 
 using namespace glouvain;
 

@@ -121,11 +121,10 @@ int main(int argc, char** argv) {
               "(acceptance: > 10x)\n", speedup);
 
   const svc::Stats st = service.stats();
-  std::printf("service: %u devices x %u threads, %llu spills; "
+  std::printf("service: %u devices x %u threads; "
               "cache %llu hits / %llu misses; routing device %llu, "
               "sequential %llu\n",
               st.devices, st.device_threads,
-              static_cast<unsigned long long>(st.shared_spills),
               static_cast<unsigned long long>(st.cache_hits),
               static_cast<unsigned long long>(st.cache_misses),
               static_cast<unsigned long long>(st.ran_on_device),

@@ -2,12 +2,11 @@
 //
 // The GPU original is debugged with `cuda-memcheck` / `compute-sanitizer
 // --tool racecheck`, which understand the CUDA execution model: thread
-// blocks that cannot synchronize inside a launch, shared memory that is
-// reclaimed between blocks, hash slots that must be claimed by exactly
-// one CAS winner. TSan sees none of that — it trusts std::atomic_ref
-// and is blind to "two tasks plain-wrote the same SharedArena slot in
-// one launch" or "a kernel read stale shared-memory contents from a
-// previous launch", the dominant failure modes of parallel Louvain.
+// blocks that cannot synchronize inside a launch, hash slots that must
+// be claimed by exactly one CAS winner. TSan sees none of that — it
+// trusts std::atomic_ref and is blind to "two tasks plain-wrote the
+// same slot in one launch", a dominant failure mode of parallel
+// Louvain.
 //
 // This header is the hook surface. Every function below compiles to an
 // empty inline when GLOUVAIN_SIMTCHECK is not defined, so release
@@ -15,11 +14,9 @@
 // hooks feed a process-global shadow map (registry.cpp):
 //
 //   * each instrumented address carries {launch epoch, task id, access
-//     kind, arena generation};
+//     kind};
 //   * conflicting access kinds from two tasks of one launch report a
 //     race (plain/plain, plain/atomic, claim/claim);
-//   * reads of SharedArena memory whose record is from an older launch
-//     or an older arena generation report stale shared-memory reuse;
 //   * launch-contract breaches (nested launches, bucket-partition
 //     overruns, workspace aliasing across threads) report directly.
 //
@@ -53,7 +50,6 @@ enum class ViolationKind : std::uint8_t {
   kWriteWriteRace,    ///< two tasks plain-wrote one address in one launch
   kWriteAtomicRace,   ///< plain write raced an atomic access across tasks
   kDoubleClaim,       ///< one hash slot claimed by two winners in one launch
-  kStaleSharedRead,   ///< read of shared-arena contents from an older launch
   kNestedLaunch,      ///< a task launched a kernel (in-launch synchronization)
   kWorkspaceAliased,  ///< one core::Workspace driven by two threads at once
   kContract,          ///< an asserted launch contract failed
@@ -63,8 +59,7 @@ const char* to_string(ViolationKind kind) noexcept;
 
 /// One reported breach, with enough trace to find the kernel: launch
 /// name as labelled by check::KernelScope, the launch epoch, the two
-/// task ids involved, and the address (flagged when it lies inside a
-/// registered SharedArena).
+/// task ids involved, and the address.
 struct Violation {
   ViolationKind kind = ViolationKind::kContract;
   std::string kernel;            ///< label of the launch that tripped it
@@ -72,7 +67,6 @@ struct Violation {
   std::size_t task_a = kNoIndex; ///< task performing the tripping access
   std::size_t task_b = kNoIndex; ///< task of the prior conflicting access
   std::uintptr_t address = 0;    ///< conflicting location (0 for contracts)
-  bool shared_arena = false;     ///< address lies in SharedArena storage
   std::string detail;            ///< human-readable specifics
 
   std::string to_string() const;
@@ -112,7 +106,6 @@ enum class Access : std::uint8_t {
 };
 
 void note(const void* addr, Access access) noexcept;
-void note_read(const void* addr) noexcept;
 std::uint64_t open_launch(std::size_t tasks) noexcept;
 void close_launch(std::uint64_t launch) noexcept;
 void enter_task(std::uint64_t launch, std::size_t task,
@@ -120,9 +113,6 @@ void enter_task(std::uint64_t launch, std::size_t task,
 void leave_task(std::uint64_t prev_launch, std::size_t prev_task) noexcept;
 void set_kernel(const char* name, std::size_t index) noexcept;
 void clear_kernel() noexcept;
-void register_arena(const void* lo, std::size_t bytes) noexcept;
-void unregister_arena(const void* lo) noexcept;
-void reset_arena(const void* lo) noexcept;
 bool acquire_workspace(const void* ws) noexcept;
 void release_workspace(const void* ws) noexcept;
 void fail_contract(const char* what) noexcept;
@@ -130,8 +120,8 @@ void fail_contract(const char* what) noexcept;
 }  // namespace detail
 
 // ---------------------------------------------------------------------
-// Shadow-memory access notes (called by simt::atomics and the core hash
-// map / kernel bodies).
+// Shadow-memory access notes (called by simt::atomics, the kernel
+// bodies and the paper's hash table).
 
 /// A non-atomic store to `addr` by the current task.
 inline void note_plain_write(const void* addr) noexcept {
@@ -162,13 +152,6 @@ inline void note_atomic(const void* addr) noexcept {
 /// winners on one address in one launch report kDoubleClaim.
 inline void note_cas_claim(const void* addr) noexcept {
   if constexpr (enabled()) detail::note(addr, detail::Access::kCasClaim);
-}
-
-/// A non-atomic load. Only checked against SharedArena storage: a read
-/// whose shadow record predates the current launch (or the arena's
-/// last reset) reports kStaleSharedRead.
-inline void note_plain_read(const void* addr) noexcept {
-  if constexpr (enabled()) detail::note_read(addr);
 }
 
 /// Assert a launch contract; reports kContract when `ok` is false.
@@ -226,26 +209,6 @@ class KernelScope {
   KernelScope(const KernelScope&) = delete;
   KernelScope& operator=(const KernelScope&) = delete;
 };
-
-// ---------------------------------------------------------------------
-// SharedArena registration (called by simt::SharedArena).
-
-inline void register_arena([[maybe_unused]] const void* lo,
-                           [[maybe_unused]] std::size_t bytes) noexcept {
-  if constexpr (enabled()) detail::register_arena(lo, bytes);
-}
-
-inline void unregister_arena([[maybe_unused]] const void* lo) noexcept {
-  if constexpr (enabled()) detail::unregister_arena(lo);
-}
-
-/// Bump the arena generation of the buffer starting at `lo`: records
-/// written before the bump no longer conflict with (or satisfy) later
-/// accesses — the shadow analogue of shared memory being reclaimed
-/// between thread blocks.
-inline void reset_arena([[maybe_unused]] const void* lo) noexcept {
-  if constexpr (enabled()) detail::reset_arena(lo);
-}
 
 // ---------------------------------------------------------------------
 // Workspace exclusivity (held by core phase drivers around their use of

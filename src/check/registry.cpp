@@ -16,10 +16,8 @@
 
 #include <atomic>  // glint: allow(raw-atomic) — checker infrastructure
 #include <cstdio>
-#include <map>
 #include <mutex>
 #include <set>
-#include <shared_mutex>
 #include <sstream>
 #include <thread>
 #include <tuple>
@@ -32,7 +30,6 @@ const char* to_string(ViolationKind kind) noexcept {
     case ViolationKind::kWriteWriteRace: return "write-write race";
     case ViolationKind::kWriteAtomicRace: return "plain/atomic race";
     case ViolationKind::kDoubleClaim: return "double slot claim";
-    case ViolationKind::kStaleSharedRead: return "stale shared-memory read";
     case ViolationKind::kNestedLaunch: return "nested launch";
     case ViolationKind::kWorkspaceAliased: return "workspace aliased";
     case ViolationKind::kContract: return "contract violation";
@@ -48,10 +45,7 @@ std::string Violation::to_string() const {
     os << " task " << task_a;
     if (task_b != kNoIndex && task_b != task_a) os << " vs task " << task_b;
   }
-  if (address) {
-    os << " at 0x" << std::hex << address << std::dec
-       << (shared_arena ? " [shared arena]" : " [global]");
-  }
+  if (address) os << " at 0x" << std::hex << address << std::dec;
   if (!detail.empty()) os << " — " << detail;
   return os.str();
 }
@@ -83,22 +77,11 @@ struct Cell {
   std::uint64_t epoch = 0;
   std::uint32_t task = 0;
   Access access = Access::kInit;
-  std::uint32_t arena_gen = 0;
 };
 
 struct Shard {
   std::mutex mu;
   std::unordered_map<std::uintptr_t, Cell> cells;
-};
-
-struct ArenaRange {
-  std::uintptr_t hi = 0;
-  std::uint32_t gen = 1;
-};
-
-struct ArenaHit {
-  bool arena = false;
-  std::uint32_t gen = 0;
 };
 
 struct WorkspaceOwner {
@@ -117,10 +100,6 @@ struct State {
 
   // Shadow cells.
   Shard shards[kShards];
-
-  // Registered SharedArena buffers, keyed by buffer base address.
-  std::shared_mutex arenas_mu;
-  std::map<std::uintptr_t, ArenaRange> arenas;
 
   // Workspace exclusivity.
   std::mutex ws_mu;
@@ -151,16 +130,6 @@ Shard& shard_for(std::uintptr_t addr) {
   return state().shards[h & (kShards - 1)];
 }
 
-ArenaHit arena_lookup(std::uintptr_t addr) {
-  State& s = state();
-  std::shared_lock lock(s.arenas_mu);
-  auto it = s.arenas.upper_bound(addr);
-  if (it == s.arenas.begin()) return {};
-  --it;
-  if (addr < it->second.hi) return {true, it->second.gen};
-  return {};
-}
-
 std::string label_of(std::uint64_t launch) {
   State& s = state();
   std::lock_guard lock(s.launches_mu);
@@ -180,7 +149,7 @@ void record(Violation v) {
 }
 
 /// Conflict matrix for two accesses to one address by DISTINCT tasks of
-/// one launch (and one arena generation). kInit never conflicts: a
+/// one launch. kInit never conflicts: a
 /// table clear is initialization, and the races it could mask resurface
 /// at the claim/accumulate that follows.
 ViolationKind conflict(Access prev, Access cur, bool& is_conflict) {
@@ -253,8 +222,6 @@ void reset() {
     std::lock_guard lock(s.ws_mu);
     s.workspaces.clear();
   }
-  // Registered arenas (and their generations) survive: live devices
-  // keep using their buffers across a reset.
 }
 
 namespace detail {
@@ -263,17 +230,13 @@ void note(const void* addr, Access access) noexcept {
   if (t_launch == 0) return;  // host-side access: outside the device model
   try {
     const auto a = reinterpret_cast<std::uintptr_t>(addr);
-    const ArenaHit hit = arena_lookup(a);
     Shard& sh = shard_for(a);
     std::lock_guard lock(sh.mu);
-    auto [it, inserted] =
-        sh.cells.try_emplace(a, Cell{t_launch, static_cast<std::uint32_t>(t_task),
-                                     access, hit.gen});
+    const Cell now{t_launch, static_cast<std::uint32_t>(t_task), access};
+    auto [it, inserted] = sh.cells.try_emplace(a, now);
     if (inserted) return;
     Cell& cell = it->second;
-    const bool live =
-        cell.epoch == t_launch && (!hit.arena || cell.arena_gen == hit.gen);
-    if (live && cell.task != t_task) {
+    if (cell.epoch == t_launch && cell.task != t_task) {
       bool is_conflict = false;
       const ViolationKind kind = conflict(cell.access, access, is_conflict);
       if (is_conflict) {
@@ -284,7 +247,6 @@ void note(const void* addr, Access access) noexcept {
         v.task_a = t_task;
         v.task_b = cell.task;
         v.address = a;
-        v.shared_arena = hit.arena;
         v.detail = std::string(access_name(access)) + " after " +
                    access_name(cell.access) + " by the other task";
         record(std::move(v));
@@ -293,39 +255,10 @@ void note(const void* addr, Access access) noexcept {
       // the reclaim that follows would look like a first claim.
       if (access == Access::kInit) return;
     }
-    cell = Cell{t_launch, static_cast<std::uint32_t>(t_task), access, hit.gen};
+    cell = now;
   } catch (...) {
     // The checker never takes the process down on its own allocation
     // failure; worst case it under-reports.
-  }
-}
-
-void note_read(const void* addr) noexcept {
-  if (t_launch == 0) return;
-  try {
-    const auto a = reinterpret_cast<std::uintptr_t>(addr);
-    const ArenaHit hit = arena_lookup(a);
-    if (!hit.arena) return;  // staleness is a shared-memory property
-    Shard& sh = shard_for(a);
-    std::lock_guard lock(sh.mu);
-    auto it = sh.cells.find(a);
-    if (it == sh.cells.end()) return;
-    const Cell& cell = it->second;
-    if (cell.epoch != t_launch || cell.arena_gen != hit.gen) {
-      Violation v;
-      v.kind = ViolationKind::kStaleSharedRead;
-      v.kernel = label_of(t_launch);
-      v.epoch = t_launch;
-      v.task_a = t_task;
-      v.task_b = cell.task;
-      v.address = a;
-      v.shared_arena = true;
-      v.detail = "last written in epoch " + std::to_string(cell.epoch) +
-                 " by task " + std::to_string(cell.task) +
-                 (cell.arena_gen != hit.gen ? " (arena since reclaimed)" : "");
-      record(std::move(v));
-    }
-  } catch (...) {
   }
 }
 
@@ -397,38 +330,6 @@ void set_kernel(const char* name, std::size_t index) noexcept {
 void clear_kernel() noexcept {
   t_kernel = nullptr;
   t_kernel_index = kNoIndex;
-}
-
-void register_arena(const void* lo, std::size_t bytes) noexcept {
-  if (lo == nullptr || bytes == 0) return;
-  State& s = state();
-  try {
-    const auto a = reinterpret_cast<std::uintptr_t>(lo);
-    std::unique_lock lock(s.arenas_mu);
-    s.arenas[a] = ArenaRange{a + bytes, 1};
-  } catch (...) {
-  }
-}
-
-void unregister_arena(const void* lo) noexcept {
-  if (lo == nullptr) return;
-  State& s = state();
-  try {
-    std::unique_lock lock(s.arenas_mu);
-    s.arenas.erase(reinterpret_cast<std::uintptr_t>(lo));
-  } catch (...) {
-  }
-}
-
-void reset_arena(const void* lo) noexcept {
-  if (lo == nullptr) return;
-  State& s = state();
-  try {
-    std::unique_lock lock(s.arenas_mu);
-    auto it = s.arenas.find(reinterpret_cast<std::uintptr_t>(lo));
-    if (it != s.arenas.end()) ++it->second.gen;
-  } catch (...) {
-  }
 }
 
 bool acquire_workspace(const void* ws) noexcept {

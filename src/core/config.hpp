@@ -1,6 +1,6 @@
 // Configuration of the GPU-style Louvain algorithm: degree buckets,
-// lane assignment, shared/global hash placement, update strategy, and
-// the threshold schedule. Defaults are exactly the paper's (§4.1).
+// lane assignment, update strategy, and the threshold schedule.
+// Defaults are exactly the paper's (§4.1).
 #pragma once
 
 #include <vector>
@@ -13,9 +13,12 @@ namespace glouvain::core {
 
 /// Degree-based work binning (§4.1). Bucket k holds vertices with
 /// degree in (bounds[k-1], bounds[k]]; the final bucket is unbounded.
-/// lanes[k] is the number of cooperating lanes assigned to each vertex
-/// of that bucket, and buckets with index >= global_from place their
-/// hash tables in "global memory" instead of the per-SM shared arena.
+/// lanes[k] is the number of cooperating lanes the paper assigns to each
+/// vertex of that bucket; only the table-path reference (src/paper) and
+/// the occupancy model run lane groups. Buckets with index >=
+/// global_from, where the paper moves its hash tables to global memory,
+/// are dispatched one task per grab (their vertices come in descending
+/// degree order, so the largest start first).
 struct BucketScheme {
   std::vector<graph::EdgeIdx> bounds;
   std::vector<unsigned> lanes;
@@ -39,8 +42,8 @@ struct BucketScheme {
     return {{127, 479}, {32, 128, 128}, 2};
   }
 
-  /// Ablation scheme: no binning, one lane per vertex, shared tables
-  /// with spill to global (the "node centered" strategy of prior work).
+  /// Ablation scheme: no binning, one lane per vertex (the "node
+  /// centered" strategy of prior work).
   static BucketScheme single_lane() { return {{}, {1}, 1}; }
 
   /// Ablation scheme: a full warp for every vertex regardless of degree.

@@ -77,7 +77,6 @@ void Louvain::run_impl(const Csr* graph, const zg::ZCsr* z0,
                        const LevelStep* step, Result& result,
                        obs::Recorder* rec) {
   util::Timer total_timer;
-  device_->clear_spills();
 
   const LevelSize size0 = z0 ? LevelSize{z0->num_vertices(), z0->num_arcs()}
                              : LevelSize{graph->num_vertices(),
@@ -103,7 +102,6 @@ void Louvain::run_impl(const Csr* graph, const zg::ZCsr* z0,
   const Csr* current = graph;
   Csr owned;
   std::span<const Community> labels;
-  std::uint64_t prev_spills = 0;
 
   // Level 0 of a warm run starts from the seeded partition and sweeps
   // only the frontier; every later level is a normal cold phase on
@@ -162,12 +160,6 @@ void Louvain::run_impl(const Csr* graph, const zg::ZCsr* z0,
     }
     ws_.put(std::move(agg.new_id));
 
-    if (rec) {
-      const std::uint64_t spills = device_->total_spills();
-      rec->count("level/shared_spills",
-                 static_cast<double>(spills - prev_spills));
-      prev_spills = spills;
-    }
     // Retire the previous owned level into the recycling pools before
     // adopting the new one (never the caller's input graph).
     Csr next = std::move(agg.contracted);
@@ -186,7 +178,6 @@ void Louvain::run_impl(const Csr* graph, const zg::ZCsr* z0,
   }
 
   result.total_seconds = total_timer.seconds();
-  result.device.shared_spills = device_->total_spills();
   result.device.workers = device_->workers();
 }
 

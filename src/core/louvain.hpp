@@ -6,8 +6,8 @@
 //   auto result = runner.run(graph);
 //   // result.community[v], result.modularity, result.levels, ...
 //
-// A Louvain instance owns its device (thread pool + shared-memory
-// arenas) and can be reused across runs. For one-off calls the free
+// A Louvain instance owns its device (thread pool) and workspace and
+// can be reused across runs. For one-off calls the free
 // function louvain() constructs a temporary instance. Pass an
 // obs::Recorder to run() for the per-level phase/kernel span tree.
 #pragma once
@@ -96,7 +96,7 @@ class Louvain {
                         double threshold);
 
   /// Replace the algorithm configuration, keeping the device (thread
-  /// pool + arenas) warm. The device keeps the `threads` and `device`
+  /// pool) and workspace warm. The device keeps the `threads` and `device`
   /// it was built with — construct a fresh Louvain to change them.
   void set_config(const Config& config);
 

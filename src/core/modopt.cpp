@@ -323,10 +323,9 @@ PhaseResult optimize_phase_impl(simt::Device& device, Rows& rows,
     std::size_t sweep_moved = 0;
 
     for (std::size_t b = 0; b < scheme.num_buckets(); ++b) {
-      const bool use_global = b >= scheme.global_from;
       // Heaviest bucket: one task per dispatch so the desc-by-degree
       // order load-balances (paper: interleaved assignment to blocks).
-      const std::size_t grain = use_global ? 1 : 0;
+      const std::size_t grain = b >= scheme.global_from ? 1 : 0;
 
       for (unsigned s = 0; s < subrounds; ++s) {
         const std::span<const VertexId> group_vertices =

@@ -1,12 +1,10 @@
-// The three per-vertex decision kernels of the modularity-optimization
-// phase (Algorithm 2's computeMove). optimize_phase runs the register
-// path up to kSmallMoveDegree and the dense path above it; the paper's
-// table path is the reference both are held against. They live in
-// core::detail so a test can hold each against the others.
+// The per-vertex decision kernels of the modularity-optimization phase
+// (Algorithm 2's computeMove). optimize_phase runs the register path up
+// to kSmallMoveDegree and the dense path above it. They live in
+// core::detail so a test can hold each against the paper's table path
+// (core::detail::compute_move in paper/compute_move.hpp), the reference
+// no production kernel runs.
 //
-//   * compute_move, the table path: a lane group hashes the
-//     neighbourhood into a task-local open-addressing table, and its
-//     claimed slots fold down to the best destination.
 //   * compute_move_small, the register path for degrees 1 to
 //     kSmallMoveDegree: at most four neighbour communities, kept in
 //     registers. No accumulator, no clear, no touched list.
@@ -15,15 +13,14 @@
 //     one slot per community id, sums the neighbourhood, and its
 //     touched ids fold down to the best destination.
 //
-// All three sum each weight in adjacency order, starting from 0, and
-// take the better() maximum, which does not depend on fold order, so
-// they make the same decision bit for bit (new_comm and move_gain).
+// Both sum each weight in adjacency order, starting from 0, and take
+// the better() maximum, which does not depend on fold order, so they
+// make the table path's decision bit for bit (new_comm and move_gain).
 #pragma once
 
 #include <array>
 #include <cassert>
 #include <cstdint>
-#include <span>
 
 #include "check/check.hpp"
 #include "core/community_weights.hpp"
@@ -69,36 +66,6 @@ inline constexpr std::uint32_t kSmallMoveDegree = 4;
   // vertex moves concurrently); drives the sweep stopping rule.
   check::note_plain_write(&state.move_gain[v]);
   state.move_gain[v] = move ? 2.0 * (best.gain - stay_gain) / m2 : 0.0;
-}
-
-/// The table path for one vertex, as the paper's GPU kernel runs it.
-/// Rows is the storage seam (PlainRows or ZRows); Table is the
-/// task-local hash map; Group is a FixedLaneGroup. `touched` is caller
-/// scratch for >= capacity slot indices.
-template <typename Rows, typename Group, typename Table>
-void compute_move(Rows& rows, unsigned worker, PhaseState& state,
-                  graph::Weight m2, graph::VertexId v, const Group& group,
-                  Table& table, std::span<std::uint32_t> touched) {
-  const RowView r = rows.row(v, worker);
-  const graph::Community old_c = state.community[v];
-  const graph::Weight k = state.strengths[v];
-
-  // Lines 2-13: lane-parallel hashing of the neighbourhood into the
-  // task-local table (the self-loop contributes equally to every
-  // candidate, so it is skipped). Claimed slots are recorded for the
-  // fold below.
-  const std::uint32_t num_touched = simt::hash_row_claim(
-      group, r, v, state.community.data(), table, touched.data());
-
-  // Line 14: fold the claimed slots down to the best destination.
-  // The gain term per candidate community c (v removed from its own
-  // community first) is e_{v->c} - k_v * a_c / 2m, the variable part
-  // of Eq. (2).
-  graph::Weight d_old = 0;  // e_{v->C(v)\{v}}, collected during the scan
-  const simt::BestComm best =
-      simt::scan_best(table, touched.first(num_touched), old_c,
-                      state.tot.data(), k, 1.0 / m2, d_old);
-  decide_move(state, m2, v, old_c, k, d_old, best);
 }
 
 /// The register path for one vertex of degree 1..kSmallMoveDegree.

@@ -6,9 +6,8 @@
 // or a zg::ZCsr (per-worker decode buffers fed by varint cursors —
 // the compressed level-0 path of the zg subsystem).
 //
-// ZRows decodes into per-worker grow-on-demand buffers rather than
-// the task's SharedArena: a hub row can exceed any realistic shared
-// capacity, and the decode buffer is host-side plumbing of the
+// ZRows decodes into per-worker grow-on-demand buffers: a hub row can
+// be any length, and the decode buffer is host-side plumbing of the
 // storage substitution, not part of the modelled device memory (see
 // DESIGN.md §12). Each worker keeps a cached cursor so vertex-ordered
 // passes (strength reset, modularity) decode sequentially; random-

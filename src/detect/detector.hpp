@@ -8,7 +8,7 @@
 //
 // The service layer and the CLI dispatch exclusively through this
 // interface — no per-backend branches. Detectors may be stateful
-// (the core detector keeps its simt device + arenas warm across runs,
+// (the core detector keeps its simt device + workspace warm across runs,
 // which is what the svc device pool relies on); one detector instance
 // must not be run from two threads at once.
 #pragma once

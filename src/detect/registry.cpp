@@ -52,8 +52,8 @@ class WarmRunner {
 };
 
 /// GPU-style Louvain on the software SIMT device. Keeps its device
-/// (thread pool + shared arenas) warm across runs — the svc device
-/// pool holds one of these per pooled slot.
+/// (thread pool) and workspace warm across runs — the svc device pool
+/// holds one of these per pooled slot.
 class CoreDetector final : public Detector {
  public:
   std::string_view name() const noexcept override { return "core"; }

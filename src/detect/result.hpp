@@ -16,9 +16,11 @@ namespace glouvain::detect {
 
 /// Diagnostics of the software SIMT device (zeroes for seq/plm).
 struct DeviceStats {
-  std::uint64_t shared_spills = 0;  ///< hash tables that overflowed the
-                                    ///< shared arena into heap storage
-  unsigned workers = 0;             ///< device worker threads used
+  /// Always 0: no kernel draws from a shared arena. Kept only because
+  /// the end-to-end benchmark (bench/e2e/e2e.cpp) still reads it for
+  /// its `core.spills` layer; it goes with that read.
+  std::uint64_t shared_spills = 0;
+  unsigned workers = 0;  ///< device worker threads used
 };
 
 struct Result {

@@ -6,8 +6,8 @@
 //               degree-bucket kernel launch, each tagged with the
 //               hierarchy level it ran at;
 //   * COUNTERS — named scalars, optionally binned (bucket occupancy
-//               histograms, hash-spill counts per level, moved-vertex
-//               fractions per sweep, sweep counts).
+//               histograms, moved-vertex fractions per sweep, sweep
+//               counts).
 //
 // Recording is enabled by passing a Recorder* into a detector run and
 // disabled by passing nullptr: every instrumentation site goes through

@@ -9,9 +9,8 @@
 // move kernels against (core::detail::compute_move), the checker's
 // seeded cases, and the micro_hashing and micro_prim benches.
 //
-// The table is a VIEW over caller spans, such as a SharedArena's, so
-// the same code runs against "shared memory" and "global memory"
-// storage.
+// The table is a VIEW over caller spans (a per-worker buffer, a host
+// vector), so it owns no memory.
 //
 // Atomicity policy: Atomic = true gives the fully concurrent table
 // (CAS slot claiming + atomic accumulate) for storage shared between
@@ -36,7 +35,7 @@
 #include "check/check.hpp"
 #include "graph/types.hpp"
 #include "simt/atomics.hpp"
-#include "util/primes.hpp"
+#include "paper/primes.hpp"
 
 namespace glouvain::core {
 
@@ -130,7 +129,6 @@ class BasicCommunityHashMap {
     std::uint32_t pos = mod_cap_.mod(c);
     const std::uint32_t step = 1 + mod_cap_minus1_.mod(c);
     for (;;) {
-      if constexpr (!Atomic) check::note_plain_read(&keys_[pos]);
       const graph::Community observed =
           Atomic ? simt::atomic_load(keys_[pos]) : keys_[pos];
       if (observed == c) {
@@ -176,7 +174,6 @@ class BasicCommunityHashMap {
     std::uint32_t pos = mod_cap_.mod(c);
     const std::uint32_t step = 1 + mod_cap_minus1_.mod(c);
     for (;;) {
-      check::note_plain_read(&keys_[pos]);
       const graph::Community observed = keys_[pos];
       if (observed == c) {
         check::note_plain_write(&weights_[pos]);
@@ -201,7 +198,6 @@ class BasicCommunityHashMap {
     std::uint32_t pos = mod_cap_.mod(c);
     const std::uint32_t step = 1 + mod_cap_minus1_.mod(c);
     for (std::uint32_t it = 0; it < cap_; ++it) {
-      check::note_plain_read(&keys_[pos]);
       if (keys_[pos] == c) return weights_[pos];
       if (keys_[pos] == kNull) return 0;
       pos += step;
@@ -211,15 +207,12 @@ class BasicCommunityHashMap {
   }
 
   graph::Community key_at(std::size_t pos) const noexcept {
-    check::note_plain_read(&keys_[pos]);
     return keys_[pos];
   }
   graph::Weight weight_at(std::size_t pos) const noexcept {
-    check::note_plain_read(&weights_[pos]);
     return weights_[pos];
   }
   bool occupied(std::size_t pos) const noexcept {
-    check::note_plain_read(&keys_[pos]);
     return keys_[pos] != kNull;
   }
 

@@ -3,16 +3,16 @@
 // On the GPU a vertex of degree d is processed by a group of 2^k lanes
 // of one warp (k in [2,5]), by a full warp, or by a whole 128-thread
 // block; lanes iterate the vertex's edges in an interleaved (strided)
-// pattern. The software device preserves that structure: a lane group
-// executes its lanes in lockstep rounds inside ONE OS thread — a warp
-// never diverges across OS threads, matching SIMT — while different
-// groups (different vertices) run concurrently on the pool.
+// pattern. A lane group keeps that structure: it executes its lanes in
+// lockstep rounds inside ONE OS thread — a warp never diverges across
+// OS threads, matching SIMT.
 //
-// Keeping the lane-strided visit order means the hashing loops are a
-// line-by-line transcription of Algorithm 2 rather than a loose CPU
-// re-imagining of it. The best-community reduction needs no lanes: it
-// folds the claimed slots under a total order (kernel_ops.hpp), which
-// reaches the answer of the GPU's shuffle-down tree.
+// Keeping the lane-strided visit order means the table path's hashing
+// loop (compute_move.hpp) is a line-by-line transcription of Algorithm
+// 2. No production kernel runs a lane group: only that reference, its
+// tests and the micro_hashing bench do. The best-community reduction
+// needs no lanes: it folds the claimed slots under a total order,
+// which reaches the answer of the GPU's shuffle-down tree.
 #pragma once
 
 #include <algorithm>

@@ -1,4 +1,4 @@
-#include "core/occupancy.hpp"
+#include "paper/occupancy.hpp"
 
 namespace glouvain::core {
 

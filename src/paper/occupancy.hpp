@@ -9,7 +9,8 @@
 // lane-slots, exactly what the profiler counts for the hashing loop.
 // The analysis is static (degree distribution + bucket scheme), so it
 // isolates the divergence the BUCKETING itself causes, independent of
-// memory latency.
+// memory latency. It models the paper's lane-group kernel, which no
+// production kernel runs: core sums in per-worker accumulators.
 #pragma once
 
 #include <vector>

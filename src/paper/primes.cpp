@@ -1,4 +1,4 @@
-#include "util/primes.hpp"
+#include "paper/primes.hpp"
 
 #include <algorithm>
 #include <array>

@@ -5,8 +5,8 @@
 // Scratch instead of heap-allocating per call, so steady-state
 // invocations perform zero allocations.
 //
-// Structure: a bump allocator over a list of fixed chunks (the same
-// never-invalidate discipline as simt::SharedArena). Chunks are
+// Structure: a bump allocator over a list of fixed chunks, so a span
+// stays valid until the reset or frame that reclaims it. Chunks are
 // retained across resets, so once the arena has warmed up to a
 // workload's high-water mark, every later request is served from
 // existing memory. Nested primitives compose through Frame, an RAII

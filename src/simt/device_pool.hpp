@@ -13,8 +13,8 @@
 // full grant would serialize concurrent jobs exactly when the pool is
 // busiest. Devices are constructed lazily (first lease that reaches
 // them), so an unused pool costs two vectors; each device keeps its
-// thread pool + shared arenas warm for its next lease, mirroring how
-// svc::Service keeps core detectors warm per worker.
+// thread pool warm for its next lease, mirroring how svc::Service keeps
+// core detectors warm per worker.
 #pragma once
 
 #include <memory>
@@ -37,8 +37,8 @@ struct DevicePoolConfig {
   /// Host threads to split when threads_per_device == 0; 0 = hardware
   /// concurrency.
   unsigned total_threads = 0;
-  /// Template for each pooled device (backend, block shape, arena
-  /// bytes). worker_threads is overridden per the fields above.
+  /// Template for each pooled device (its backend). worker_threads is
+  /// overridden per the fields above.
   DeviceConfig device;
 };
 

@@ -611,7 +611,6 @@ void Service::worker_loop(unsigned index) {
         s.counters.sweeps_total += static_cast<std::uint64_t>(level.iterations);
         ++s.counters.levels_total;
       }
-      s.counters.shared_spills += result->device.shared_spills;
       if (job->routed == "core") {
         ++s.counters.ran_on_device;
       } else if (job->routed == "seq") {

@@ -12,7 +12,7 @@
 // and routes by estimated cost — tiny graphs go to the sequential
 // backend so they never occupy a simt device. Worker threads — one
 // permanently bound to each pooled "core" detector (whose simt device
-// + arenas stay warm across jobs), plus `aux_workers` device-less
+// + workspace stay warm across jobs), plus `aux_workers` device-less
 // workers that only take sequential jobs — pop jobs in priority order,
 // expire those whose deadline passed while queued, run the job's
 // backend through the detect::make() registry (no per-backend dispatch
@@ -36,7 +36,7 @@ namespace glouvain::svc {
 
 struct ServiceConfig {
   /// Pooled "core" detectors; each gets a dedicated worker thread that
-  /// reuses the instance (device + arenas) across jobs.
+  /// reuses the instance (device + workspace) across jobs.
   unsigned devices = 2;
   /// Extra device-less workers that only run sequential-backend jobs,
   /// so degraded tiny jobs do not wait behind device-sized ones.

@@ -43,9 +43,8 @@ struct Stats {
   std::uint64_t sweeps_total = 0;  ///< optimization sweeps executed
 
   // Device pool.
-  std::uint64_t shared_spills = 0;  ///< summed DeviceStats::shared_spills
-  unsigned devices = 0;             ///< pooled core::Louvain instances
-  unsigned device_threads = 0;      ///< resolved options.threads
+  unsigned devices = 0;         ///< pooled core::Louvain instances
+  unsigned device_threads = 0;  ///< resolved options.threads
 
   // Dynamic-graph sessions.
   std::uint64_t sessions_opened = 0;

@@ -4,9 +4,9 @@
 #include <map>
 #include <vector>
 
-#include "core/hash_map.hpp"
+#include "paper/hash_map.hpp"
+#include "paper/primes.hpp"
 #include "simt/thread_pool.hpp"
-#include "util/primes.hpp"
 #include "util/prng.hpp"
 
 namespace glouvain::core {

@@ -127,14 +127,6 @@ TEST(CoreLouvain, ThresholdScheduleShortensPhases) {
   EXPECT_GT(rc.modularity, 0.9 * rf.modularity);
 }
 
-TEST(CoreLouvain, NoSharedSpillsWithPaperBuckets) {
-  // The paper's bucket boundaries are chosen so groups 1-6 fit in the
-  // 48 KiB shared memory; the device must report zero spills.
-  const auto g = gen::rmat({.scale = 12, .edge_factor = 16}, 19);
-  const Result result = louvain(g);
-  EXPECT_EQ(result.device.shared_spills, 0u);
-}
-
 TEST(CoreLouvain, ReusableRunner) {
   Louvain runner;
   const auto g1 = gen::ring_of_cliques(8, 5);

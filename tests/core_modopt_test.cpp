@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/community_weights.hpp"
-#include "core/hash_map.hpp"
 #include "core/louvain.hpp"
 #include "core/modopt.hpp"
 #include "core/move_kernels.hpp"
@@ -24,9 +23,11 @@
 #include "graph/builder.hpp"
 #include "metrics/modularity.hpp"
 #include "metrics/partition.hpp"
+#include "paper/compute_move.hpp"
+#include "paper/hash_map.hpp"
+#include "paper/lane_group.hpp"
+#include "paper/primes.hpp"
 #include "simt/backend.hpp"
-#include "simt/lane_group.hpp"
-#include "util/primes.hpp"
 #include "util/prng.hpp"
 
 namespace glouvain::core {
@@ -232,8 +233,6 @@ TEST(OptimizePhase, HighDegreeHubUsesGlobalBucket) {
   runner.run_phase(star, community, 1e-9);
   auto labels = community;
   EXPECT_EQ(metrics::renumber(labels), 1u);
-  // The hub sums in its worker's accumulator, not in the arena.
-  EXPECT_EQ(runner.device().total_spills(), 0u);
 }
 
 TEST(OptimizePhase, FirstSweepTimeRecorded) {

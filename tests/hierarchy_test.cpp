@@ -5,7 +5,6 @@
 #include <fstream>
 
 #include "core/louvain.hpp"
-#include "core/occupancy.hpp"
 #include "gen/cliques.hpp"
 #include "gen/lfr.hpp"
 #include "gen/rmat.hpp"
@@ -13,6 +12,7 @@
 #include "metrics/dendrogram.hpp"
 #include "metrics/partition.hpp"
 #include "metrics/partition_io.hpp"
+#include "paper/occupancy.hpp"
 #include "plm/plm.hpp"
 #include "seq/louvain.hpp"
 #include "shard/engine.hpp"

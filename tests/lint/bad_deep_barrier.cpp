@@ -9,13 +9,15 @@
 // Expected findings:
 //   shard-barrier  run_lanes body -> commit_now() -> gs.apply_move(...)
 //   kernel-alloc   launch body -> log_task() -> sink.push_back(...)
-// The buffered / arena-based twins at the bottom must NOT be reported.
+// The buffered / workspace-based twins at the bottom must NOT be
+// reported.
 
 #include <cstddef>
 #include <span>
 #include <thread>
 #include <vector>
 
+#include "core/workspace.hpp"
 #include "shard/halo.hpp"
 #include "simt/device.hpp"
 
@@ -63,16 +65,18 @@ inline void bad_logging_kernel(simt::Device& device,
 }
 
 // Clean twins: the lane buffers locally (published after the join, by
-// the caller), and the kernel draws from its SharedArena.
+// the caller), and the kernel draws from a workspace buffer sized
+// before the launch.
 inline void good_buffered_round(std::vector<unsigned>& buffer,
                                 unsigned lanes) {
   run_lanes(lanes, [&](unsigned lane) { buffer[lane] = lane + 1; });
 }
 
-inline long good_arena_kernel(simt::Device& device, std::size_t n) {
+inline long good_arena_kernel(simt::Device& device, core::Workspace& ws,
+                              std::size_t n) {
   long total = 0;
-  device.launch(1, [&](simt::TaskContext& ctx) {
-    auto scratch = ctx.shared().alloc<long>(n);
+  auto scratch = ws.buffer<long>(core::Workspace::Slot::kAggFlags, n);
+  device.launch(1, [&](simt::TaskContext&) {
     for (std::size_t i = 0; i < n; ++i) scratch[i] = 1;
     for (std::size_t i = 0; i < n; ++i) total += scratch[i];
   });

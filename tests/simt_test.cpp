@@ -1,5 +1,6 @@
 // Unit tests for the software SIMT device: thread pool, atomics,
-// lane groups, shared arenas, kernel launch semantics.
+// kernel launch semantics, the argmax combine, and the paper's lane
+// groups and claimed-slot fold (src/paper).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,12 +18,12 @@
 #include <utility>
 #include <vector>
 
+#include "paper/compute_move.hpp"
+#include "paper/lane_group.hpp"
 #include "simt/atomics.hpp"
 #include "simt/backend.hpp"
 #include "simt/device.hpp"
 #include "simt/kernel_ops.hpp"
-#include "simt/lane_group.hpp"
-#include "simt/shared_arena.hpp"
 #include "simt/thread_pool.hpp"
 #include "simt/vector_ops.hpp"
 #include "util/prng.hpp"
@@ -255,103 +256,6 @@ TEST(LaneGroup, ExclusiveScan) {
   EXPECT_EQ(counts, (std::vector<std::uint64_t>{0, 3, 3, 5}));
 }
 
-TEST(SharedArena, SharedThenSpill) {
-  SharedArena arena(1024);
-  auto a = arena.alloc<double>(64);  // 512 bytes -> shared
-  EXPECT_EQ(arena.spills(), 0u);
-  auto b = arena.alloc<double>(64);  // another 512 -> fits exactly
-  EXPECT_EQ(arena.spills(), 0u);
-  auto c = arena.alloc<double>(8);  // no room -> spill
-  EXPECT_EQ(arena.spills(), 1u);
-  // All three must be disjoint and writable.
-  a[0] = 1;
-  b[0] = 2;
-  c[0] = 3;
-  EXPECT_EQ(a[0] + b[0] + c[0], 6);
-}
-
-TEST(SharedArena, SpillSpansSurviveLaterAllocations) {
-  SharedArena arena(64);
-  auto first = arena.alloc_global<std::uint32_t>(100);
-  first[99] = 7;
-  // Force many more overflow allocations; `first` must stay valid.
-  for (int i = 0; i < 200; ++i) {
-    auto more = arena.alloc_global<std::uint32_t>(100000);
-    more[0] = static_cast<std::uint32_t>(i);
-  }
-  EXPECT_EQ(first[99], 7u);
-}
-
-TEST(SharedArena, ResetReclaims) {
-  SharedArena arena(1024);
-  arena.alloc<double>(100);  // spills (800 > ... fits actually 800<1024) -> no
-  arena.alloc<double>(100);  // 1600 total -> spills
-  const auto spills_before = arena.spills();
-  arena.reset();
-  auto again = arena.alloc<double>(100);
-  again[0] = 1.0;
-  EXPECT_EQ(arena.spills(), spills_before);  // reset does not clear counter
-  EXPECT_EQ(arena.shared_used() > 0, true);
-}
-
-// --- SharedArena exhaustion: a request larger than the shared
-// capacity must take the diagnosable global-memory fallback (the
-// paper's largest-bucket path), never UB.
-
-TEST(SharedArena, OverCapacityRequestFallsBackToGlobal) {
-  SharedArena arena(1024);
-  auto big = arena.alloc<double>(1024);  // 8 KiB against 1 KiB shared
-  ASSERT_EQ(big.size(), 1024u);
-  EXPECT_EQ(arena.spills(), 1u);           // the diagnosis
-  EXPECT_EQ(arena.shared_used(), 0u);      // shared region untouched
-  big[0] = 1.0;                            // span fully writable
-  big[1023] = 2.0;
-  EXPECT_DOUBLE_EQ(big[0] + big[1023], 3.0);
-  // The fallback must not corrupt later in-capacity allocations.
-  auto small = arena.alloc<double>(8);
-  small[7] = 5.0;
-  EXPECT_DOUBLE_EQ(big[1023], 2.0);
-}
-
-TEST(SharedArena, ZeroCapacityArenaAlwaysSpillsSafely) {
-  SharedArena arena(0);
-  auto span = arena.alloc<std::uint32_t>(16);
-  span[15] = 42;
-  EXPECT_EQ(span[15], 42u);
-  EXPECT_EQ(arena.spills(), 1u);
-}
-
-TEST(SharedArena, ExhaustionResetReclaimsSharedNotSpillCount) {
-  SharedArena arena(256);
-  (void)arena.alloc<double>(16);  // 128 B: fits
-  (void)arena.alloc<double>(64);  // 512 B more: spills
-  EXPECT_EQ(arena.spills(), 1u);
-  arena.reset();
-  auto again = arena.alloc<double>(16);
-  again[0] = 1.0;
-  EXPECT_EQ(arena.spills(), 1u);  // counter is cumulative diagnostics
-  EXPECT_GT(arena.shared_used(), 0u);
-}
-
-TEST(Device, KernelOverSharedBytesIsDiagnosableViaSpills) {
-  // Every task requests 16x the configured shared memory; all of them
-  // must complete correctly and each must tick the spill counter.
-  Device device({.worker_threads = 2, .shared_bytes = 256});
-  std::vector<std::atomic<int>> ok(64);
-  device.launch(64, [&](TaskContext& ctx) {
-    auto span = ctx.shared().alloc<double>(512);  // 4 KiB
-    span[0] = static_cast<double>(ctx.task());
-    span[511] = 1.0;
-    if (span[0] == static_cast<double>(ctx.task())) {
-      ok[ctx.task()].fetch_add(1);
-    }
-  });
-  for (auto& o : ok) ASSERT_EQ(o.load(), 1);
-  EXPECT_EQ(device.total_spills(), 64u);
-  device.clear_spills();
-  EXPECT_EQ(device.total_spills(), 0u);
-}
-
 TEST(Device, LaunchRunsEveryTask) {
   Device device({.worker_threads = 4});
   std::vector<std::atomic<int>> hits(5000);
@@ -359,28 +263,11 @@ TEST(Device, LaunchRunsEveryTask) {
   for (auto& h : hits) ASSERT_EQ(h.load(), 1);
 }
 
-TEST(Device, ArenaIsResetBetweenTasks) {
-  Device device({.worker_threads = 2, .shared_bytes = 4096});
-  std::atomic<std::uint64_t> spill_tasks{0};
-  device.launch(1000, [&](TaskContext& ctx) {
-    // 2048 bytes per task: only fits if the arena was reset.
-    auto span = ctx.shared().alloc<double>(256);
-    span[0] = 1;
-    if (ctx.shared().spills()) spill_tasks.fetch_add(1);
-  });
-  EXPECT_EQ(device.total_spills(), 0u);
-}
-
 TEST(Device, ForEachCoversRange) {
   Device device({.worker_threads = 3});
   std::vector<std::atomic<int>> hits(777);
   device.for_each(777, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) ASSERT_EQ(h.load(), 1);
-}
-
-TEST(Device, ConfigDefaultsMatchPaper) {
-  Device device;
-  EXPECT_EQ(device.config().shared_bytes, 48u * 1024u);  // Kepler SM
 }
 
 // --- Backend selection: names round-trip, unknown names are rejected
@@ -426,10 +313,9 @@ TEST(Device, BackendIsResolvedAtConstruction) {
   Device vector({.backend = Backend::kVector});
   EXPECT_EQ(vector.backend(), Backend::kVector);
   // An explicit backend keeps the rest of the config intact.
-  Device custom(
-      {.worker_threads = 2, .shared_bytes = 256, .backend = Backend::kScalar});
+  Device custom({.worker_threads = 2, .backend = Backend::kScalar});
   EXPECT_EQ(custom.backend(), Backend::kScalar);
-  EXPECT_EQ(custom.config().shared_bytes, 256u);
+  EXPECT_EQ(custom.config().worker_threads, 2u);
 }
 
 // --- Scan precondition (documented on FixedLaneGroup): the span is
@@ -457,10 +343,10 @@ TEST(LaneGroup, RuntimeWidthsArePowersOfTwo) {
   // refused.
   for (unsigned lanes : {1u, 2u, 4u, 8u, 16u, 32u, 64u, 128u}) {
     with_lane_group(lanes, [&](const auto& g) {
-      std::vector<std::uint64_t> ones(lanes, 1);
+      std::vector<std::uint64_t> ones(g.lanes(), 1);
       EXPECT_EQ(g.exclusive_scan(std::span<std::uint64_t>(ones)), lanes)
           << lanes;
-      std::vector<std::uint64_t> want(lanes);
+      std::vector<std::uint64_t> want(g.lanes());
       std::iota(want.begin(), want.end(), std::uint64_t{0});
       EXPECT_EQ(ones, want) << lanes;
     });

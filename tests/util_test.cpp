@@ -1,14 +1,14 @@
-// Unit tests for src/util: PRNG, primes, options, table, timers, the
-// LRU cache.
+// Unit tests for src/util: PRNG, options, table, timers, the LRU
+// cache; and the paper's prime table sizing (src/paper).
 #include <gtest/gtest.h>
 
 #include <set>
 #include <sstream>
 #include <thread>
 
+#include "paper/primes.hpp"
 #include "util/lru_cache.hpp"
 #include "util/options.hpp"
-#include "util/primes.hpp"
 #include "util/prng.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"

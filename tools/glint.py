@@ -32,12 +32,11 @@ checks that need to see THROUGH a function call:
                       the function (or on a temporary, which can never
                       have been checked). StatusOr::value() throws on
                       error — an unchecked one is an assert in disguise.
-  arena-escape        a SharedArena- / Workspace-backed span or pointer
-                      (ctx.shared().alloc<T>(), ws.buffer<T>()) stored
-                      into a class member, a static, or a global: the
-                      backing memory dies at the next launch epoch /
-                      arena reset, the pointer does not. Complements the
-                      runtime arena-generation check (src/check).
+  arena-escape        a Workspace-backed span or pointer
+                      (ws.buffer<T>()) stored into a class member, a
+                      static, or a global: the backing memory is handed
+                      to its next user or regrown at the next request
+                      for that slot, the pointer does not follow it.
   shard-barrier       cross-shard mutable state (GlobalState::apply_move
                       / store_label / rebuild_tot, the last_moved /
                       dirty_round stamps) written inside a run_lanes()
@@ -1532,9 +1531,8 @@ def _returns_status(p, model, name, recv, qual):
     return False
 
 
-ARENA_SOURCES = ("alloc", "alloc_global", "buffer")
-ARENA_DEF_FILES = ("shared_arena.hpp", "workspace.hpp", "workspace.cpp",
-                   "scratch.hpp")
+ARENA_SOURCES = ("alloc", "buffer")
+ARENA_DEF_FILES = ("workspace.hpp", "workspace.cpp", "scratch.hpp")
 
 
 def check_arena_escape(an, fns, findings):
@@ -1603,8 +1601,8 @@ def check_arena_escape(an, fns, findings):
                             "arena-escape", fn.file, t.line,
                             f"arena/workspace-backed span ({rhs_src}) "
                             f"stored into a {where} '{target}' — the "
-                            "backing memory dies at the next launch epoch "
-                            "/ ws reset, this pointer does not",
+                            "backing memory goes to the slot's next user "
+                            "or is regrown, this pointer does not follow",
                             fn.qual, key=f"{where}|{target}"))
                     else:
                         tainted.add(target)
@@ -1623,7 +1621,7 @@ def check_arena_escape(an, fns, findings):
                                 "arena-escape", fn.file, t.line,
                                 f"arena-derived value '{rhs_ids[0]}' stored "
                                 f"into member '{target}' — outlives the "
-                                "launch epoch",
+                                "phase that drew it",
                                 fn.qual, key=f"member|{target}"))
                         else:
                             tainted.add(target)
@@ -1755,7 +1753,7 @@ def check_fanout(an, fns, findings):
                 findings.append(Finding(
                     "kernel-alloc", fn.file, line,
                     f"'{what}' inside a kernel body — draw from the "
-                    "SharedArena / Workspace instead",
+                    "Workspace instead",
                     fn.qual, key=what))
             for i, cname, crecv, qual in call_sites(region):
                 # Only follow named helpers, not the ambient surface.

@@ -276,9 +276,7 @@ int cmd_detect(util::Options& opt) {
   if (verbose) {
     print_levels(result);
     if (result.device.workers > 0) {
-      std::printf("device: %u workers, %llu shared-arena spills\n",
-                  result.device.workers,
-                  static_cast<unsigned long long>(result.device.shared_spills));
+      std::printf("device: %u workers\n", result.device.workers);
     }
     if (result.first_phase_teps > 0) {
       std::printf("first-phase TEPS: %.3g\n", result.first_phase_teps);
@@ -442,11 +440,9 @@ int cmd_batch(util::Options& opt) {
               static_cast<unsigned long long>(st.ran_sequential),
               static_cast<unsigned long long>(st.ran_sharded),
               static_cast<unsigned long long>(st.ran_other));
-  std::printf("devices %u x %u threads, %llu shared-arena spills; "
-              "queue wait %.3fs, run %.3fs\n",
-              st.devices, st.device_threads,
-              static_cast<unsigned long long>(st.shared_spills),
-              st.queue_wait_seconds, st.run_seconds);
+  std::printf("devices %u x %u threads; queue wait %.3fs, run %.3fs\n",
+              st.devices, st.device_threads, st.queue_wait_seconds,
+              st.run_seconds);
   std::printf("phases: optimize %.3fs, aggregate %.3fs over %llu levels, "
               "%llu sweeps\n",
               st.optimize_seconds, st.aggregate_seconds,
